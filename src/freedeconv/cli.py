@@ -47,6 +47,16 @@ from .series import (
 from .subordination import spn_density
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freedeconv",
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kind", choices=["cw", "spn"], required=True)
     p_sim.add_argument("--dim-scale", type=int, default=1,
                        help="replicate the spectrum this many times")
-    p_sim.add_argument("--trials", type=int, default=10)
+    p_sim.add_argument("--trials", type=_positive_int, default=10)
     p_sim.add_argument("--seed", type=int, default=42)
     p_sim.add_argument("--order", type=int, default=8)
     p_sim.add_argument("--field", choices=["real", "complex"], default="real")
@@ -218,6 +228,7 @@ def _cmd_spn_density(args) -> int:
         "epsilon": curve.epsilon,
         "max_residual": curve.max_residual,
         "max_iterations_used": curve.max_iterations,
+        "fallback_points": curve.fallback_points,
     }
     if args.out is None:
         sys.stdout.write(csv_text)

@@ -21,6 +21,7 @@ of sigma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -93,7 +94,12 @@ class CwModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CwModel":
-        return cls(data["p"], data["d"], tuple(_parse_scalar(v) for v in data["eigenvalues"]))
+        _require_fields(data, "p", "d", "eigenvalues")
+        return cls(
+            _parse_dimension(data, "p"),
+            _parse_dimension(data, "d"),
+            _parse_values(data, "eigenvalues"),
+        )
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,11 @@ class SpnModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpnModel":
+        _require_fields(data, "p", "d", "singular_values")
         return cls(
-            data["p"],
-            data["d"],
-            tuple(_parse_scalar(v) for v in data["singular_values"]),
+            _parse_dimension(data, "p"),
+            _parse_dimension(data, "d"),
+            _parse_values(data, "singular_values"),
             _parse_scalar(data.get("sigma", 0)),
         )
 
@@ -191,9 +198,37 @@ def _scalar_to_json(v):
     return v
 
 
+def _require_fields(data, *fields) -> None:
+    if not isinstance(data, dict):
+        raise DomainError(f"a model must be a JSON object, got {type(data).__name__}")
+    missing = [f for f in fields if f not in data]
+    if missing:
+        raise DomainError(f"model lacks required field(s): {', '.join(missing)}")
+
+
+def _parse_dimension(data: dict, field: str) -> int:
+    v = data[field]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"{field} must be an integer, got {v!r}")
+    return v
+
+
+def _parse_values(data: dict, field: str) -> tuple:
+    v = data[field]
+    if not isinstance(v, list):
+        raise DomainError(f"{field} must be a list, got {v!r}")
+    return tuple(_parse_scalar(x) for x in v)
+
+
 def _parse_scalar(v):
+    """A model value from JSON: an integer, a finite float or a rational "p/q"."""
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not a finite rational number: {v!r}") from None
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise DomainError(f"not a finite number: {v!r}")
     return v
 
 

@@ -18,7 +18,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InsufficientOrderError, MalformedPartitionError, OrderTooLargeError
+from .errors import (
+    DomainError,
+    InsufficientOrderError,
+    MalformedPartitionError,
+    OrderTooLargeError,
+)
 
 DEFAULT_MAX_ORDER = 14
 _MAX_ORDER_ENV = "FREEDECONV_MAX_NC_ORDER"
@@ -133,7 +138,12 @@ def _max_order(explicit: int | None = None) -> int:
         return explicit
     raw = os.environ.get(_MAX_ORDER_ENV)
     if raw is not None:
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise DomainError(
+                f"{_MAX_ORDER_ENV} must be an integer, got {raw!r}", module="ncpart"
+            ) from None
     return DEFAULT_MAX_ORDER
 
 

@@ -14,6 +14,13 @@ where G_A is the closed-form transform of the embedded signal, determined
 by the squared singular values of A alone.  Solving the fixed point along
 z1 = z2 = sqrt(x + i eps) and applying Stieltjes inversion yields the
 spectral density of (A + sigma C)*(A + sigma C).
+
+Damped Picard iteration (Helton, Rashidi Far and Speicher, IMRN 2007)
+converges to the physical branch from the signal transform, but its
+iteration count grows like 1/eps.  The density therefore runs Picard only
+far from the axis and continues the solution towards it with Newton steps
+on the analytic 2x2 Jacobian, falling back to Picard for any point Newton
+cannot keep in the lower half-plane.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
 DEFAULT_DAMPING = 0.5
 EPSILON_LADDER = (0.1, 0.03, 0.01, 0.003, 0.001, 0.0003)
+NEWTON_MAX_STEPS = 40
 
 
 class CPoint2(NamedTuple):
@@ -64,6 +72,7 @@ class DensityCurve:
     mass: float
     max_residual: float = 0.0
     max_iterations: int = 0
+    fallback_points: int = 0
 
 
 def _require_upper(z: CPoint2) -> None:
@@ -138,6 +147,86 @@ def _fixed_point(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g=None,
     )
 
 
+def _in_lower(g1, g2):
+    return (g1.imag <= 0) & (g2.imag <= 0) & np.isfinite(g1) & np.isfinite(g2)
+
+
+def _newton(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g):
+    """Newton's method for g = G_A(z - sigma_sq * eta(g)) on arrays of points.
+
+    Starts from the warm start ``g`` and retires each point once its defect
+    max |G_A(w) - g| is at most ``tol``.  With w1 = z1 - sigma_sq (p/d) g2,
+    w2 = z2 - sigma_sq g1, w = w1 w2 and S(w) = sum_k c_k / (w - a_k), the
+    defect F = (w2 S/d - g1, w1 S/p + (p-d)/(p w2) - g2) has the Jacobian
+
+        dF1/dg1 = dF2/dg2 = -sigma_sq (S + w S')/d - 1,
+        dF1/dg2 = -sigma_sq (p/d) w2^2 S'/d,
+        dF2/dg1 = -sigma_sq (w1^2 S'/p - (p-d)/(p w2^2)).
+
+    A point whose iterate, the warm start included, is non-finite or
+    outside the closed lower half-plane of C^2, or that is still
+    unconverged after NEWTON_MAX_STEPS evaluations, is re-solved by
+    _fixed_point from its warm start, or from the signal transform where the
+    warm start itself lies outside.  Returns the solution, the largest
+    residual, the iteration count and the number of points handed to
+    _fixed_point.
+    """
+    g1 = np.array(g[0], dtype=complex)
+    g2 = np.array(g[1], dtype=complex)
+    residual = np.zeros(g1.shape)
+    active = np.arange(g1.size)
+    failed = []
+    its = 0
+    with np.errstate(all="ignore"):
+        while active.size:
+            its += 1
+            a1, a2 = g1[active], g2[active]
+            lower = _in_lower(a1, a2)
+            failed.append(active[~lower])
+            active, a1, a2 = active[lower], a1[lower], a2[lower]
+            w1 = z1[active] - sigma_sq * (p / d) * a2
+            w2 = z2[active] - sigma_sq * a1
+            w = w1 * w2
+            inv = 1.0 / (w[None, :] - atoms[:, None])
+            weighted = counts[:, None] * inv
+            s = weighted.sum(axis=0)
+            ds = -(weighted * inv).sum(axis=0)
+            f1 = w2 * s / d - a1
+            f2 = w1 * s / p + (p - d) / (p * w2) - a2
+            res = np.maximum(np.abs(f1), np.abs(f2))
+            done = res <= tol
+            residual[active[done]] = res[done]
+            keep = ~done
+            active = active[keep]
+            if its == NEWTON_MAX_STEPS:
+                failed.append(active)
+                break
+            a1, a2, f1, f2 = a1[keep], a2[keep], f1[keep], f2[keep]
+            w1, w2, w, s, ds = w1[keep], w2[keep], w[keep], s[keep], ds[keep]
+            j11 = -sigma_sq * (s + w * ds) / d - 1.0
+            j12 = -sigma_sq * (p / d) * w2 * w2 * ds / d
+            j21 = -sigma_sq * (w1 * w1 * ds / p - (p - d) / (p * w2 * w2))
+            det = j11 * j11 - j12 * j21
+            g1[active] = a1 + (j12 * f2 - j11 * f1) / det
+            g2[active] = a2 + (j21 * f1 - j11 * f2) / det
+    failed = np.concatenate(failed)
+    max_res = float(residual.max())
+    if failed.size:
+        # a warm start outside the lower half-plane could lead Picard to the
+        # wrong branch; the signal transform is its safe default start
+        h1, h2 = np.asarray(g[0])[failed], np.asarray(g[1])[failed]
+        t1, t2 = _g_atoms(atoms, counts, p, d, z1[failed], z2[failed])
+        lower = _in_lower(h1, h2)
+        (h1, h2), _, fp_its, fp_res = _fixed_point(
+            atoms, counts, p, d, sigma_sq, z1[failed], z2[failed], tol, max_iter,
+            g=(np.where(lower, h1, t1), np.where(lower, h2, t2)),
+        )
+        g1[failed], g2[failed] = h1, h2
+        its += fp_its
+        max_res = max(max_res, fp_res)
+    return (g1, g2), max_res, its, int(failed.size)
+
+
 def solve_subordination(
     model: SpnModel,
     z: CPoint2,
@@ -181,11 +270,14 @@ def spn_density(
     Evaluates the subordination fixed point along z1 = z2 = sqrt(x + i eps)
     and reads the density off the first transform component by Stieltjes
     inversion, rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  The offset is
-    walked down a ladder from 0.1 to ``epsilon``, reusing each solution as
-    the next initial guess, because the iteration contracts more slowly
-    near the real axis.  Only the absolutely continuous regime sigma != 0
-    is supported; for sigma = 0 the spectrum is atomic and covered by the
-    moment route.
+    walked down a ladder from 0.1 to ``epsilon``: damped Picard iteration
+    on the first rung selects the physical branch, and every later rung
+    takes Newton steps warm-started from the rung before, handing any point
+    Newton cannot settle back to Picard.  ``max_iterations`` is the largest
+    per-rung iteration count and ``fallback_points`` the number of points
+    handed back, summed over rungs.  Only the absolutely continuous regime
+    sigma != 0 is supported; for sigma = 0 the spectrum is atomic and
+    covered by the moment route.
     """
     if float(model.sigma) == 0.0:
         raise SigmaZeroError(
@@ -198,8 +290,10 @@ def spn_density(
     if not (np.all(x > 0) and np.all(np.diff(x) > 0)):
         raise DomainError("grid must be positive and strictly ascending",
                           module="subordination")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive", module="subordination")
+    for name, value in (("epsilon", epsilon), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, got {value}",
+                              module="subordination")
 
     atoms, counts = _squared_atoms(model.singular_values)
     sigma_sq = float(model.sigma) ** 2
@@ -207,13 +301,21 @@ def spn_density(
     g = None
     max_res = 0.0
     max_its = 0
+    fallback = 0
     for eps in ladder:
         zeta = np.sqrt(x + 1j * eps)
         zeta = np.where(zeta.imag > 0, zeta, -zeta)
-        g, _, its, res = _fixed_point(
-            atoms, counts, model.p, model.d, sigma_sq,
-            zeta, zeta, tol, max_iter, g=g,
-        )
+        if g is None:
+            g, _, its, res = _fixed_point(
+                atoms, counts, model.p, model.d, sigma_sq,
+                zeta, zeta, tol, max_iter,
+            )
+        else:
+            g, res, its, handed = _newton(
+                atoms, counts, model.p, model.d, sigma_sq,
+                zeta, zeta, tol, max_iter, g,
+            )
+            fallback += handed
         max_res = max(max_res, res)
         max_its = max(max_its, its)
     values = np.maximum(-np.imag(g[0] / zeta) / np.pi, 0.0)
@@ -225,6 +327,7 @@ def spn_density(
         mass=mass,
         max_residual=max_res,
         max_iterations=max_its,
+        fallback_points=fallback,
     )
 
 

@@ -227,8 +227,8 @@ def test_criterion_7_cross_route_density_vs_series():
         sigma = float(model.sigma)
         edge = (max(model.singular_values) + sigma * (1 + 1 / np.sqrt(lam))) ** 2
         grid = np.linspace(1e-3, 1.2 * edge + 0.5, 3500)
-        coarse = spn_density(model, grid, epsilon=6e-4, max_iter=100000)
-        curve = spn_density(model, grid, epsilon=3e-4, max_iter=100000)
+        coarse = spn_density(model, grid, epsilon=6e-4)
+        curve = spn_density(model, grid, epsilon=3e-4)
         mom = spn_moments(model, 4, FLOAT)
         for k in range(1, 5):
             # smoothing bias is linear in epsilon; extrapolate it away

@@ -144,6 +144,7 @@ def test_spn_density_writes_csv_and_sidecar(tmp_path, spn_model_file):
     assert sidecar["epsilon"] == 0.003
     assert sidecar["max_residual"] <= 1e-12
     assert sidecar["max_iterations_used"] >= 1
+    assert sidecar["fallback_points"] >= 0
 
 
 def test_spn_density_sigma_zero_domain_error(tmp_path, capsys):
@@ -246,6 +247,40 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["spn-moments", "--model", str(bad)]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def _exit_status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, model, env, status",
+    [
+        (["nc", "--n", "3"], None, "abc", 1),
+        (["spn-moments"], {"sigma": "nan"}, None, 1),
+        (["spn-moments"], {"sigma": "1/0"}, None, 1),
+        (["spn-moments"], {"d": None}, None, 1),
+        (["simulate", "--kind", "spn", "--trials", "0"], {}, None, 2),
+        (["spn-density", "--xmin", "0.1", "--xmax", "5", "--epsilon", "nan"], {}, None, 1),
+    ],
+    ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
+         "epsilon-nan"],
+)
+def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, env, status):
+    if env is not None:
+        monkeypatch.setenv("FREEDECONV_MAX_NC_ORDER", env)
+    if model is not None:
+        data = {"p": 4, "d": 2, "singular_values": [1, 2], "sigma": 0.5, **model}
+        data = {k: v for k, v in data.items() if v is not None}
+        argv = argv + ["--model", write_json(tmp_path / "model.json", data)]
+    assert _exit_status(argv) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status == 1:
+        assert json.loads(err)["code"] == "domain"
 
 
 def test_unknown_flag_exits_two():
