@@ -43,10 +43,13 @@ from .series import (
     free_add_conv,
     free_mult_deconv,
     moment_from_r,
+    parse_scalar,
     r_transform,
 )
 
 IMAG_ROOT_TOL = 1e-6
+# Gauss-Newton steps spent polishing each noise-level candidate.
+POLISH_MAX_STEPS = 30
 
 __all__ = [
     "CwModel",
@@ -147,7 +150,7 @@ class SpnModel:
             _parse_dimension(data, "p"),
             _parse_dimension(data, "d"),
             _parse_values(data, "singular_values"),
-            _parse_scalar(data.get("sigma", 0)),
+            parse_scalar(data.get("sigma", 0), "models"),
         )
 
 
@@ -217,19 +220,7 @@ def _parse_values(data: dict, field: str) -> tuple:
     v = data[field]
     if not isinstance(v, list):
         raise DomainError(f"{field} must be a list, got {v!r}")
-    return tuple(_parse_scalar(x) for x in v)
-
-
-def _parse_scalar(v):
-    """A model value from JSON: an integer, a finite float or a rational "p/q"."""
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"not a finite rational number: {v!r}") from None
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise DomainError(f"not a finite number: {v!r}")
-    return v
+    return tuple(parse_scalar(x, "models") for x in v)
 
 
 def _as_kind(value, kind):
@@ -275,31 +266,28 @@ def f_lambda(aspect, order: int, kind: str = RATIONAL) -> MomentSeries:
     return MomentSeries(tuple(coeffs), kind)
 
 
+def _power_means(values: Sequence, divisor: int, order: int, kind: str) -> MomentSeries:
+    # coefficient n is (sum_k values_k^n) / divisor
+    vals = [_as_kind(v, kind) for v in values]
+    coeffs = []
+    powers = list(vals)
+    for n in range(order):
+        if n:
+            powers = [pw * v for pw, v in zip(powers, vals)]
+        coeffs.append(sum(powers) / divisor)
+    return MomentSeries(tuple(coeffs), kind)
+
+
 def atomic_moments(atoms: Sequence, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Moment series of the uniform atomic measure on ``atoms``."""
     if not atoms:
         raise DomainError("need at least one atom")
-    vals = [_as_kind(a, kind) for a in atoms]
-    d = len(vals)
-    coeffs = []
-    powers = list(vals)
-    for n in range(order):
-        if n:
-            powers = [pw * v for pw, v in zip(powers, vals)]
-        coeffs.append(sum(powers) / d)
-    return MomentSeries(tuple(coeffs), kind)
+    return _power_means(atoms, len(atoms), order, kind)
 
 
 def cw_r_transform(model: CwModel, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Free cumulants of the compound Wishart limit: (1/d) sum_k v_k^n."""
-    vals = [_as_kind(v, kind) for v in model.eigenvalues]
-    coeffs = []
-    powers = list(vals)
-    for n in range(order):
-        if n:
-            powers = [pw * v for pw, v in zip(powers, vals)]
-        coeffs.append(sum(powers) / model.d)
-    return MomentSeries(tuple(coeffs), kind)
+    return _power_means(model.eigenvalues, model.d, order, kind)
 
 
 def cw_moments(model: CwModel, order: int, kind: str = RATIONAL) -> MomentSeries:
@@ -380,13 +368,19 @@ def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeri
     convolve the kernel back in at the cumulant level.
     """
     lam = model.aspect_ratio if kind == RATIONAL else float(model.aspect_ratio)
-    a_sq = [v * v for v in model.singular_values]
-    maa = atomic_moments(a_sq, order, kind)
+    # convert before squaring: a float squared past its range raises
+    a = [_as_kind(v, kind) for v in model.singular_values]
+    maa = atomic_moments([v * v for v in a], order, kind)
     flam = f_lambda(lam, order, kind)
     stripped = free_mult_deconv(maa, moment_from_r(flam))
-    sigma_sq = _as_kind(model.sigma, kind) ** 2
-    shifted = free_add_conv(stripped, delta_moments(sigma_sq / lam, order, kind))
-    return moment_from_r(boxed_conv(flam, r_transform(shifted)))
+    sigma = _as_kind(model.sigma, kind)
+    shifted = free_add_conv(stripped, delta_moments(sigma * sigma / lam, order, kind))
+    m = moment_from_r(boxed_conv(flam, r_transform(shifted)))
+    if kind == FLOAT and not all(math.isfinite(c) for c in m.coeffs):
+        raise DomainError(
+            "moments overflow the float backend; use the rational backend"
+        )
+    return m
 
 
 def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
@@ -399,51 +393,126 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
     return free_mult_deconv(m, _poisson_kernel(aspect, m.order, m.scalar_kind))
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float, trace: list) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    trace.extend([(c, fc), (d, fd)])
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-            trace.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-            trace.append((d, fd))
-    return (a + b) / 2.0
+def _interpolate(values: Sequence) -> list:
+    """Coefficients, lowest power first, of the polynomial through (k, values[k])."""
+    dd = list(values)
+    for j in range(1, len(dd)):
+        for i in range(len(dd) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / j
+    poly = [dd[-1]]
+    for i in range(len(dd) - 2, -1, -1):
+        # poly <- poly * (s - i) + dd[i]
+        poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += dd[i]
+    return poly
 
 
-def spn_recover(
-    m: MomentSeries,
-    p: int,
-    d: int,
-    grid_points: int = 200,
-    refine_tol: float = 1e-10,
-) -> RecoveryReport:
+def _horner(poly: Sequence, s):
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * s + c
+    return acc
+
+
+def _recurrence_gaps(psums: Sequence, d: int) -> list:
+    # Power sums of d atoms obey the degree-d Newton recurrence set by the
+    # first d of them; gap k is how far power sum k misses it.
+    e = _elementary_from_power_sums(psums[:d])
+    return [
+        psums[k - 1]
+        - sum((-1) ** (j + 1) * e[j] * psums[k - j - 1] for j in range(1, d + 1))
+        for k in range(d + 1, len(psums) + 1)
+    ]
+
+
+def _root_penalty(roots: np.ndarray) -> float:
+    return float(np.sum(roots.imag**2) + np.sum(np.minimum(roots.real, 0.0) ** 2))
+
+
+def _evaluate(polys: Sequence, s: float) -> list:
+    # exact evaluation at a float, rounded once
+    x = Fraction(s)
+    return [float(_horner(c, x)) for c in polys]
+
+
+def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
+    """Scored noise-level candidates (s, score) and the candidate moment
+    polynomials, lowest power first; see ``spn_recover``."""
+    order = m.order
+    exact = MomentSeries(m.coeffs, RATIONAL)
+    lam = Fraction(d, p)
+    flam = f_lambda(lam, order)
+    r_stripped = r_transform(spn_decompose(exact, lam))
+
+    def candidate(s: int) -> tuple:
+        # shifting by the point mass at -s/lambda moves the first cumulant only
+        r = (r_stripped.coeffs[0] - s / lam,) + r_stripped.coeffs[1:]
+        return moment_from_r(boxed_conv(flam, MomentSeries(r))).coeffs
+
+    nodes = [candidate(s) for s in range(order + 1)]
+    moment_polys = [_interpolate(col) for col in zip(*nodes)]
+    gap_polys = [
+        _interpolate(col)
+        for col in zip(*(_recurrence_gaps([d * c for c in cs], d) for cs in nodes))
+    ]
+    slope_polys = [[k * c for k, c in enumerate(g)][1:] for g in gap_polys]
+    weights = [1 / (1 + (d * c) ** 2) for c in exact.coeffs[d:]]
+
+    def defect(s: float) -> tuple:
+        # D(s) exactly, and the Gauss-Newton step for it
+        x = Fraction(s)
+        gaps = [_horner(g, x) for g in gap_polys]
+        slopes = [_horner(g, x) for g in slope_polys]
+        value = sum(w * g * g for w, g in zip(weights, gaps))
+        curvature = sum(w * t * t for w, t in zip(weights, slopes))
+        pull = sum(w * g * t for w, g, t in zip(weights, gaps, slopes))
+        return value, (-pull / curvature if curvature else 0)
+
+    def polish(s: float) -> tuple:
+        value, step = defect(s)
+        for _ in range(POLISH_MAX_STEPS):
+            trial = max(float(Fraction(s) + step), 0.0)
+            if trial == s:
+                break
+            trial_value, trial_step = defect(trial)
+            if trial_value >= value:
+                break
+            s, value, step = trial, trial_value, trial_step
+        return s, value
+
+    # seeds: s = 0 and the roots of the lowest nonzero gap, scaled exactly
+    # to coefficients of at most 1 before rounding
+    lowest = next((g for g in gap_polys if any(g)), [1])
+    scale = max(abs(c) for c in lowest)
+    roots = np.roots([float(c / scale) for c in reversed(lowest)]).real
+    s_hi = max(lam * exact.coeffs[0], 0)
+    seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
+    trace = []
+    for seed in dict.fromkeys(seeds):
+        s, value = polish(seed)
+        psums = [d * c for c in _evaluate(moment_polys[:d], s)]
+        trace.append((s, float(value) + _root_penalty(_roots_from_power_sums(psums))))
+    return trace, moment_polys
+
+
+def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     """Recover (sigma^2, spectrum of A*A) from a signal-plus-noise moment series.
 
-    For each candidate noise level s the kernel-deconvolved series is
-    shifted by the point mass at -s/lambda and re-convolved, giving a
-    candidate M[A*A] whose first d coefficients determine d atoms through
-    Newton's identities.  The search minimizes the candidate's Newton
-    recurrence defect (zero exactly when the candidate is a genuine d-atom
-    moment series, i.e. at the true noise level), penalized for complex or
-    negative atoms: a dense grid over [0, lambda*m_1] (the first moment
-    bounds sigma^2/lambda from above), golden-section refinement, then a
-    golden-section polish of the same defect in exact rational arithmetic,
-    which is immune to the float noise floor that otherwise misplaces s
-    when atoms nearly collide.  The reported residual compares the moments
-    predicted by the recovered parameters against the input at orders
-    d+1..N; RecoveryFailedError signals that even the best candidate leaves
-    a residual above 1e-4*(1+|m|^2), i.e. the input is not a
-    signal-plus-noise moment series for dimensions (p, d).
+    The input, converted exactly to rationals, is deconvolved by the free
+    Poisson kernel, shifted by the point mass at -s/lambda and re-convolved:
+    a candidate M[A*A] whose coefficient n is a polynomial of degree n in
+    the noise level s.  Exact evaluation at s = 0..N and interpolation give
+    the candidate moments and Newton-recurrence gaps g_k (k = d+1..N) as
+    polynomials; the gaps vanish together exactly at the true s, where the
+    candidate has d atoms.  The roots of the lowest nonzero gap, clipped to
+    [0, lambda*m_1], and s = 0 seed a Gauss-Newton polish of
+    D(s) = sum_k g_k(s)^2 / (1 + (d m_k)^2), evaluated exactly at each float
+    iterate and stepped only downhill.  The candidate with the least D plus
+    a penalty for complex or negative atoms wins; ``search_trace`` lists the
+    candidates as (s, score).  RecoveryFailedError signals that the moments
+    the recovered parameters predict miss the input at orders d+1..N by
+    more than 1e-4*(1+|m|^2), or that the candidates leave the float range:
+    the input is not a signal-plus-noise moment series for (p, d).
     """
     if m.order < d + 2:
         raise OrderTooSmallError(
@@ -451,106 +520,34 @@ def spn_recover(
         )
     if p < d:
         raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
-    order = m.order
     target = m.as_float()
-    lam = d / p
-    stripped = spn_decompose(target, lam)
-    flam = f_lambda(lam, order, FLOAT)
-    # exact twin of the float pipeline for the final polish; float inputs
-    # convert to rationals without rounding
-    lam_x = Fraction(d, p)
-    stripped_x = spn_decompose(MomentSeries(m.coeffs, RATIONAL), lam_x)
-    flam_x = f_lambda(lam_x, order, RATIONAL)
-
-    def candidate_atom_series(s, stripped_s, flam_s, lam_s, kind):
-        shifted = free_add_conv(
-            stripped_s, delta_moments(-s / lam_s, order, kind)
-        )
-        return moment_from_r(boxed_conv(flam_s, r_transform(shifted)))
-
-    def recurrence_defect(maa):
-        # A sequence of moments comes from exactly d atoms iff its power
-        # sums obey the degree-d Newton recurrence induced by the first d of
-        # them; the defect is smooth in s and free of root-finding noise.
-        psums = [d * c for c in maa.coeffs]
-        e = _elementary_from_power_sums(psums[:d])
-        err = 0
-        for k in range(d + 1, order + 1):
-            pred = 0
-            for j in range(1, d + 1):
-                pred = pred + (-1) ** (j + 1) * e[j] * psums[k - j - 1]
-            gap = psums[k - 1] - pred
-            err = err + gap * gap / (1 + psums[k - 1] ** 2)
-        return err
-
-    def objective(s: float) -> float:
-        maa = candidate_atom_series(s, stripped, flam, lam, FLOAT)
-        roots = _roots_from_power_sums([d * c for c in maa.coeffs[:d]])
-        penalty = float(
-            np.sum(roots.imag**2) + np.sum(np.minimum(roots.real, 0.0) ** 2)
-        )
-        return recurrence_defect(maa) + penalty
-
-    def polished_objective(s: float) -> float:
-        maa = candidate_atom_series(Fraction(s), stripped_x, flam_x, lam_x, RATIONAL)
-        return float(recurrence_defect(maa))
-
-    m1 = target.coeffs[0]
-    s_hi = max(lam * m1, 0.0)
-    trace: list[tuple[float, float]] = []
-    grid = np.linspace(0.0, s_hi, grid_points) if s_hi > 0 else np.array([0.0])
-    values = []
-    for s in grid:
-        val = objective(float(s))
-        trace.append((float(s), val))
-        values.append(val)
-    best = int(np.argmin(values))
-    if len(grid) > 1:
-        lo = float(grid[max(best - 1, 0)])
-        hi = float(grid[min(best + 1, len(grid) - 1)])
-        s_coarse = _golden_section(objective, lo, hi, refine_tol, trace)
-        if objective(s_coarse) > values[best]:
-            s_coarse = float(grid[best])
-    else:
-        s_coarse = float(grid[best])
-    # Exact-arithmetic polish: the float objective bottoms out on rounding
-    # noise, which is enough to misplace s by ~1e-6 when atoms nearly
-    # collide; the exact defect stays a smooth polynomial in s.
-    width = 1e-4 * (1.0 + abs(s_coarse))
-    s_best = _golden_section(
-        polished_objective,
-        max(s_coarse - width, 0.0),
-        s_coarse + width,
-        refine_tol,
-        trace,
-    )
-
-    maa_x = candidate_atom_series(
-        Fraction(s_best), stripped_x, flam_x, lam_x, RATIONAL
-    )
-    roots = _roots_from_power_sums([float(d * c) for c in maa_x.coeffs[:d]])
-    penalty = float(
-        np.sum(roots.imag**2) + np.sum(np.minimum(roots.real, 0.0) ** 2)
-    )
+    not_spn = f"input is not a signal-plus-noise moment series for (p={p}, d={d})"
+    try:
+        trace, moment_polys = _noise_level_candidates(m, p, d)
+        s_best = min(trace, key=lambda entry: entry[1])[0]
+        maa = MomentSeries(tuple(_evaluate(moment_polys, s_best)), FLOAT)
+    except OverflowError:
+        raise RecoveryFailedError(
+            f"candidates leave the float range; {not_spn}", residual=math.inf
+        ) from None
+    roots = _roots_from_power_sums([d * c for c in maa.coeffs[:d]])
     atoms = np.sort(np.maximum(roots.real, 0.0))
     reconstructed = spn_moments(
-        SpnModel(p, d, tuple(np.sqrt(atoms)), np.sqrt(s_best)), order, FLOAT
+        SpnModel(p, d, tuple(np.sqrt(atoms)), np.sqrt(s_best)), m.order, FLOAT
     )
-    final_residual = penalty + sum(
-        (reconstructed.coeffs[n] - target.coeffs[n]) ** 2
-        for n in range(d, order)
+    final_residual = _root_penalty(roots) + sum(
+        (r - t) * (r - t)
+        for r, t in zip(reconstructed.coeffs[d:], target.coeffs[d:])
     )
-    trace.append((s_best, final_residual))
     norm_sq = sum(c * c for c in target.coeffs)
-    if final_residual > 1e-4 * (1.0 + norm_sq):
+    if not math.isfinite(final_residual) or final_residual > 1e-4 * (1.0 + norm_sq):
         raise RecoveryFailedError(
-            f"best residual {final_residual:.3e} exceeds tolerance; "
-            f"input is not a signal-plus-noise moment series for (p={p}, d={d})",
+            f"best residual {final_residual:.3e} exceeds tolerance; {not_spn}",
             residual=final_residual,
         )
     return RecoveryReport(
         sigma_sq_hat=s_best,
-        atom_moments=maa_x.as_float(),
+        atom_moments=maa,
         atoms=tuple(float(a) for a in atoms),
         residual=final_residual,
         search_trace=tuple(trace),

@@ -20,10 +20,16 @@ since every spectral model in scope produces real moment data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendMismatchError, NotInvertibleError, OrderMismatchError
+from .errors import (
+    BackendMismatchError,
+    DomainError,
+    NotInvertibleError,
+    OrderMismatchError,
+)
 from .ncpart import convolution_profiles
 
 RATIONAL = "rational"
@@ -39,11 +45,34 @@ def _coerce(value, kind):
         if isinstance(value, (int, str)):
             return Fraction(value)
         if isinstance(value, float):
+            if not math.isfinite(value):
+                raise DomainError(f"not a finite number: {value!r}", module="series")
             return Fraction(value)
         raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
     if kind == FLOAT:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(
+                "a coefficient is out of the float range", module="series"
+            ) from None
     raise ValueError(f"unknown scalar backend {kind!r}")
+
+
+def parse_scalar(value, module: str = "series"):
+    """A real number from JSON: an integer, a finite float or a rational "p/q"."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(
+                f"not a finite rational number: {value!r}", module=module
+            ) from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    raise DomainError(f"not a finite number: {value!r}", module=module)
 
 
 @dataclass(frozen=True)
@@ -70,7 +99,7 @@ class MomentSeries:
     def as_float(self) -> "MomentSeries":
         if self.scalar_kind == FLOAT:
             return self
-        return MomentSeries(tuple(float(c) for c in self.coeffs), FLOAT)
+        return MomentSeries(self.coeffs, FLOAT)
 
     def to_dict(self) -> dict:
         if self.scalar_kind == RATIONAL:
@@ -81,13 +110,22 @@ class MomentSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MomentSeries":
+        if not isinstance(data, dict) or "coeffs" not in data or "scalar" not in data:
+            raise DomainError(
+                'a series must be a JSON object with "coeffs" and "scalar"',
+                module="series",
+            )
         kind = data["scalar"]
+        if kind not in (RATIONAL, FLOAT):
+            raise DomainError(f"unknown scalar backend {kind!r}", module="series")
         coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            raise DomainError(f"coeffs must be a list, got {coeffs!r}", module="series")
         if "order" in data and data["order"] != len(coeffs):
             raise OrderMismatchError(
                 f"declared order {data['order']} but {len(coeffs)} coefficients"
             )
-        return cls(tuple(coeffs), kind)
+        return cls(tuple(parse_scalar(c) for c in coeffs), kind)
 
 
 def _unit(kind):

@@ -35,7 +35,7 @@ from .models import SpnModel
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
-DEFAULT_DAMPING = 0.5
+DAMPING = 0.5
 EPSILON_LADDER = (0.1, 0.03, 0.01, 0.003, 0.001, 0.0003)
 NEWTON_MAX_STEPS = 40
 
@@ -120,8 +120,7 @@ def eta(x: CPoint2, p: int, d: int) -> CPoint2:
     return CPoint2((p / d) * x.z2, x.z1)
 
 
-def _fixed_point(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g=None,
-                 damping=DEFAULT_DAMPING):
+def _fixed_point(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g=None):
     """Damped Picard iteration for g = G_A(z - sigma_sq * eta(g)).
 
     Works elementwise on scalars or numpy arrays; returns the iterate, the
@@ -137,8 +136,8 @@ def _fixed_point(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g=None,
         res = float(np.max(np.maximum(np.abs(t1 - g1), np.abs(t2 - g2))))
         if res <= tol:
             return (g1, g2), (w1, w2), it, res
-        g1 = (1.0 - damping) * g1 + damping * t1
-        g2 = (1.0 - damping) * g2 + damping * t2
+        g1 = (1.0 - DAMPING) * g1 + DAMPING * t1
+        g2 = (1.0 - DAMPING) * g2 + DAMPING * t2
     raise NoConvergenceError(
         f"subordination fixed point did not converge within {max_iter} "
         f"iterations (residual {res:.3e})",

@@ -256,26 +256,46 @@ def _exit_status(argv):
         return exc.code
 
 
+SERIES = {"order": 3, "coeffs": ["1/1", "2/1", "5/1"], "scalar": "rational"}
+RTRANSFORM = ["convolve", "rtransform", "--f"]
+HUGE = {"singular_values": [1e308, 2]}
+
+
 @pytest.mark.parametrize(
-    "argv, model, env, status",
+    "argv, model, series, env, status",
     [
-        (["nc", "--n", "3"], None, "abc", 1),
-        (["spn-moments"], {"sigma": "nan"}, None, 1),
-        (["spn-moments"], {"sigma": "1/0"}, None, 1),
-        (["spn-moments"], {"d": None}, None, 1),
-        (["simulate", "--kind", "spn", "--trials", "0"], {}, None, 2),
-        (["spn-density", "--xmin", "0.1", "--xmax", "5", "--epsilon", "nan"], {}, None, 1),
+        (["nc", "--n", "3"], None, None, "abc", 1),
+        (["spn-moments"], {"sigma": "nan"}, None, None, 1),
+        (["spn-moments"], {"sigma": "1/0"}, None, None, 1),
+        (["spn-moments"], {"d": None}, None, None, 1),
+        (["simulate", "--kind", "spn", "--trials", "0"], {}, None, None, 2),
+        (["spn-density", "--xmin", "0.1", "--xmax", "5", "--epsilon", "nan"], {},
+         None, None, 1),
+        (["spn-moments"], HUGE, None, None, 0),
+        (["spn-moments", "--backend", "float"], HUGE, None, None, 1),
+        (RTRANSFORM, None, {"scalar": None}, None, 1),
+        (RTRANSFORM, None, {"coeffs": ["1/0", "2/1", "5/1"]}, None, 1),
+        (RTRANSFORM, None, {"scalar": "bogus"}, None, 1),
+        (RTRANSFORM, None, {"coeffs": ["nan", 2, 5], "scalar": "float"}, None, 1),
+        (["spn-recover", "--p", "4", "--d", "2", "--moments"], None,
+         {"coeffs": [1.0, float("nan"), 5.0], "scalar": "float"}, None, 1),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
-         "epsilon-nan"],
+         "epsilon-nan", "huge-value-rational", "huge-value-float",
+         "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
+         "series-nan", "recover-series-nan"],
 )
-def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, env, status):
+def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, series,
+                                 env, status):
     if env is not None:
         monkeypatch.setenv("FREEDECONV_MAX_NC_ORDER", env)
     if model is not None:
         data = {"p": 4, "d": 2, "singular_values": [1, 2], "sigma": 0.5, **model}
         data = {k: v for k, v in data.items() if v is not None}
         argv = argv + ["--model", write_json(tmp_path / "model.json", data)]
+    if series is not None:
+        data = {k: v for k, v in {**SERIES, **series}.items() if v is not None}
+        argv = argv + [write_json(tmp_path / "series.json", data)]
     assert _exit_status(argv) == status
     err = capsys.readouterr().err
     assert "Traceback" not in err
