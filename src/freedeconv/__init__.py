@@ -1,10 +1,12 @@
 """Computational free probability for compound Wishart and signal-plus-noise
 random matrix models.
 
-Three independent routes to the same spectra: exact non-crossing-partition
-combinatorics on truncated moment series, a C^2-valued subordination fixed
-point with Stieltjes inversion, and finite-dimensional Monte Carlo; plus
-recovery of model parameters from moment data by free deconvolution.
+Three independent routes to the same spectra: exact free-probability
+algebra on truncated moment series, whose boxed convolution is defined by
+sums over non-crossing partitions and computed by a formal subordination
+recursion; a C^2-valued subordination fixed point with Stieltjes
+inversion; and finite-dimensional Monte Carlo; plus recovery of model
+parameters from moment data by free deconvolution.
 """
 
 from .errors import (

@@ -39,12 +39,11 @@ from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
-    boxed_conv,
-    free_add_conv,
-    free_mult_deconv,
     moment_from_r,
     parse_scalar,
     r_transform,
+    scale_argument,
+    zeta_series,
 )
 
 IMAG_ROOT_TOL = 1e-6
@@ -227,26 +226,28 @@ def _as_kind(value, kind):
     return Fraction(value) if kind == RATIONAL else float(value)
 
 
+def _times(c, f: MomentSeries) -> MomentSeries:
+    return MomentSeries(tuple(c * x for x in f.coeffs), f.scalar_kind)
+
+
 def delta_moments(beta, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Moment series of the point mass at beta: coefficients beta^n."""
-    b = _as_kind(beta, kind)
-    coeffs, power = [], _as_kind(1, kind)
-    for _ in range(order):
-        power = power * b
-        coeffs.append(power)
-    return MomentSeries(tuple(coeffs), kind)
+    return scale_argument(zeta_series(order, kind), beta)
 
 
 def free_poisson_r(rate, jump, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Free-cumulant series of the free Poisson law: coefficient n is rate*jump^n."""
-    lam, a = _as_kind(rate, kind), _as_kind(jump, kind)
+    lam = _as_kind(rate, kind)
     if lam <= 0:
         raise DomainError(f"free Poisson rate must be positive, got {rate}")
-    coeffs, power = [], _as_kind(1, kind)
-    for _ in range(order):
-        power = power * a
-        coeffs.append(lam * power)
-    return MomentSeries(tuple(coeffs), kind)
+    return _times(lam, delta_moments(jump, order, kind))
+
+
+def _aspect(aspect, kind):
+    lam = _as_kind(aspect, kind)
+    if not 0 < lam <= 1:
+        raise DomainError(f"aspect ratio must lie in (0, 1], got {aspect}")
+    return lam
 
 
 def f_lambda(aspect, order: int, kind: str = RATIONAL) -> MomentSeries:
@@ -256,26 +257,14 @@ def f_lambda(aspect, order: int, kind: str = RATIONAL) -> MomentSeries:
     free-cumulant series of the free Poisson law with rate 1/aspect and
     jump size aspect, and is always invertible (first coefficient 1).
     """
-    lam = _as_kind(aspect, kind)
-    if not 0 < lam <= 1:
-        raise DomainError(f"aspect ratio must lie in (0, 1], got {aspect}")
-    coeffs, power = [], _as_kind(1, kind)
-    for _ in range(order):
-        coeffs.append(power)
-        power = power * lam
-    return MomentSeries(tuple(coeffs), kind)
+    lam = _aspect(aspect, kind)
+    return free_poisson_r(1 / lam, lam, order, kind)
 
 
 def _power_means(values: Sequence, divisor: int, order: int, kind: str) -> MomentSeries:
     # coefficient n is (sum_k values_k^n) / divisor
-    vals = [_as_kind(v, kind) for v in values]
-    coeffs = []
-    powers = list(vals)
-    for n in range(order):
-        if n:
-            powers = [pw * v for pw, v in zip(powers, vals)]
-        coeffs.append(sum(powers) / divisor)
-    return MomentSeries(tuple(coeffs), kind)
+    columns = zip(*(delta_moments(_as_kind(v, kind), order, kind).coeffs for v in values))
+    return MomentSeries(tuple(sum(c) / divisor for c in columns), kind)
 
 
 def atomic_moments(atoms: Sequence, order: int, kind: str = RATIONAL) -> MomentSeries:
@@ -355,9 +344,22 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     return np.sort(roots.real)
 
 
-def _poisson_kernel(aspect, order: int, kind: str) -> MomentSeries:
-    # Moment series of the free Poisson law with R-transform f_lambda.
-    return moment_from_r(f_lambda(aspect, order, kind))
+def _strip(m: MomentSeries, lam) -> MomentSeries:
+    """rho(lambda rho(m)): lambda times the R-transform of m deconv nu.
+
+    Boxed convolution by the kernel f_lambda = lambda^-1 Zeta(lambda z) is a
+    scaling, X x f_lambda = lambda^-1 mu(lambda X), and so is its inverse,
+    X x f_lambda^{x-1} = lambda^-1 rho(lambda X); mu = moment_from_r,
+    rho = r_transform and lambda X is the coefficientwise multiple.
+    """
+    return r_transform(_times(lam, r_transform(m)))
+
+
+def _restore(x: MomentSeries, lam, shift) -> MomentSeries:
+    """mu(lambda^-1 mu(x + shift z)): undoes ``_strip`` after adding the
+    point mass at shift/lambda, which moves the first cumulant only."""
+    x = MomentSeries((x.coeffs[0] + shift,) + x.coeffs[1:], x.scalar_kind)
+    return moment_from_r(_times(1 / lam, moment_from_r(x)))
 
 
 def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeries:
@@ -365,17 +367,15 @@ def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeri
 
     Forward evaluation of the deconvolution identity: deconvolve M[A*A] by
     the free Poisson kernel, shift by the point mass at sigma^2/lambda, and
-    convolve the kernel back in at the cumulant level.
+    convolve the kernel back in at the cumulant level.  With the kernel as
+    a scaling this is mu(lambda^-1 mu(rho(lambda rho(M[A*A])) + sigma^2 z)).
     """
-    lam = model.aspect_ratio if kind == RATIONAL else float(model.aspect_ratio)
+    lam = _as_kind(model.aspect_ratio, kind)
     # convert before squaring: a float squared past its range raises
     a = [_as_kind(v, kind) for v in model.singular_values]
     maa = atomic_moments([v * v for v in a], order, kind)
-    flam = f_lambda(lam, order, kind)
-    stripped = free_mult_deconv(maa, moment_from_r(flam))
     sigma = _as_kind(model.sigma, kind)
-    shifted = free_add_conv(stripped, delta_moments(sigma * sigma / lam, order, kind))
-    m = moment_from_r(boxed_conv(flam, r_transform(shifted)))
+    m = _restore(_strip(maa, lam), lam, sigma * sigma)
     if kind == FLOAT and not all(math.isfinite(c) for c in m.coeffs):
         raise DomainError(
             "moments overflow the float backend; use the rational backend"
@@ -388,9 +388,11 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
 
     Applied to ``spn_moments`` output this yields
     (M[A*A] deconv kernel) boxplus M[delta_{sigma^2/lambda}], the series from
-    which the noise level separates as a pure first-cumulant shift.
+    which the noise level separates as a pure first-cumulant shift:
+    mu(lambda^-1 rho(lambda rho(m))).
     """
-    return free_mult_deconv(m, _poisson_kernel(aspect, m.order, m.scalar_kind))
+    lam = _aspect(aspect, m.scalar_kind)
+    return moment_from_r(_times(1 / lam, _strip(m, lam)))
 
 
 def _interpolate(values: Sequence) -> list:
@@ -441,15 +443,8 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     order = m.order
     exact = MomentSeries(m.coeffs, RATIONAL)
     lam = Fraction(d, p)
-    flam = f_lambda(lam, order)
-    r_stripped = r_transform(spn_decompose(exact, lam))
-
-    def candidate(s: int) -> tuple:
-        # shifting by the point mass at -s/lambda moves the first cumulant only
-        r = (r_stripped.coeffs[0] - s / lam,) + r_stripped.coeffs[1:]
-        return moment_from_r(boxed_conv(flam, MomentSeries(r))).coeffs
-
-    nodes = [candidate(s) for s in range(order + 1)]
+    stripped = _strip(exact, lam)
+    nodes = [_restore(stripped, lam, -s).coeffs for s in range(order + 1)]
     moment_polys = [_interpolate(col) for col in zip(*nodes)]
     gap_polys = [
         _interpolate(col)
@@ -510,8 +505,9 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     iterate and stepped only downhill.  The candidate with the least D plus
     a penalty for complex or negative atoms wins; ``search_trace`` lists the
     candidates as (s, score).  RecoveryFailedError signals that the moments
-    the recovered parameters predict miss the input at orders d+1..N by
-    more than 1e-4*(1+|m|^2), or that the candidates leave the float range:
+    the recovered parameters miss the input at orders d+1..N by more than
+    1e-4*(1+|m|^2) in sum of squares, or at some order k by more than
+    1e-4*(1+|m_k|), or that the candidates leave the float range:
     the input is not a signal-plus-noise moment series for (p, d).
     """
     if m.order < d + 2:
@@ -535,14 +531,16 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     reconstructed = spn_moments(
         SpnModel(p, d, tuple(np.sqrt(atoms)), np.sqrt(s_best)), m.order, FLOAT
     )
-    final_residual = _root_penalty(roots) + sum(
-        (r - t) * (r - t)
-        for r, t in zip(reconstructed.coeffs[d:], target.coeffs[d:])
-    )
-    norm_sq = sum(c * c for c in target.coeffs)
-    if not math.isfinite(final_residual) or final_residual > 1e-4 * (1.0 + norm_sq):
+    pairs = list(zip(reconstructed.coeffs[d:], target.coeffs[d:]))
+    final_residual = _root_penalty(roots) + sum((r - t) * (r - t) for r, t in pairs)
+    # the sum is dominated by the highest moment, so each order is also held
+    # to its own scale
+    misfit = max(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
+    tol = 1e-4 * (1.0 + sum(c * c for c in target.coeffs))
+    if not math.isfinite(final_residual) or final_residual > tol or misfit > 1e-4:
         raise RecoveryFailedError(
-            f"best residual {final_residual:.3e} exceeds tolerance; {not_spn}",
+            f"best residual {final_residual:.3e} (worst relative misfit "
+            f"{misfit:.3e}) exceeds tolerance; {not_spn}",
             residual=final_residual,
         )
     return RecoveryReport(

@@ -5,8 +5,9 @@ there are no indices a < b < c < d with a, c in one block and b, d in
 another.  The lattice NC(n) has Catalan(n) elements and carries the
 Kreweras complement, the involution-like map that pairs each partition
 with the coarsest partition of an interleaved copy of {1..n} compatible
-with it.  These are the index sets of the boxed convolution implemented
-in :mod:`freedeconv.series`.
+with it.  These are the index sets that define boxed convolution; the
+:mod:`freedeconv.series` module computes it by a subordination recursion
+instead, and the enumeration here serves the ``nc`` command and tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +30,6 @@ _MAX_ORDER_ENV = "FREEDECONV_MAX_NC_ORDER"
 
 _cache_lock = threading.Lock()
 _nc_cache: dict[int, tuple["NcPartition", ...]] = {}
-_profile_cache: dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]] = {}
 
 
 def catalan(n: int) -> int:
@@ -107,9 +106,6 @@ class NcPartition:
         object.__setattr__(obj, "n", n)
         object.__setattr__(obj, "blocks", blocks)
         return obj
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(b) for b in self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -202,29 +198,6 @@ def enumerate_nc(n: int, max_order: int | None = None) -> tuple[NcPartition, ...
     return parts
 
 
-def _complement_cycle_sizes(blocks: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
-    # Kreweras complement via permutations: with sigma the cycle-of-blocks
-    # permutation and c the long cycle i -> i+1, the complement's blocks are
-    # the cycles of sigma^{-1} . c.
-    inv = [0] * (n + 1)
-    for b in blocks:
-        for i, x in enumerate(b):
-            inv[b[(i + 1) % len(b)]] = x
-    sizes = []
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            x = inv[x % n + 1]
-        sizes.append(size)
-    return tuple(sorted(sizes))
-
-
 def kreweras(part: NcPartition) -> NcPartition:
     """Kreweras complement of a non-crossing partition.
 
@@ -269,33 +242,3 @@ def coef_product(coeffs: Sequence, part: NcPartition):
             )
         result = result * coeffs[size - 1]
     return result
-
-
-def convolution_profiles(
-    m: int, max_order: int | None = None
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Aggregated (block sizes, complement block sizes, multiplicity) table.
-
-    For each pi in NC(m) the boxed-convolution summand depends only on the
-    multiset of block sizes of pi and of its Kreweras complement, so the sum
-    over NC(m) collapses to this table.  Cached per order; the counts add up
-    to Catalan(m).
-    """
-    limit = _max_order(max_order)
-    if m > limit:
-        raise OrderTooLargeError(f"NC({m}) exceeds the configured maximum order {limit}")
-    cached = _profile_cache.get(m)
-    if cached is not None:
-        return cached
-    with _cache_lock:
-        cached = _profile_cache.get(m)
-        if cached is not None:
-            return cached
-        counts: Counter = Counter()
-        for blocks in _raw_nc_blocks(tuple(range(1, m + 1))):
-            pf = tuple(sorted(len(b) for b in blocks))
-            pg = _complement_cycle_sizes(blocks, m)
-            counts[(pf, pg)] += 1
-        table = tuple((pf, pg, c) for (pf, pg), c in sorted(counts.items()))
-        _profile_cache[m] = table
-    return table

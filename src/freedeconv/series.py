@@ -13,6 +13,9 @@ sit the transforms of free probability:
 * free additive convolution, R_{f boxplus g} = R_f + R_g;
 * free multiplicative deconvolution, the unique h with R_f = R_g x R_h.
 
+The sums over NC(m) define boxed convolution but are never formed: each
+transform solves a functional equation column by column (formal
+subordination, or M(z) = R(z(1 + M(z)))) in O(N^3), on both backends alike.
 Every identity holds modulo z^{N+1}; truncation order is fixed per series.
 Coefficients are real (or exact rational): complex scalars are rejected,
 since every spectral model in scope produces real moment data.
@@ -30,7 +33,6 @@ from .errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
-from .ncpart import convolution_profiles
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -166,70 +168,123 @@ def _invertible_first(f: MomentSeries):
         raise NotInvertibleError(
             f"first coefficient {c1!r} below invertibility tolerance {FLOAT_INVERT_TOL}"
         )
-    return c1
+
+
+def _at(x, y, j):
+    """Coefficient j of the product of two series given constant term first."""
+    return sum(x[i] * y[j - i] for i in range(j + 1))
+
+
+class _Powers:
+    """rows[k][i] = [z^i] W^k for k = 0..count and i <= count - k, where W is
+    a series with constant term whose coefficients arrive one at a time."""
+
+    def __init__(self, count: int, kind: str, w=()):
+        self.count, self.w = count, []
+        self.rows = [[_unit(kind)] + [_zero(kind)] * count] + [[] for _ in range(count)]
+        for c in w:
+            self.push(c)
+
+    def push(self, c) -> None:
+        self.w.append(c)
+        i = len(self.w) - 1
+        for k in range(1, self.count - i + 1):
+            self.rows[k].append(_at(self.w, self.rows[k - 1], i))
+
+    def compose(self, h, m):
+        """[z^m] h(zW) for h(x) = sum_k h[k] x^k, k < len(h)."""
+        return sum(h[k] * self.rows[k][m - k] for k in range(min(m + 1, len(h))))
+
+
+def _right_inverse(a, w, kind: str) -> list:
+    """Coefficients of h with h(zW) = A, for W known and W_0 != 0: h_m
+    enters the order-m equation only as h_m W_0^m."""
+    powers, h = _Powers(len(a), kind, w), [_zero(kind)]
+    for m, c in enumerate(a, start=1):
+        h.append((c - powers.compose(h, m)) / w[0] ** m)
+    return h[1:]
+
+
+# Boxed convolution by formal subordination.  With A the moment series of
+# f x g (the series with R-transform f x g),
+#     A = f(zU) = g(zV),  U = (1 + A) g(zV)/(zV),  V = (1 + A) f(zU)/(zU),
+# Biane's subordination for the product of free variables written in
+# R-transforms.  Coefficient j of U and V needs A up to z^j and U, V below j,
+# and coefficient j + 1 of A needs U up to j, so all solve column by column.
+
+
+def _forward(f: MomentSeries, g: MomentSeries) -> MomentSeries:
+    """A from f and g."""
+    n, kind = f.order, f.scalar_kind
+    pu, pv = _Powers(n, kind), _Powers(n, kind)
+    a1, fq, gq = [_unit(kind)], [], []  # 1 + A, f(zU)/(zU), g(zV)/(zV)
+    for j in range(n):
+        fq.append(pu.compose(f.coeffs, j))
+        gq.append(pv.compose(g.coeffs, j))
+        pu.push(_at(a1, gq, j))
+        pv.push(_at(a1, fq, j))
+        a1.append(_at(pu.w, fq, j))
+    return MomentSeries(tuple(a1[1:]), kind)
+
+
+def _backward(a: MomentSeries, g: MomentSeries) -> MomentSeries:
+    """f from A and g; divides by g_1 only."""
+    n, kind, g1 = a.order, a.scalar_kind, g.coeffs[0]
+    pv, gq = _Powers(n, kind), []
+    for j in range(n):
+        gq.append(pv.compose(g.coeffs, j))
+        # a_{j+1} = [z^j] V g(zV)/(zV), where V_j enters only as V_j g_1
+        pv.push((a.coeffs[j] - _at(gq[1:], pv.w, j - 1)) / g1)
+    a1 = (_unit(kind),) + a.coeffs
+    u = [_at(a1, gq, j) for j in range(n)]  # U_0 = g_1
+    return MomentSeries(tuple(_right_inverse(a.coeffs, u, kind)), kind)
 
 
 def boxed_conv(f: MomentSeries, g: MomentSeries) -> MomentSeries:
     """Boxed convolution of two series of the same order and backend.
 
-    Coefficient m sums, over all non-crossing partitions of {1..m}, the
-    product of f-coefficients along the partition's block sizes with the
-    product of g-coefficients along its Kreweras complement.  Associative
-    and commutative, with unit ``delta_series``.
+    Coefficient m is, by definition, the sum over all non-crossing
+    partitions of {1..m} of the product of f-coefficients along the
+    partition's block sizes with the product of g-coefficients along its
+    Kreweras complement.  It is computed as the R-transform of the moment
+    series A solved from the formal subordination system above, in O(N^3)
+    operations for any first coefficients.  Associative and commutative,
+    with unit ``delta_series``.
     """
     _check_compatible(f, g)
-    fc, gc = f.coeffs, g.coeffs
-    out = []
-    for m in range(1, f.order + 1):
-        total = _zero(f.scalar_kind)
-        for pf, pg, count in convolution_profiles(m):
-            term = count
-            for s in pf:
-                term = term * fc[s - 1]
-            for s in pg:
-                term = term * gc[s - 1]
-            total = total + term
-        out.append(total)
-    return MomentSeries(tuple(out), f.scalar_kind)
+    return r_transform(_forward(f, g))
 
 
 def boxed_inverse(f: MomentSeries) -> MomentSeries:
     """Inverse of f under boxed convolution; requires c_1 != 0.
 
-    Solved triangularly: the only partition whose complement has a block of
-    size m is the all-singletons one, so coefficient m of the inverse enters
-    the order-m equation with multiplier c_1^m and lower coefficients close
-    the system.
+    The inverse h has f x h = Delta, whose moment series is Zeta, so h is
+    the backward subordination solve with A = Zeta and g = f.
     """
-    c1 = _invertible_first(f)
-    kind = f.scalar_kind
-    fc = f.coeffs
-    one, zero = _unit(kind), _zero(kind)
-    inv: list = [one / c1]
-    for m in range(2, f.order + 1):
-        acc = zero
-        full_block = (m,)
-        for pf, pg, count in convolution_profiles(m):
-            if pg == full_block:
-                continue
-            term = count
-            for s in pf:
-                term = term * fc[s - 1]
-            for s in pg:
-                term = term * inv[s - 1]
-            acc = acc + term
-        inv.append(-acc / c1**m)
-    return MomentSeries(tuple(inv), kind)
+    _invertible_first(f)
+    return _backward(zeta_series(f.order, f.scalar_kind), f)
 
 
 def r_transform(f: MomentSeries) -> MomentSeries:
-    """R_f = f boxed-conv Zeta^{-1}; coefficients are free cumulants of f."""
-    return boxed_conv(f, boxed_inverse(zeta_series(f.order, f.scalar_kind)))
+    """R_f = f boxed-conv Zeta^{-1}; coefficients are free cumulants of f.
+
+    Solved from R(z(1 + M(z))) = M(z) coefficient by coefficient.
+    """
+    w = (_unit(f.scalar_kind),) + f.coeffs[:-1]
+    return MomentSeries(tuple(_right_inverse(f.coeffs, w, f.scalar_kind)), f.scalar_kind)
 
 
 def moment_from_r(r: MomentSeries) -> MomentSeries:
-    """Moment series with free-cumulant series ``r``: the inverse of r_transform."""
-    return boxed_conv(r, zeta_series(r.order, r.scalar_kind))
+    """Moment series with free-cumulant series ``r``: the inverse of r_transform.
+
+    Solved from M(z) = R(z(1 + M(z))) coefficient by coefficient: M_m needs
+    M below m only.
+    """
+    kind = r.scalar_kind
+    w, h = _Powers(r.order, kind, [_unit(kind)]), (_zero(kind),) + r.coeffs
+    for m in range(1, r.order + 1):
+        w.push(w.compose(h, m))
+    return MomentSeries(tuple(w.w[1:]), kind)
 
 
 def free_add_conv(f: MomentSeries, g: MomentSeries) -> MomentSeries:
@@ -244,12 +299,11 @@ def free_mult_deconv(f: MomentSeries, g: MomentSeries) -> MomentSeries:
     """Free multiplicative deconvolution: the unique h with R_f = R_g x R_h.
 
     Requires g invertible under boxed convolution (first coefficient
-    nonzero).
+    nonzero).  R_h is the backward subordination solve with A = f and R_g.
     """
     _check_compatible(f, g)
     _invertible_first(g)
-    rf, rg = r_transform(f), r_transform(g)
-    return moment_from_r(boxed_conv(rf, boxed_inverse(rg)))
+    return moment_from_r(_backward(f, r_transform(g)))
 
 
 def scale_argument(f: MomentSeries, beta) -> MomentSeries:

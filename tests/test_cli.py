@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -47,12 +48,14 @@ def test_nc_with_kreweras(capsys):
     assert by_partition[json.dumps([[1, 3], [2], [4]])] == [[1, 2], [3, 4]]
 
 
-def test_nc_respects_env_guard(capsys, monkeypatch):
+def test_nc_respects_env_guard(capsys, monkeypatch, spn_model_file):
     monkeypatch.setenv("FREEDECONV_MAX_NC_ORDER", "3")
     assert main(["nc", "--n", "4"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "order-too-large"
     assert err["module"] == "ncpart"
+    # the guard bounds enumeration only; the series algebra enumerates nothing
+    assert main(["spn-moments", "--model", spn_model_file, "--order", "8"]) == 0
 
 
 # -------------------------------------------------------------------- convolve
@@ -125,6 +128,38 @@ def test_spn_moments_rational_backend_matches_library(spn_model_file, capsys):
     out = MomentSeries.from_dict(json.loads(capsys.readouterr().out))
     model = SpnModel(4, 2, (1, 2), 0.5)
     assert out == spn_moments(model, 4)
+
+
+def test_spn_moments_order_20_pure_noise_is_narayana(tmp_path, capsys):
+    p, d, sigma = 6, 2, Fraction(1, 2)
+    model = write_json(
+        tmp_path / "noise.json",
+        {"p": p, "d": d, "singular_values": [0, 0], "sigma": "1/2"},
+    )
+    assert main(["spn-moments", "--model", model, "--order", "20"]) == 0
+    out = MomentSeries.from_dict(json.loads(capsys.readouterr().out))
+    # m_n = sigma^(2n) sum_k N(n, k) (p/d)^k, N(n, k) the Narayana numbers
+    assert out.coeffs == tuple(
+        sigma ** (2 * n)
+        * sum(comb(n, k) * comb(n, k - 1) // n * Fraction(p, d) ** k
+              for k in range(1, n + 1))
+        for n in range(1, 21)
+    )
+
+
+def test_cw_moments_and_rtransform_at_order_20(tmp_path, capsys):
+    values = [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2)]
+    cw_file = write_json(
+        tmp_path / "cw.json",
+        {"p": 3, "d": 2, "eigenvalues": ["1/2", "-3/2", "5/2"]},
+    )
+    mom_file, r_file = tmp_path / "mom.json", tmp_path / "r.json"
+    assert main(["cw-moments", "--model", cw_file, "--order", "20",
+                 "--out", str(mom_file)]) == 0
+    assert main(["convolve", "rtransform", "--f", str(mom_file),
+                 "--out", str(r_file)]) == 0
+    r = MomentSeries.from_dict(json.loads(r_file.read_text()))
+    assert r.coeffs == tuple(sum(v**n for v in values) / 2 for n in range(1, 21))
 
 
 # -------------------------------------------------------------------- density

@@ -345,6 +345,20 @@ def test_spn_recover_errors():
         spn_recover(garbage, 4, 2)
 
 
+@pytest.mark.parametrize(
+    "order, factor", [(6, 1.01), (4, 1.001), (5, 1.001), (6, 1.001)],
+    ids=["m6+1%", "m4+0.1%", "m5+0.1%", "m6+0.1%"],
+)
+def test_spn_recover_rejects_one_perturbed_moment(order, factor):
+    # Raising m_6 by 1% once gave sigma^2 = 0.266 and atoms (0.995, 3.94)
+    # within the sum-of-squares tolerance, which m_6 dominates; each order's
+    # own misfit is about 1e-3 here, against 1e-12 for the true series.
+    m = list(spn_moments(SpnModel(4, 2, (1, 2), Fraction(1, 2)), 6, FLOAT).coeffs)
+    m[order - 1] *= factor
+    with pytest.raises(RecoveryFailedError):
+        spn_recover(MomentSeries(tuple(m), FLOAT), 4, 2)
+
+
 # ------------------------------------------------------------- identifiability
 
 def test_identifiability_equivalent_parameters():

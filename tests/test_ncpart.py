@@ -9,7 +9,6 @@ from freedeconv.ncpart import (
     NcPartition,
     catalan,
     coef_product,
-    convolution_profiles,
     enumerate_nc,
     is_noncrossing,
     kreweras,
@@ -183,21 +182,3 @@ def test_coef_product_hand_value():
 def test_coef_product_insufficient_order():
     with pytest.raises(InsufficientOrderError):
         coef_product((2, 3), NcPartition(3, ((1, 2, 3),)))
-
-
-# ------------------------------------------------------------------- profiles
-
-def test_profile_counts_sum_to_catalan():
-    for m in range(1, 10):
-        assert sum(c for _, _, c in convolution_profiles(m)) == catalan(m)
-
-
-def test_profiles_agree_with_object_enumeration():
-    for m in range(1, 8):
-        from collections import Counter
-
-        expect = Counter()
-        for part in enumerate_nc(m):
-            expect[(part.block_sizes(), kreweras(part).block_sizes())] += 1
-        got = {(pf, pg): c for pf, pg, c in convolution_profiles(m)}
-        assert got == dict(expect)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from freedeconv.errors import (
     NotInvertibleError,
     OrderMismatchError,
 )
+from freedeconv.models import f_lambda
+from freedeconv.ncpart import catalan, coef_product, enumerate_nc, kreweras
 from freedeconv.series import (
     FLOAT,
     MomentSeries,
@@ -37,6 +40,27 @@ def random_series(rng, order, invertible=False):
 
 def geometric(beta, order):
     return MomentSeries(tuple(Fraction(beta) ** n for n in range(1, order + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def nc_pairs(m):
+    return tuple((pi, kreweras(pi)) for pi in enumerate_nc(m))
+
+
+def nc_boxed(f, g):
+    """Boxed convolution by its definition: the sum over pi in NC(m) of f
+    along the blocks of pi times g along the blocks of kreweras(pi)."""
+    # integers where possible: Fraction products make NC(10) slow
+    fc, gc = ([c.numerator if c.denominator == 1 else c for c in x.coeffs] for x in (f, g))
+    return MomentSeries(tuple(
+        sum(coef_product(fc, pi) * coef_product(gc, k) for pi, k in nc_pairs(m))
+        for m in range(1, f.order + 1)
+    ))
+
+
+def mobius(order):
+    """Zeta^{-1}: the Moebius function of NC, signed Catalan numbers."""
+    return MomentSeries(tuple((-1) ** (n - 1) * catalan(n - 1) for n in range(1, order + 1)))
 
 
 # ------------------------------------------------------------------ basics
@@ -114,6 +138,41 @@ def test_order_and_backend_mismatch():
         boxed_conv(delta_series(3), delta_series(4))
     with pytest.raises(BackendMismatchError):
         boxed_conv(delta_series(3), delta_series(3, FLOAT))
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_transforms_equal_noncrossing_sums(order):
+    rng = random.Random(100 + order)
+    zeta, mu = zeta_series(order), mobius(order)
+
+    def integer_series(first):
+        # a first coefficient of +-1 keeps every transform integral
+        return MomentSeries((first,) + tuple(rng.randint(-3, 3) for _ in range(order - 1)))
+
+    f, g = integer_series(1), integer_series(-1)
+    f0, g0 = integer_series(0), integer_series(0)
+    for a, b in ((f, g), (f0, g), (f, g0), (f0, g0)):
+        assert boxed_conv(a, b) == nc_boxed(a, b)
+    for a in (g, f0):
+        assert r_transform(a) == nc_boxed(a, mu)
+        assert moment_from_r(a) == nc_boxed(a, zeta)
+    assert nc_boxed(g, boxed_inverse(g)) == delta_series(order)
+    assert boxed_inverse(zeta) == mu
+    h = free_mult_deconv(f0, g)
+    assert nc_boxed(nc_boxed(g, mu), nc_boxed(h, mu)) == nc_boxed(f0, mu)
+
+
+def test_kernel_convolution_is_a_scaling():
+    # X x f_lambda = lambda^-1 mu(lambda X) and X x f_lambda^{x-1} = lambda^-1 rho(lambda X)
+    rng = random.Random(17)
+    for lam in (Fraction(1), Fraction(2, 3), Fraction(1, 5)):
+        x = random_series(rng, 8)
+        flam = f_lambda(lam, 8)
+        scaled = MomentSeries(tuple(lam * c for c in x.coeffs))
+        assert boxed_conv(flam, x).coeffs == tuple(c / lam for c in moment_from_r(scaled).coeffs)
+        assert boxed_conv(x, boxed_inverse(flam)).coeffs == tuple(
+            c / lam for c in r_transform(scaled).coeffs
+        )
 
 
 # ------------------------------------------------------------------- inverse
@@ -277,7 +336,8 @@ def test_float_backend_tracks_exact():
     for _ in range(10):
         f = random_series(rng, 8)
         g = random_series(rng, 8, invertible=True)
-        exact = free_mult_deconv(f, g)
-        approx = free_mult_deconv(f.as_float(), g.as_float())
-        for e, a in zip(exact.coeffs, approx.coeffs):
-            assert a == pytest.approx(float(e), rel=1e-9, abs=1e-12)
+        for op in (free_mult_deconv, boxed_conv):
+            exact = op(f, g)
+            approx = op(f.as_float(), g.as_float())
+            for e, a in zip(exact.coeffs, approx.coeffs):
+                assert a == pytest.approx(float(e), rel=1e-9, abs=1e-12)
