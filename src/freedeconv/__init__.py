@@ -4,9 +4,10 @@ random matrix models.
 Three independent routes to the same spectra: exact free-probability
 algebra on truncated moment series, whose boxed convolution is defined by
 sums over non-crossing partitions and computed by a formal subordination
-recursion; a C^2-valued subordination fixed point with Stieltjes
-inversion; and finite-dimensional Monte Carlo; plus recovery of model
-parameters from moment data by free deconvolution.
+recursion; the C^2-valued subordination equation, reduced to a scalar
+equation for the subordination function omega and solved by Newton's
+method, with Stieltjes inversion; and finite-dimensional Monte Carlo; plus
+recovery of model parameters from moment data by free deconvolution.
 """
 
 from .errors import (

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument("--model", type=Path, required=True)
     p_dens.add_argument("--xmin", type=float, required=True)
     p_dens.add_argument("--xmax", type=float, required=True)
-    p_dens.add_argument("--points", type=int, default=1000)
+    p_dens.add_argument("--points", type=_positive_int, default=1000)
     p_dens.add_argument("--epsilon", type=float, default=1e-3)
     p_dens.add_argument("--tol", type=float, default=1e-12)
     p_dens.add_argument("--out", type=Path,

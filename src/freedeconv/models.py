@@ -39,6 +39,7 @@ from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
+    format_rational,
     moment_from_r,
     parse_scalar,
     r_transform,
@@ -196,7 +197,7 @@ class IdentifiabilityReport:
 
 def _scalar_to_json(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return format_rational(v)
     return v
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -61,12 +62,19 @@ def _coerce(value, kind):
     raise ValueError(f"unknown scalar backend {kind!r}")
 
 
+def format_rational(value: Fraction) -> str:
+    """"p/q" through ``decimal``, which has no cap on the digits of an int."""
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
 def parse_scalar(value, module: str = "series"):
-    """A real number from JSON: an integer, a finite float or a rational "p/q"."""
+    """A real number from JSON: an integer, a finite float or a rational "p/q",
+    whose sides are read exactly and without a digit cap by ``decimal``."""
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return Fraction(Decimal(num)) / Fraction(Decimal(den if slash else 1))
+        except (ValueError, ArithmeticError):
             raise DomainError(
                 f"not a finite rational number: {value!r}", module=module
             ) from None
@@ -105,7 +113,7 @@ class MomentSeries:
 
     def to_dict(self) -> dict:
         if self.scalar_kind == RATIONAL:
-            coeffs = [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+            coeffs = [format_rational(c) for c in self.coeffs]
         else:
             coeffs = list(self.coeffs)
         return {"order": self.order, "coeffs": coeffs, "scalar": self.scalar_kind}

@@ -1,26 +1,28 @@
-"""C^2-valued Cauchy transforms and the subordination fixed point for
-signal-plus-noise spectra.
+"""C^2-valued Cauchy transforms and the analytic route to signal-plus-noise
+spectra.
 
 A rectangular operator Y embeds in the self-adjoint block matrix
 [[0, Y*], [Y, 0]]; tracing the two diagonal blocks separately gives a
 Cauchy transform on pairs of complex numbers, mapping the product upper
 half-plane H+(C^2) into the lower one.  For Y = A + sigma C with C a free
 circular block, the transform G of the embedded sum satisfies the
-subordination equation
+subordination equation G(z) = G_A(z - sigma^2 eta(G(z))), with
+eta(x, y) = ((p/d) y, x) and G_A the closed-form transform of the signal.
+Eliminating G leaves the information-plus-noise equation (Dozier and
+Silverstein, J. Multivariate Anal. 2007) for omega = w1 w2, the product of
+the subordinated arguments w = z - sigma^2 eta(G), at Z = z1 z2:
 
-    G(z) = G_A(z - sigma^2 eta(G(z))),    eta(x, y) = ((p/d) y, x),
+    Z = z(omega) = omega (1 + sigma^2 s)^2 + sigma^2 (p/d - 1)(1 + sigma^2 s),
+    s(omega) = (1/d) sum_k c_k / (omega - a_k^2),
 
-where G_A is the closed-form transform of the embedded signal, determined
-by the squared singular values of A alone.  Solving the fixed point along
-z1 = z2 = sqrt(x + i eps) and applying Stieltjes inversion yields the
-spectral density of (A + sigma C)*(A + sigma C).
-
-Damped Picard iteration (Helton, Rashidi Far and Speicher, IMRN 2007)
-converges to the physical branch from the signal transform, but its
-iteration count grows like 1/eps.  The density therefore runs Picard only
-far from the axis and continues the solution towards it with Newton steps
-on the analytic 2x2 Jacobian, falling back to Picard for any point Newton
-cannot keep in the lower half-plane.
+over the distinct squared singular values a_k^2 with multiplicities c_k.
+Then w2 = z2 / (1 + sigma^2 s), w1 = (z1 - sigma^2 (p/d - 1) / w2) / (1 + sigma^2 s)
+and G = G_A(w1, w2) are closed forms in omega.  The solver is Newton's
+method on z(omega) = Z, vectorised over points, walking Im Z down the rungs
+10 E, E, E/10, ... of the spectrum's scale E = (max|a| + |sigma|(1 + sqrt(p/d)))^2
+from omega = Z; a step that would leave the upper half-plane, and with it
+the physical branch, is halved.  Stieltjes inversion along
+z1 = z2 = sqrt(x + i eps) gives the density of (A + sigma C)*(A + sigma C).
 """
 
 from __future__ import annotations
@@ -34,10 +36,7 @@ from .errors import DomainError, NoConvergenceError, SigmaZeroError
 from .models import SpnModel
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10000
-DAMPING = 0.5
-EPSILON_LADDER = (0.1, 0.03, 0.01, 0.003, 0.001, 0.0003)
-NEWTON_MAX_STEPS = 40
+DEFAULT_MAX_ITER = 100
 
 
 class CPoint2(NamedTuple):
@@ -53,7 +52,8 @@ class SubordinationResult:
 
     ``g`` is the value of the embedded Cauchy transform, ``omega`` the
     subordinated argument the signal transform is evaluated at, and
-    ``residual`` the fixed-point defect of ``g``.
+    ``residual`` the fixed-point defect of ``g``.  ``iterations`` is the
+    largest number of Newton iterations spent on one rung.
     """
 
     g: CPoint2
@@ -64,7 +64,13 @@ class SubordinationResult:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Spectral density sampled on a positive grid by Stieltjes inversion."""
+    """Spectral density sampled on a positive grid by Stieltjes inversion.
+
+    ``max_residual`` is the largest fixed-point defect on the grid,
+    ``max_iterations`` the largest number of Newton iterations on one rung
+    and ``fallback_points`` the number of Newton steps that were halved to
+    stay on the physical branch, summed over rungs.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -82,23 +88,12 @@ def _require_upper(z: CPoint2) -> None:
         )
 
 
-def _squared_atoms(singular_values: Sequence):
-    a = np.asarray([float(v) for v in singular_values])
-    return np.unique(a * a, return_counts=True)
-
-
 def _g_atoms(atoms, counts, p, d, z1, z2):
     # Closed-form transform of the embedded signal: with w = z2*z1,
-    #   G_1 = (z2/d) sum_k 1/(w - a_k^2)
-    #   G_2 = (z1/p) sum_k 1/(w - a_k^2) + (p-d)/(p z2).
-    w = z2 * z1
-    if np.ndim(z1) == 0:
-        s = np.sum(counts / (w - atoms))
-    else:
-        s = np.sum(counts[:, None] / (w[None, :] - atoms[:, None]), axis=0)
-    g1 = z2 * s / d
-    g2 = z1 * s / p + (p - d) / (p * z2)
-    return g1, g2
+    #   G_1 = (z2/d) sum_k c_k/(w - a_k^2)
+    #   G_2 = (z1/p) sum_k c_k/(w - a_k^2) + (p-d)/(p z2).
+    s = (counts / (np.asarray(z2 * z1)[..., None] - atoms)).sum(axis=-1)
+    return z2 * s / d, z1 * s / p + (p - d) / (p * z2)
 
 
 def g_lambda_atoms(
@@ -110,7 +105,8 @@ def g_lambda_atoms(
     upper half-plane of C^2 into the lower one.
     """
     _require_upper(z)
-    atoms, counts = _squared_atoms(singular_values)
+    a = np.asarray([float(v) for v in singular_values])
+    atoms, counts = np.unique(a * a, return_counts=True)
     g1, g2 = _g_atoms(atoms, counts, p, d, complex(z.z1), complex(z.z2))
     return CPoint2(complex(g1), complex(g2))
 
@@ -120,110 +116,115 @@ def eta(x: CPoint2, p: int, d: int) -> CPoint2:
     return CPoint2((p / d) * x.z2, x.z1)
 
 
-def _fixed_point(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g=None):
-    """Damped Picard iteration for g = G_A(z - sigma_sq * eta(g)).
+def _problem(model: SpnModel):
+    """The model's (atoms, counts, p, d, sigma^2) and its scale E.
 
-    Works elementwise on scalars or numpy arrays; returns the iterate, the
-    subordinated argument, the iteration count and the final residual.
+    Raises DomainError unless 10 E, and with it every squared singular
+    value and sigma^2, is a finite float: the ladder starts at 10 E.
     """
-    if g is None:
-        g = _g_atoms(atoms, counts, p, d, z1, z2)
-    g1, g2 = g
-    for it in range(1, max_iter + 1):
-        w1 = z1 - sigma_sq * (p / d) * g2
-        w2 = z2 - sigma_sq * g1
-        t1, t2 = _g_atoms(atoms, counts, p, d, w1, w2)
-        res = float(np.max(np.maximum(np.abs(t1 - g1), np.abs(t2 - g2))))
-        if res <= tol:
-            return (g1, g2), (w1, w2), it, res
-        g1 = (1.0 - DAMPING) * g1 + DAMPING * t1
-        g2 = (1.0 - DAMPING) * g2 + DAMPING * t2
-    raise NoConvergenceError(
-        f"subordination fixed point did not converge within {max_iter} "
-        f"iterations (residual {res:.3e})",
-        residual=res,
-        iterations=max_iter,
-    )
+    try:
+        a = np.abs([float(v) for v in model.singular_values])
+        sigma = abs(float(model.sigma))
+        with np.errstate(over="ignore"):
+            scale = (a.max() + sigma * (1 + np.sqrt(model.p / model.d))) ** 2
+    except OverflowError:
+        scale = np.inf
+    if not np.isfinite(10 * scale):
+        raise DomainError(
+            "squared singular values and sigma^2 must be finite floats, and so "
+            "must ten times the scale (max|a| + |sigma|(1 + sqrt(p/d)))^2",
+            module="subordination",
+        )
+    atoms, counts = np.unique(a * a, return_counts=True)
+    return (atoms, counts, model.p, model.d, sigma * sigma), float(scale)
 
 
-def _in_lower(g1, g2):
-    return (g1.imag <= 0) & (g2.imag <= 0) & np.isfinite(g1) & np.isfinite(g2)
+def _ladder(scale: float, floor: float) -> list:
+    """The rungs 10 scale, scale, scale / 10, ... that lie above ``floor``."""
+    rungs, rung = [], 10.0 * scale
+    while rung > floor:
+        rungs.append(rung)
+        rung /= 10.0
+    return rungs
 
 
-def _newton(atoms, counts, p, d, sigma_sq, z1, z2, tol, max_iter, g):
-    """Newton's method for g = G_A(z - sigma_sq * eta(g)) on arrays of points.
+def _rung(terms, z1, z2, omega, tol, max_iter):
+    """Newton's method on z(omega) = z1 z2 from ``omega``, pointwise.
 
-    Starts from the warm start ``g`` and retires each point once its defect
-    max |G_A(w) - g| is at most ``tol``.  With w1 = z1 - sigma_sq (p/d) g2,
-    w2 = z2 - sigma_sq g1, w = w1 w2 and S(w) = sum_k c_k / (w - a_k), the
-    defect F = (w2 S/d - g1, w1 S/p + (p-d)/(p w2) - g2) has the Jacobian
-
-        dF1/dg1 = dF2/dg2 = -sigma_sq (S + w S')/d - 1,
-        dF1/dg2 = -sigma_sq (p/d) w2^2 S'/d,
-        dF2/dg1 = -sigma_sq (w1^2 S'/p - (p-d)/(p w2^2)).
-
-    A point whose iterate, the warm start included, is non-finite or
-    outside the closed lower half-plane of C^2, or that is still
-    unconverged after NEWTON_MAX_STEPS evaluations, is re-solved by
-    _fixed_point from its warm start, or from the signal transform where the
-    warm start itself lies outside.  Returns the solution, the largest
-    residual, the iteration count and the number of points handed to
-    _fixed_point.
+    Every iteration retires the points whose g has a fixed-point defect of
+    at most ``tol`` and steps the rest, halving any step that would leave
+    the upper half-plane.  The closed-form w solves w = z - sigma^2 eta(g)
+    exactly, so the defect |G_A(w) - g| is max(|w2|, (d/p)|w1|) times
+    |s(w1 w2) - s(omega)|; as w1 w2 = omega - e, e = (z(omega) - Z) / u^2
+    with u = 1 + sigma^2 s, that difference is |e sum_k c_k / (d (omega -
+    a_k^2)(omega - e - a_k^2))|, free of cancellation.  Returns omega, g, w,
+    the largest defect, the iteration count and the number of halved steps.
     """
-    g1 = np.array(g[0], dtype=complex)
-    g2 = np.array(g[1], dtype=complex)
-    residual = np.zeros(g1.shape)
-    active = np.arange(g1.size)
-    failed = []
-    its = 0
+    atoms, counts, p, d, sigma_sq = terms
+    shift = sigma_sq * (p / d - 1)
+    omega = omega.copy()
+    g1, g2, w1, w2 = (np.empty_like(omega) for _ in range(4))
+    residual = np.zeros(omega.shape)
+    active = np.arange(omega.size)
+    its = halved = 0
     with np.errstate(all="ignore"):
         while active.size:
             its += 1
-            a1, a2 = g1[active], g2[active]
-            lower = _in_lower(a1, a2)
-            failed.append(active[~lower])
-            active, a1, a2 = active[lower], a1[lower], a2[lower]
-            w1 = z1[active] - sigma_sq * (p / d) * a2
-            w2 = z2[active] - sigma_sq * a1
-            w = w1 * w2
-            inv = 1.0 / (w[None, :] - atoms[:, None])
-            weighted = counts[:, None] * inv
-            s = weighted.sum(axis=0)
-            ds = -(weighted * inv).sum(axis=0)
-            f1 = w2 * s / d - a1
-            f2 = w1 * s / p + (p - d) / (p * w2) - a2
-            res = np.maximum(np.abs(f1), np.abs(f2))
+            om, a1, a2 = omega[active], z1[active], z2[active]
+            gap = om[None, :] - atoms[:, None]
+            weighted = counts[:, None] / gap
+            s = weighted.sum(axis=0) / d
+            ds = -(weighted / gap).sum(axis=0) / d
+            u = 1.0 + sigma_sq * s
+            f = om * u * u + shift * u - a1 * a2
+            step = f / (u * u + sigma_sq * ds * (2.0 * om * u + shift))
+            e = f / (u * u)
+            v2 = a2 / u
+            v1 = (a1 - shift / v2) / u
+            res = np.maximum(np.abs(v2), (d / p) * np.abs(v1)) * np.abs(
+                e * (weighted / (gap - e[None, :])).sum(axis=0) / d
+            )
             done = res <= tol
-            residual[active[done]] = res[done]
+            idx = active[done]
+            g1[idx] = v2[done] * s[done]
+            g2[idx] = (d / p) * v1[done] * s[done] + (1 - d / p) / v2[done]
+            w1[idx], w2[idx], residual[idx] = v1[done], v2[done], res[done]
             keep = ~done
-            active = active[keep]
-            if its == NEWTON_MAX_STEPS:
-                failed.append(active)
-                break
-            a1, a2, f1, f2 = a1[keep], a2[keep], f1[keep], f2[keep]
-            w1, w2, w, s, ds = w1[keep], w2[keep], w[keep], s[keep], ds[keep]
-            j11 = -sigma_sq * (s + w * ds) / d - 1.0
-            j12 = -sigma_sq * (p / d) * w2 * w2 * ds / d
-            j21 = -sigma_sq * (w1 * w1 * ds / p - (p - d) / (p * w2 * w2))
-            det = j11 * j11 - j12 * j21
-            g1[active] = a1 + (j12 * f2 - j11 * f1) / det
-            g2[active] = a2 + (j21 * f1 - j11 * f2) / det
-    failed = np.concatenate(failed)
-    max_res = float(residual.max())
-    if failed.size:
-        # a warm start outside the lower half-plane could lead Picard to the
-        # wrong branch; the signal transform is its safe default start
-        h1, h2 = np.asarray(g[0])[failed], np.asarray(g[1])[failed]
-        t1, t2 = _g_atoms(atoms, counts, p, d, z1[failed], z2[failed])
-        lower = _in_lower(h1, h2)
-        (h1, h2), _, fp_its, fp_res = _fixed_point(
-            atoms, counts, p, d, sigma_sq, z1[failed], z2[failed], tol, max_iter,
-            g=(np.where(lower, h1, t1), np.where(lower, h2, t2)),
-        )
-        g1[failed], g2[failed] = h1, h2
-        its += fp_its
-        max_res = max(max_res, fp_res)
-    return (g1, g2), max_res, its, int(failed.size)
+            active, om, step = active[keep], om[keep], step[keep]
+            if active.size and (its >= max_iter or not np.isfinite(step).all()):
+                raise NoConvergenceError(
+                    f"subordination Newton iteration stopped unconverged after "
+                    f"{its} iterations (residual {res.max():.3e})",
+                    residual=float(res.max()),
+                    iterations=its,
+                )
+            new = om - step
+            off = ~(new.imag > 0)
+            halved += int(np.count_nonzero(off))
+            while off.any():
+                step[off] /= 2.0
+                new[off] = om[off] - step[off]
+                off = ~(new.imag > 0)
+            omega[active] = new
+    return omega, (g1, g2), (w1, w2), float(residual.max()), its, halved
+
+
+def _walk(terms, z1, z2, rungs, tol, max_iter):
+    """Solve at the points (z1, z2), walking Im Z down ``rungs`` first.
+
+    Rung eta solves at Z = Re(z1 z2) + i eta along z1 = z2 = sqrt(Z), each
+    from the last; the first starts from omega = Z.  Returns g, w, the
+    largest defect, the most iterations on one rung and the halved steps.
+    """
+    x = (z1 * z2).real
+    omega = x + 1j * (rungs[0] if rungs else (z1 * z2).imag)
+    max_its = halved = 0
+    for eta_k in rungs:
+        zeta = np.sqrt(x + 1j * eta_k)
+        omega, _, _, _, its, h = _rung(terms, zeta, zeta, omega, tol, max_iter)
+        max_its, halved = max(max_its, its), halved + h
+    _, g, w, res, its, h = _rung(terms, z1, z2, omega, tol, max_iter)
+    return g, w, res, max(max_its, its), halved + h
 
 
 def solve_subordination(
@@ -231,29 +232,33 @@ def solve_subordination(
     z: CPoint2,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    initial: CPoint2 | None = None,
 ) -> SubordinationResult:
     """Solve the subordination equation for the embedded sum at one point.
 
-    With sigma = 0 the transform of the signal itself is returned after a
-    single evaluation.  Otherwise damped fixed-point iteration runs from
-    the signal transform (or ``initial``) until the defect drops below
-    ``tol``; non-convergence raises NoConvergenceError with the last
-    residual.
+    Z = z1 z2 lies off [0, inf).  The ladder starts at 10 max(E, |Z|) and
+    keeps the rungs above the distance from Z to [0, inf); for Im Z < 0 it
+    solves at the conjugate point, as z(omega) has real coefficients.  With
+    sigma = 0 the signal transform is returned after a single evaluation.
+    Raises NoConvergenceError if some rung takes more than ``max_iter``
+    iterations to reach a defect of ``tol``.
     """
     _require_upper(z)
-    atoms, counts = _squared_atoms(model.singular_values)
-    sigma_sq = float(model.sigma) ** 2
-    g0 = None if initial is None else (complex(initial.z1), complex(initial.z2))
-    (g1, g2), (w1, w2), iterations, residual = _fixed_point(
-        atoms, counts, model.p, model.d, sigma_sq,
-        complex(z.z1), complex(z.z2), tol, max_iter, g=g0,
+    terms, scale = _problem(model)
+    if model.sigma == 0:
+        g = g_lambda_atoms(model.singular_values, model.p, model.d, z)
+        return SubordinationResult(g=g, omega=z, iterations=1, residual=0.0)
+    z1, z2 = np.array([z.z1], dtype=complex), np.array([z.z2], dtype=complex)
+    flip = (z1 * z2).imag[0] < 0
+    if flip:
+        z1, z2 = z1.conj(), z2.conj()
+    big_z = complex(z1[0] * z2[0])
+    floor = big_z.imag if big_z.real >= 0 else abs(big_z)
+    g, w, residual, iterations, _ = _walk(
+        terms, z1, z2, _ladder(max(scale, abs(big_z)), floor), tol, max_iter
     )
+    g1, g2, w1, w2 = (complex(v[0].conjugate() if flip else v[0]) for v in (*g, *w))
     return SubordinationResult(
-        g=CPoint2(complex(g1), complex(g2)),
-        omega=CPoint2(complex(w1), complex(w2)),
-        iterations=iterations,
-        residual=residual,
+        g=CPoint2(g1, g2), omega=CPoint2(w1, w2), iterations=iterations, residual=residual
     )
 
 
@@ -266,19 +271,14 @@ def spn_density(
 ) -> DensityCurve:
     """Spectral density of the signal-plus-noise model on a positive grid.
 
-    Evaluates the subordination fixed point along z1 = z2 = sqrt(x + i eps)
-    and reads the density off the first transform component by Stieltjes
-    inversion, rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  The offset is
-    walked down a ladder from 0.1 to ``epsilon``: damped Picard iteration
-    on the first rung selects the physical branch, and every later rung
-    takes Newton steps warm-started from the rung before, handing any point
-    Newton cannot settle back to Picard.  ``max_iterations`` is the largest
-    per-rung iteration count and ``fallback_points`` the number of points
-    handed back, summed over rungs.  Only the absolutely continuous regime
-    sigma != 0 is supported; for sigma = 0 the spectrum is atomic and
-    covered by the moment route.
+    Solves at z1 = z2 = sqrt(x + i eps), through the rungs above ``epsilon``,
+    and reads the density off by Stieltjes inversion,
+    rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  Raises NoConvergenceError if
+    some rung takes more than ``max_iter`` iterations to reach a defect of
+    ``tol`` at every point.  Only the absolutely continuous regime sigma != 0 is supported; for
+    sigma = 0 the spectrum is atomic and covered by the moment route.
     """
-    if float(model.sigma) == 0.0:
+    if model.sigma == 0:
         raise SigmaZeroError(
             "sigma = 0 has an atomic spectrum; use models.atomic_moments"
         )
@@ -294,30 +294,12 @@ def spn_density(
             raise DomainError(f"{name} must be positive and finite, got {value}",
                               module="subordination")
 
-    atoms, counts = _squared_atoms(model.singular_values)
-    sigma_sq = float(model.sigma) ** 2
-    ladder = [e for e in EPSILON_LADDER if e > epsilon] + [epsilon]
-    g = None
-    max_res = 0.0
-    max_its = 0
-    fallback = 0
-    for eps in ladder:
-        zeta = np.sqrt(x + 1j * eps)
-        zeta = np.where(zeta.imag > 0, zeta, -zeta)
-        if g is None:
-            g, _, its, res = _fixed_point(
-                atoms, counts, model.p, model.d, sigma_sq,
-                zeta, zeta, tol, max_iter,
-            )
-        else:
-            g, res, its, handed = _newton(
-                atoms, counts, model.p, model.d, sigma_sq,
-                zeta, zeta, tol, max_iter, g,
-            )
-            fallback += handed
-        max_res = max(max_res, res)
-        max_its = max(max_its, its)
-    values = np.maximum(-np.imag(g[0] / zeta) / np.pi, 0.0)
+    terms, scale = _problem(model)
+    zeta = np.sqrt(x + 1j * epsilon)
+    (g1, _), _, max_res, max_its, halved = _walk(
+        terms, zeta, zeta, _ladder(scale, epsilon), tol, max_iter
+    )
+    values = np.maximum(-np.imag(g1 / zeta) / np.pi, 0.0)
     mass = float(np.trapezoid(values, x))
     return DensityCurve(
         grid=x,
@@ -326,7 +308,7 @@ def spn_density(
         mass=mass,
         max_residual=max_res,
         max_iterations=max_its,
-        fallback_points=fallback,
+        fallback_points=halved,
     )
 
 

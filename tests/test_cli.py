@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import math
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedeconv.cli import main
 from freedeconv.models import SpnModel, spn_moments
@@ -182,6 +186,22 @@ def test_spn_density_writes_csv_and_sidecar(tmp_path, spn_model_file):
     assert sidecar["fallback_points"] >= 0
 
 
+def test_spn_density_on_the_scale_of_the_model(tmp_path):
+    # the ladder starts at ten times the spectrum's scale, here about 2300
+    model = write_json(
+        tmp_path / "noise.json",
+        {"p": 2, "d": 1, "singular_values": [0], "sigma": 20},
+    )
+    out = tmp_path / "curve.csv"
+    assert main(
+        ["spn-density", "--model", model, "--xmin", "1", "--xmax", "2800",
+         "--points", "400", "--epsilon", "1e-3", "--out", str(out)]
+    ) == 0
+    sidecar = json.loads(out.with_suffix(".csv.json").read_text())
+    assert abs(sidecar["mass"] - 1.0) < 0.01
+    assert sidecar["max_residual"] <= 1e-12
+
+
 def test_spn_density_sigma_zero_domain_error(tmp_path, capsys):
     model = write_json(
         tmp_path / "flat.json",
@@ -294,6 +314,8 @@ def _exit_status(argv):
 SERIES = {"order": 3, "coeffs": ["1/1", "2/1", "5/1"], "scalar": "rational"}
 RTRANSFORM = ["convolve", "rtransform", "--f"]
 HUGE = {"singular_values": [1e308, 2]}
+DENSITY = ["spn-density", "--xmin", "0.1", "--xmax", "5"]
+HUGE_DENSITY = {"singular_values": [1e200, 2]}
 
 
 @pytest.mark.parametrize(
@@ -306,6 +328,9 @@ HUGE = {"singular_values": [1e308, 2]}
         (["simulate", "--kind", "spn", "--trials", "0"], {}, None, None, 2),
         (["spn-density", "--xmin", "0.1", "--xmax", "5", "--epsilon", "nan"], {},
          None, None, 1),
+        (DENSITY, {"sigma": 1e200}, None, None, 1),
+        (DENSITY, HUGE_DENSITY, None, None, 1),
+        (DENSITY + ["--points", "-1"], {}, None, None, 2),
         (["spn-moments"], HUGE, None, None, 0),
         (["spn-moments", "--backend", "float"], HUGE, None, None, 1),
         (RTRANSFORM, None, {"scalar": None}, None, 1),
@@ -316,7 +341,8 @@ HUGE = {"singular_values": [1e308, 2]}
          {"coeffs": [1.0, float("nan"), 5.0], "scalar": "float"}, None, 1),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
-         "epsilon-nan", "huge-value-rational", "huge-value-float",
+         "epsilon-nan", "density-sigma-huge", "density-value-huge",
+         "density-negative-points", "huge-value-rational", "huge-value-float",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
          "series-nan", "recover-series-nan"],
 )
@@ -342,3 +368,57 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["nc", "--n", "3", "--bogus"])
     assert info.value.code == 2
+
+
+# ------------------------------------------------------------ property test
+
+VALID_SIGMA = st.floats(1e-2, 1e2) | st.floats(-1e2, -1e-2)
+VALID_VALUE = st.just(0.0) | st.floats(1e-3, 1e2)
+ANY_VALUE = (st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+             | st.sampled_from([1e200, -1e200]))
+BAD_FLAG = st.sampled_from([0.0, math.nan, math.inf, -math.inf, -1e-3])
+
+
+@st.composite
+def density_runs(draw):
+    # one input at a time may leave the valid ranges, so that every kind of
+    # bad input meets otherwise valid ones
+    wild = draw(st.sampled_from([None, "model", "epsilon", "tol", "points"]))
+    d = draw(st.integers(1, 3))
+    value = ANY_VALUE if wild == "model" else VALID_VALUE
+    values = draw(st.lists(value, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        values = [values[0]] * d  # coinciding atoms
+    model = {"p": draw(st.integers(d, d + 3)), "d": d, "singular_values": values,
+             "sigma": draw(ANY_VALUE if wild == "model" else VALID_SIGMA)}
+    epsilon = draw(BAD_FLAG if wild == "epsilon" else st.floats(1e-4, 1e-1))
+    tol = draw(BAD_FLAG if wild == "tol" else st.floats(1e-12, 1e-8))
+    points = draw(st.integers(-1, 1) if wild == "points" else st.integers(2, 200))
+    xmin = draw(st.floats(1e-3, 1e2))
+    xmax = xmin * draw(st.floats(1.5, 1e4))
+    return model, epsilon, tol, xmin, xmax, points
+
+
+def _valid_run(model, epsilon, tol, points):
+    return (1e-2 <= abs(model["sigma"]) <= 1e2
+            and all(0 <= a <= 1e2 for a in model["singular_values"])
+            and 0 < epsilon < math.inf and 0 < tol < math.inf and points >= 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(run=density_runs())
+def test_spn_density_property_exits_cleanly(tmp_path_factory, run):
+    model, epsilon, tol, xmin, xmax, points = run
+    folder = tmp_path_factory.mktemp("density")
+    argv = ["spn-density", "--model", write_json(folder / "model.json", model),
+            "--xmin", repr(xmin), "--xmax", repr(xmax), "--points", str(points),
+            f"--epsilon={epsilon!r}", f"--tol={tol!r}",
+            "--out", str(folder / "curve.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = _exit_status(argv)
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert set(json.loads(err.getvalue())) == {"code", "message", "module"}
+    if _valid_run(model, epsilon, tol, points):
+        assert status == 0, err.getvalue()

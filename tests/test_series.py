@@ -1,15 +1,18 @@
 import functools
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from freedeconv.errors import (
     BackendMismatchError,
+    DomainError,
     NotInvertibleError,
     OrderMismatchError,
 )
-from freedeconv.models import f_lambda
+from freedeconv.models import SpnModel, f_lambda, spn_moments
 from freedeconv.ncpart import catalan, coef_product, enumerate_nc, kreweras
 from freedeconv.series import (
     FLOAT,
@@ -90,6 +93,28 @@ def test_json_round_trip_float():
     data = f.to_dict()
     assert data["scalar"] == "float"
     assert MomentSeries.from_dict(data) == f
+
+
+def test_json_round_trip_beyond_the_int_digit_cap():
+    # the default cap on int <-> str conversion is 4300 digits; the exact
+    # moments of a model with a singular value of 1e308 pass it at order 8
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        m = spn_moments(SpnModel(4, 2, (1e308, 2), Fraction(1, 2)), 8)
+        data = json.loads(json.dumps(m.to_dict()))
+        assert max(len(c) for c in data["coeffs"]) > 4300
+        assert MomentSeries.from_dict(data) == m
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_json_rational_strings():
+    data = {"coeffs": ["3", "-1/3", "0.25"], "scalar": "rational"}
+    assert MomentSeries.from_dict(data).coeffs == (3, Fraction(-1, 3), Fraction(1, 4))
+    for bad in ("nan", "inf", "1/0", "1/", "abc", "1/2/3"):
+        with pytest.raises(DomainError):
+            MomentSeries.from_dict({"coeffs": [bad], "scalar": "rational"})
 
 
 def test_json_order_mismatch():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ import pytest
 from freedeconv.errors import DomainError, SigmaZeroError
 from freedeconv.models import SpnModel, spn_moments
 from freedeconv.subordination import (
-    EPSILON_LADDER,
     CPoint2,
-    _fixed_point,
     _g_atoms,
-    _newton,
-    _squared_atoms,
+    _ladder,
+    _problem,
+    _walk,
     curve_cdf,
     curve_moment,
     eta,
@@ -25,6 +25,39 @@ def semicircle_transform(zeta):
     # Cauchy transform of the radius-2 semicircle with the branch decaying
     # at infinity: g = (zeta - sqrt(zeta - 2) sqrt(zeta + 2)) / 2.
     return (zeta - np.sqrt(zeta - 2) * np.sqrt(zeta + 2)) / 2
+
+
+def picard(model, z1, z2, g=None, tol=1e-12, max_iter=100000):
+    # Reference solver: damped Picard iteration for g = G_A(z - sigma^2 eta(g))
+    # (Helton, Rashidi Far and Speicher, IMRN 2007), from the signal
+    # transform or from a warm start ``g``, on arrays of points.
+    a = np.asarray([float(v) for v in model.singular_values])
+    atoms, counts = np.unique(a * a, return_counts=True)
+    p, d, sigma_sq = model.p, model.d, float(model.sigma) ** 2
+    g1, g2 = _g_atoms(atoms, counts, p, d, z1, z2) if g is None else g
+    for _ in range(max_iter):
+        t1, t2 = _g_atoms(
+            atoms, counts, p, d, z1 - sigma_sq * (p / d) * g2, z2 - sigma_sq * g1
+        )
+        if max(np.max(np.abs(t1 - g1)), np.max(np.abs(t2 - g2))) <= tol:
+            return g1, g2
+        g1, g2 = (g1 + t1) / 2, (g2 + t2) / 2
+    raise AssertionError("the Picard reference did not converge")
+
+
+def smoothed_marchenko_pastur(model, grid, epsilon):
+    # -Im G(x + i eps) / pi for pure noise, where G solves
+    # sigma^2 z G^2 - (z - sigma^2 (c - 1)) G + 1 = 0, c = p/d; the larger root
+    # comes from the quadratic formula without cancellation, the smaller from
+    # the product of the roots, and the transform is the one below the axis.
+    sigma_sq, c = float(model.sigma) ** 2, model.p / model.d
+    z = grid + 1j * epsilon
+    b = z - sigma_sq * (c - 1)
+    disc = np.sqrt(b * b - 4 * sigma_sq * z)
+    disc = np.where(np.abs(b + disc) >= np.abs(b - disc), disc, -disc)
+    large = (b + disc) / (2 * sigma_sq * z)
+    g = np.where(large.imag < 0, large, 1 / (sigma_sq * z * large))
+    return -g.imag / np.pi
 
 
 # ------------------------------------------------------------ signal transform
@@ -105,17 +138,26 @@ def test_fixed_point_matches_semicircle_closed_form():
 def test_fixed_point_residual_and_range():
     rng = random.Random(32)
     model = SpnModel(5, 3, (0.5, 1.0, 2.0), 0.8)
-    for _ in range(10):
-        z = CPoint2(
-            complex(rng.uniform(0, 6), rng.uniform(0.05, 2)),
-            complex(rng.uniform(0, 6), rng.uniform(0.05, 2)),
+    points = [
+        CPoint2(
+            complex(rng.uniform(-6, 6), rng.uniform(0.05, 2)),
+            complex(rng.uniform(-6, 6), rng.uniform(0.05, 2)),
         )
+        for _ in range(20)
+    ]
+    # z1 z2 = -1 lies on the negative axis; the last point has Im(z1 z2) < 0
+    points += [CPoint2(1j, 1j), CPoint2(-2 + 0.5j, 0.3 + 0.2j)]
+    assert sum((z.z1 * z.z2).imag < 0 for z in points) >= 5
+    for z in points:
         result = solve_subordination(model, z, tol=1e-12)
         assert result.residual <= 1e-12
         assert result.g.z1.imag <= 0 and result.g.z2.imag <= 0
         # the subordinated argument sits above the base point
         assert result.omega.z1.imag >= z.z1.imag - 1e-12
         assert result.omega.z2.imag >= z.z2.imag - 1e-12
+        g1, g2 = picard(model, np.array([z.z1]), np.array([z.z2]))
+        assert abs(result.g.z1 - g1[0]) <= 1e-10
+        assert abs(result.g.z2 - g2[0]) <= 1e-10
 
 
 def test_fixed_point_resolvent_normalization():
@@ -222,67 +264,84 @@ def _edge_grid(model, points):
 
 
 def _picard_ladder_density(model, grid, epsilon):
-    # reference: damped Picard on every rung of the ladder
-    atoms, counts = _squared_atoms(model.singular_values)
+    # reference: damped Picard on every rung of a fixed ladder, warm-started
+    # from the rung before
     g = None
-    for eps in [e for e in EPSILON_LADDER if e > epsilon] + [epsilon]:
+    for eps in [e for e in (0.1, 0.03, 0.01, 0.003, 0.001) if e > epsilon] + [epsilon]:
         zeta = np.sqrt(grid + 1j * eps)
-        g, _, _, _ = _fixed_point(
-            atoms, counts, model.p, model.d, float(model.sigma) ** 2,
-            zeta, zeta, 1e-12, 100000, g=g,
-        )
+        g = picard(model, zeta, zeta, g)
     return np.maximum(-np.imag(g[0] / zeta) / np.pi, 0.0)
 
 
-def _rung_problem(model, grid, eps):
-    # Picard's solution at the first rung as the warm start for offset eps
-    atoms, counts = _squared_atoms(model.singular_values)
-    sigma_sq = float(model.sigma) ** 2
-    first = np.sqrt(grid + 0.1j)
-    warm, _, _, _ = _fixed_point(
-        atoms, counts, model.p, model.d, sigma_sq, first, first, 1e-12, 10000
-    )
-    zeta = np.sqrt(grid + 1j * eps)
-    return (atoms, counts, model.p, model.d, sigma_sq, zeta, zeta), warm
-
-
-@pytest.mark.parametrize("model", [REFERENCE, PURE_NOISE], ids=["reference", "noise"])
-def test_density_agrees_with_picard_ladder(model):
+@pytest.mark.parametrize(
+    "model, reference",
+    [(REFERENCE, _picard_ladder_density), (PURE_NOISE, smoothed_marchenko_pastur)],
+    ids=["reference", "noise"],
+)
+def test_density_agrees_with_picard_ladder(model, reference):
     grid = _edge_grid(model, 800)
     curve = spn_density(model, grid, epsilon=1e-3)
-    expect = _picard_ladder_density(model, grid, 1e-3)
-    assert np.max(np.abs(curve.values - expect)) <= 1e-10
+    assert np.max(np.abs(curve.values - reference(model, grid, 1e-3))) <= 1e-10
     assert curve.max_residual <= 1e-12
+
+
+def _solve_grid(model, grid, eps, rungs=None):
+    terms, scale = _problem(model)
+    zeta = np.sqrt(grid + 1j * eps)
+    rungs = _ladder(scale, eps) if rungs is None else rungs
+    return terms, zeta, _walk(terms, zeta, zeta, rungs, 1e-12, 100)
 
 
 @pytest.mark.parametrize("model", [REFERENCE, PURE_NOISE], ids=["reference", "noise"])
 def test_newton_rung_stays_lower_and_converges_pointwise(model):
-    grid = _edge_grid(model, 600)
-    problem, warm = _rung_problem(model, grid, 0.01)
-    (g1, g2), max_res, _, _ = _newton(*problem, 1e-12, 10000, warm)
+    terms, zeta, ((g1, g2), _, max_res, _, _) = _solve_grid(
+        model, _edge_grid(model, 600), 1e-3
+    )
     assert np.all(g1.imag <= 0) and np.all(g2.imag <= 0)
-    atoms, counts, p, d, sigma_sq, z1, z2 = problem
-    t1, t2 = _g_atoms(atoms, counts, p, d, z1 - sigma_sq * (p / d) * g2, z2 - sigma_sq * g1)
+    atoms, counts, p, d, sigma_sq = terms
+    t1, t2 = _g_atoms(
+        atoms, counts, p, d, zeta - sigma_sq * (p / d) * g2, zeta - sigma_sq * g1
+    )
     pointwise = np.maximum(np.abs(t1 - g1), np.abs(t2 - g2))
     assert np.all(pointwise <= 1e-12)
-    assert max_res == pytest.approx(pointwise.max())
-
-
-def test_start_out_of_lower_half_plane_is_handed_to_picard():
-    grid = _edge_grid(REFERENCE, 300)
-    problem, warm = _rung_problem(REFERENCE, grid, 0.03)
-    expect, _, _, handed = _newton(*problem, 1e-12, 10000, warm)
-    assert handed == 0
-    forced = np.array([5, 100, 250])
-    bad1, bad2 = warm[0].copy(), warm[1].copy()
-    bad1[forced] = np.conj(bad1[forced])
-    bad2[forced] = np.conj(bad2[forced])
-    assert np.all(bad1[forced].imag > 0)
-    (g1, g2), max_res, _, handed = _newton(*problem, 1e-12, 10000, (bad1, bad2))
-    assert handed == len(forced)
     assert max_res <= 1e-12
-    assert np.max(np.abs(g1 - expect[0])) <= 1e-10
-    assert np.max(np.abs(g2 - expect[1])) <= 1e-10
+
+
+@pytest.mark.parametrize("model", [PURE_NOISE, SpnModel(2, 1, (0.54,), 1.34)],
+                         ids=["noise", "one-atom"])
+def test_branch_rule_keeps_a_single_jump_on_the_physical_branch(model):
+    # from eps = 1 straight to the target, Newton steps leave the upper
+    # half-plane; halved, they still land on the full ladder's solution
+    grid = _edge_grid(model, 600)
+    _, _, (full, _, _, _, full_halved) = _solve_grid(model, grid, 1e-3)
+    _, _, (jump, _, res, _, halved) = _solve_grid(model, grid, 1e-3, rungs=[1.0])
+    assert full_halved == 0 and halved > 0
+    assert res <= 1e-12
+    assert np.max(np.abs(jump[0] - full[0])) <= 1e-10
+    assert np.max(np.abs(jump[1] - full[1])) <= 1e-10
+
+
+def test_pure_noise_density_scales_with_sigma():
+    # W = sigma^2 Z*Z, so sigma^2 rho_sigma(sigma^2 x) at offset eps is the
+    # sigma = 1 density at x with offset eps / sigma^2
+    grid = np.linspace(1e-3, 8.0, 400)
+    for sigma in (20, 40):
+        scaled = spn_density(SpnModel(2, 1, (0,), sigma), sigma**2 * grid, epsilon=1e-3)
+        unit = spn_density(SpnModel(2, 1, (0,), 1), grid, epsilon=1e-3 / sigma**2)
+        assert np.max(np.abs(sigma**2 * scaled.values - unit.values)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SpnModel(4, 2, (1.0, 2.0), 1e200), SpnModel(4, 2, (1e200, 2.0), 0.5),
+     SpnModel(4, 2, (1, 2), Fraction(10**400)), SpnModel(1000, 1, (0,), 1e153)],
+    ids=["sigma", "singular-value", "huge-fraction", "scale"],
+)
+def test_non_finite_squares_are_domain_errors(model):
+    with pytest.raises(DomainError):
+        spn_density(model, np.linspace(0.1, 5, 10))
+    with pytest.raises(DomainError):
+        solve_subordination(model, CPoint2(1j, 1j))
 
 
 def test_small_epsilon_converges_with_default_max_iter():
