@@ -22,6 +22,7 @@ of sigma.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -79,9 +80,8 @@ class CwModel:
     eigenvalues: tuple
 
     def __post_init__(self):
-        if self.p < 1 or self.d < 1:
-            raise DimensionMismatchError("p and d must be positive")
-        vals = tuple(sorted(self.eigenvalues))
+        _check_dimensions(self.p, self.d)
+        vals = _parse_values(self.eigenvalues, "eigenvalues")
         if len(vals) != self.p:
             raise DimensionMismatchError(
                 f"expected {self.p} eigenvalues, got {len(vals)}"
@@ -98,11 +98,7 @@ class CwModel:
     @classmethod
     def from_dict(cls, data: dict) -> "CwModel":
         _require_fields(data, "p", "d", "eigenvalues")
-        return cls(
-            _parse_dimension(data, "p"),
-            _parse_dimension(data, "d"),
-            _parse_values(data, "eigenvalues"),
-        )
+        return cls(data["p"], data["d"], _from_json(data["eigenvalues"]))
 
 
 @dataclass(frozen=True)
@@ -117,11 +113,10 @@ class SpnModel:
     sigma: object = 0.0
 
     def __post_init__(self):
-        if self.p < 1 or self.d < 1:
-            raise DimensionMismatchError("p and d must be positive")
+        _check_dimensions(self.p, self.d)
         if self.p < self.d:
             raise DimensionMismatchError(f"p >= d required, got p={self.p} < d={self.d}")
-        vals = tuple(sorted(self.singular_values))
+        vals = _parse_values(self.singular_values, "singular_values")
         if len(vals) != self.d:
             raise DimensionMismatchError(
                 f"expected {self.d} singular values, got {len(vals)}"
@@ -129,6 +124,7 @@ class SpnModel:
         if any(v < 0 for v in vals):
             raise DomainError("singular values must be nonnegative")
         object.__setattr__(self, "singular_values", vals)
+        object.__setattr__(self, "sigma", _real(self.sigma))
 
     @property
     def aspect_ratio(self) -> Fraction:
@@ -147,10 +143,10 @@ class SpnModel:
     def from_dict(cls, data: dict) -> "SpnModel":
         _require_fields(data, "p", "d", "singular_values")
         return cls(
-            _parse_dimension(data, "p"),
-            _parse_dimension(data, "d"),
-            _parse_values(data, "singular_values"),
-            parse_scalar(data.get("sigma", 0), "models"),
+            data["p"],
+            data["d"],
+            _from_json(data["singular_values"]),
+            _from_json(data.get("sigma", 0)),
         )
 
 
@@ -209,18 +205,31 @@ def _require_fields(data, *fields) -> None:
         raise DomainError(f"model lacks required field(s): {', '.join(missing)}")
 
 
-def _parse_dimension(data: dict, field: str) -> int:
-    v = data[field]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DomainError(f"{field} must be an integer, got {v!r}")
-    return v
+def _from_json(v):
+    # JSON carries exact rationals as "p/q" strings; the model checks the rest
+    if isinstance(v, list):
+        return [_from_json(x) for x in v]
+    return parse_scalar(v, "models") if isinstance(v, str) else v
 
 
-def _parse_values(data: dict, field: str) -> tuple:
-    v = data[field]
-    if not isinstance(v, list):
-        raise DomainError(f"{field} must be a list, got {v!r}")
-    return tuple(parse_scalar(x, "models") for x in v)
+def _check_dimensions(p, d) -> None:
+    for field, v in (("p", p), ("d", d)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DomainError(f"{field} must be an integer, got {v!r}")
+    if p < 1 or d < 1:
+        raise DimensionMismatchError(f"p and d must be positive, got p={p}, d={d}")
+
+
+def _real(v):
+    if isinstance(v, str):
+        raise DomainError(f"not a number: {v!r}")
+    return parse_scalar(v, "models")
+
+
+def _parse_values(values, field: str) -> tuple:
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise DomainError(f"{field} must be a list, got {values!r}")
+    return tuple(sorted(_real(v) for v in values))
 
 
 def _as_kind(value, kind):
@@ -333,6 +342,7 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     complex, which signals that ``r`` is not a compound Wishart cumulant
     series of a real spectrum.
     """
+    _check_dimensions(p, d)
     if r.order < p:
         raise OrderTooSmallError(f"need at least {p} cumulants, got {r.order}")
     psums = [d * float(c) for c in r.coeffs[:p]]
@@ -511,12 +521,13 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     1e-4*(1+|m_k|), or that the candidates leave the float range:
     the input is not a signal-plus-noise moment series for (p, d).
     """
+    _check_dimensions(p, d)
+    if p < d:
+        raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
     if m.order < d + 2:
         raise OrderTooSmallError(
             f"need order >= d+2 = {d + 2} to recover, got {m.order}"
         )
-    if p < d:
-        raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
     target = m.as_float()
     not_spn = f"input is not a signal-plus-noise moment series for (p={p}, d={d})"
     try:

@@ -5,7 +5,10 @@ there are no indices a < b < c < d with a, c in one block and b, d in
 another.  The lattice NC(n) has Catalan(n) elements and carries the
 Kreweras complement, the involution-like map that pairs each partition
 with the coarsest partition of an interleaved copy of {1..n} compatible
-with it.  These are the index sets that define boxed convolution; the
+with it.  Read as a permutation pi of increasing cycles, a partition is
+non-crossing iff #blocks(pi) + #cycles(pi^-1 gamma) = n + 1, gamma =
+(1 2 .. n), and those cycles are its complement (Biane, Discrete Math. 175,
+1997).  These are the index sets that define boxed convolution; the
 :mod:`freedeconv.series` module computes it by a subordination recursion
 instead, and the enumeration here serves the ``nc`` command and tests.
 """
@@ -47,8 +50,6 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
 def _validate_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
     seen: set[int] = set()
     for b in blocks:
-        if not b:
-            raise MalformedPartitionError("empty block")
         for x in b:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise MalformedPartitionError(f"non-integer element {x!r}")
@@ -59,23 +60,29 @@ def _validate_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
         raise MalformedPartitionError(f"blocks do not cover {{1..{n}}}")
 
 
-def _crosses(blocks: Sequence[Sequence[int]], n: int) -> bool:
-    # Draw a chord between consecutive elements of each block; the partition
-    # is non-crossing iff the chords nest like balanced parentheses.
-    nxt: dict[int, int] = {}
+def _kreweras_cycles(n: int, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of pi^-1 gamma for the set partition ``blocks`` of {1..n}.
+
+    Each cycle is walked from its least element, so they come out ordered by
+    minimum; when ``blocks`` is non-crossing every cycle is also increasing,
+    i.e. this is the canonical form of the Kreweras complement.
+    """
+    inv = [0] * (n + 1)
     for b in blocks:
-        for u, v in zip(b, b[1:]):
-            nxt[u] = v
-    closes = set(nxt.values())
-    stack: list[int] = []
-    for i in range(1, n + 1):
-        if i in closes:
-            if not stack or stack[-1] != i:
-                return True
-            stack.pop()
-        if i in nxt:
-            stack.append(nxt[i])
-    return False
+        for i, x in enumerate(b):
+            inv[b[(i + 1) % len(b)]] = x
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = inv[x % n + 1]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ class NcPartition:
         canon = _canonical_blocks(self.blocks)
         object.__setattr__(self, "blocks", canon)
         _validate_partition(self.n, canon)
-        if _crosses(canon, self.n):
+        if len(canon) + len(_kreweras_cycles(self.n, canon)) != self.n + 1:
             raise MalformedPartitionError(f"partition {canon} has a crossing")
 
     @classmethod
@@ -126,12 +133,10 @@ def is_noncrossing(blocks: Iterable[Iterable[int]], n: int | None = None) -> boo
     if n < 1:
         raise MalformedPartitionError("empty partition")
     _validate_partition(n, canon)
-    return not _crosses(canon, n)
+    return len(canon) + len(_kreweras_cycles(n, canon)) == n + 1
 
 
-def _max_order(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def _max_order() -> int:
     raw = os.environ.get(_MAX_ORDER_ENV)
     if raw is not None:
         try:
@@ -143,43 +148,32 @@ def _max_order(explicit: int | None = None) -> int:
     return DEFAULT_MAX_ORDER
 
 
-def _raw_nc_blocks(elements: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every non-crossing partition of the ordered tuple ``elements``.
+def _nc_blocks(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each non-crossing partition of range(lo, hi) once, in canonical form.
 
-    Recursive first-block construction: the block of the smallest element is
-    an increasing subsequence, and the gaps it leaves are partitioned
-    independently, which is non-crossing by construction and hits each
-    partition exactly once.
+    Either ``lo`` is a singleton, or its block continues at some j and the
+    elements strictly between lo and j form an enclosed partition of their own.
     """
-    if not elements:
+    if lo == hi:
         yield ()
         return
-    first, rest = elements[0], elements[1:]
-    yield from _extend_first_block((first,), rest)
+    for rest in _nc_blocks(lo + 1, hi):
+        yield ((lo,),) + rest
+    for j in range(lo + 1, hi):
+        for gap in _nc_blocks(lo + 1, j):
+            for rest in _nc_blocks(j, hi):
+                yield ((lo,) + rest[0],) + gap + rest[1:]
 
 
-def _extend_first_block(
-    block: tuple[int, ...], rest: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # Close the block here: the remaining elements form their own partition.
-    for sub in _raw_nc_blocks(rest):
-        yield (block,) + sub
-    # Or append rest[i]; the skipped elements rest[:i] are an enclosed gap.
-    for i in range(len(rest)):
-        for gap in _raw_nc_blocks(rest[:i]):
-            for out in _extend_first_block(block + (rest[i],), rest[i + 1:]):
-                yield (out[0],) + gap + out[1:]
-
-
-def enumerate_nc(n: int, max_order: int | None = None) -> tuple[NcPartition, ...]:
+def enumerate_nc(n: int) -> tuple[NcPartition, ...]:
     """All non-crossing partitions of {1..n}, lexicographic in canonical form.
 
     The list has Catalan(n) entries and is cached process-wide.  ``n`` above
     the configured maximum (default 14, overridable via the
-    FREEDECONV_MAX_NC_ORDER environment variable or the ``max_order``
-    argument) raises OrderTooLargeError to guard the Catalan blow-up.
+    FREEDECONV_MAX_NC_ORDER environment variable) raises OrderTooLargeError
+    to guard the Catalan blow-up.
     """
-    limit = _max_order(max_order)
+    limit = _max_order()
     if n < 1:
         raise MalformedPartitionError("order must be >= 1")
     if n > limit:
@@ -191,9 +185,7 @@ def enumerate_nc(n: int, max_order: int | None = None) -> tuple[NcPartition, ...
         cached = _nc_cache.get(n)
         if cached is not None:
             return cached
-        raw = [_canonical_blocks(b) for b in _raw_nc_blocks(tuple(range(1, n + 1)))]
-        raw.sort()
-        parts = tuple(NcPartition._trusted(n, b) for b in raw)
+        parts = tuple(NcPartition._trusted(n, b) for b in sorted(_nc_blocks(1, n + 1)))
         _nc_cache[n] = parts
     return parts
 
@@ -206,24 +198,7 @@ def kreweras(part: NcPartition) -> NcPartition:
     1 <= 1' <= 2 <= 2' <= ... <= n <= n'.  It satisfies
     ``len(part) + len(kreweras(part)) == n + 1``.
     """
-    n = part.n
-    inv = [0] * (n + 1)
-    for b in part.blocks:
-        for i, x in enumerate(b):
-            inv[b[(i + 1) % len(b)]] = x
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = inv[x % n + 1]
-        cycles.append(tuple(sorted(cyc)))
-    return NcPartition._trusted(n, _canonical_blocks(cycles))
+    return NcPartition._trusted(part.n, _kreweras_cycles(part.n, part.blocks))
 
 
 def coef_product(coeffs: Sequence, part: NcPartition):

@@ -24,25 +24,18 @@ SELFADJOINT_TOL = 1e-10
 class GinibreSpec:
     """Sampling plan for a p-by-d matrix of i.i.d. centered Gaussians.
 
-    ``variance`` is the per-entry value of E|Z_ij|^2 and defaults to 1/d;
-    complex entries split it evenly between real and imaginary parts.
+    Each entry has E|Z_ij|^2 = 1/d; complex entries split it evenly between
+    real and imaginary parts.
     """
 
     p: int
     d: int
     field: str = "real"
-    variance: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if self.variance is not None and self.variance <= 0:
-            raise ValueError("variance must be positive")
-
-    @property
-    def entry_variance(self) -> float:
-        return self.variance if self.variance is not None else 1.0 / self.d
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ class EmpiricalSpectrum:
 def sample_ginibre(spec: GinibreSpec) -> np.ndarray:
     """Draw the Ginibre matrix described by ``spec``; deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    scale = np.sqrt(spec.entry_variance)
+    scale = np.sqrt(1.0 / spec.d)
     if spec.field == "real":
         return rng.normal(0.0, scale, size=(spec.p, spec.d))
     half = scale / np.sqrt(2.0)

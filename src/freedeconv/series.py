@@ -24,6 +24,7 @@ since every spectral model in scope produces real moment data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -68,8 +69,9 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_scalar(value, module: str = "series"):
-    """A real number from JSON: an integer, a finite float or a rational "p/q",
-    whose sides are read exactly and without a digit cap by ``decimal``."""
+    """A real number: an exact rational (int, Fraction, numpy integer), a
+    finite float, or a rational "p/q" from JSON, whose sides are read exactly
+    and without a digit cap by ``decimal``.  Booleans are not numbers here."""
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         try:
@@ -78,9 +80,10 @@ def parse_scalar(value, module: str = "series"):
             raise DomainError(
                 f"not a finite rational number: {value!r}", module=module
             ) from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and math.isfinite(value):
+    # exact rationals may lie beyond the float range, so only floats are
+    # tested for finiteness
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and (isinstance(value, numbers.Rational) or math.isfinite(value)):
         return value
     raise DomainError(f"not a finite number: {value!r}", module=module)
 
@@ -131,9 +134,10 @@ class MomentSeries:
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise DomainError(f"coeffs must be a list, got {coeffs!r}", module="series")
-        if "order" in data and data["order"] != len(coeffs):
+        order = data.get("order", len(coeffs))
+        if isinstance(order, bool) or order != len(coeffs):
             raise OrderMismatchError(
-                f"declared order {data['order']} but {len(coeffs)} coefficients"
+                f"declared order {order!r} but {len(coeffs)} coefficients"
             )
         return cls(tuple(parse_scalar(c) for c in coeffs), kind)
 

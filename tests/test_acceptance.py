@@ -283,7 +283,7 @@ def test_criterion_8_monte_carlo_oracle():
     corner_model = SpnModel(p, d, tuple(a), 0.6)
 
     def corner_sampler(seed):
-        z = sample_ginibre(GinibreSpec(p, p, variance=1.0 / p, seed=seed))
+        z = sample_ginibre(GinibreSpec(p, p, seed=seed))
         big_a = np.zeros((p, p))
         big_a[:d, :d] = np.diag(a)
         y = big_a + (0.6 / np.sqrt(lam)) * z

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedeconv.cli import main
-from freedeconv.models import SpnModel, spn_moments
-from freedeconv.series import MomentSeries
+from freedeconv.models import CwModel, SpnModel, cw_r_transform, spn_moments
+from freedeconv.series import FLOAT, RATIONAL, MomentSeries
 
 
 def write_json(path, payload):
@@ -318,36 +318,48 @@ DENSITY = ["spn-density", "--xmin", "0.1", "--xmax", "5"]
 HUGE_DENSITY = {"singular_values": [1e200, 2]}
 
 
+def recover(command, p, d):
+    series_flag = "--moments" if command == "spn-recover" else "--r"
+    return [command, "--p", str(p), "--d", str(d), series_flag]
+
+
 @pytest.mark.parametrize(
-    "argv, model, series, env, status",
+    "argv, model, series, env, status, code",
     [
-        (["nc", "--n", "3"], None, None, "abc", 1),
-        (["spn-moments"], {"sigma": "nan"}, None, None, 1),
-        (["spn-moments"], {"sigma": "1/0"}, None, None, 1),
-        (["spn-moments"], {"d": None}, None, None, 1),
-        (["simulate", "--kind", "spn", "--trials", "0"], {}, None, None, 2),
+        (["nc", "--n", "3"], None, None, "abc", 1, "domain"),
+        (["spn-moments"], {"sigma": "nan"}, None, None, 1, "domain"),
+        (["spn-moments"], {"sigma": "1/0"}, None, None, 1, "domain"),
+        (["spn-moments"], {"d": None}, None, None, 1, "domain"),
+        (["simulate", "--kind", "spn", "--trials", "0"], {}, None, None, 2, None),
         (["spn-density", "--xmin", "0.1", "--xmax", "5", "--epsilon", "nan"], {},
-         None, None, 1),
-        (DENSITY, {"sigma": 1e200}, None, None, 1),
-        (DENSITY, HUGE_DENSITY, None, None, 1),
-        (DENSITY + ["--points", "-1"], {}, None, None, 2),
-        (["spn-moments"], HUGE, None, None, 0),
-        (["spn-moments", "--backend", "float"], HUGE, None, None, 1),
-        (RTRANSFORM, None, {"scalar": None}, None, 1),
-        (RTRANSFORM, None, {"coeffs": ["1/0", "2/1", "5/1"]}, None, 1),
-        (RTRANSFORM, None, {"scalar": "bogus"}, None, 1),
-        (RTRANSFORM, None, {"coeffs": ["nan", 2, 5], "scalar": "float"}, None, 1),
+         None, None, 1, "domain"),
+        (DENSITY, {"sigma": 1e200}, None, None, 1, "domain"),
+        (DENSITY, HUGE_DENSITY, None, None, 1, "domain"),
+        (DENSITY + ["--points", "-1"], {}, None, None, 2, None),
+        (["spn-moments"], HUGE, None, None, 0, None),
+        (["spn-moments", "--backend", "float"], HUGE, None, None, 1, "domain"),
+        (RTRANSFORM, None, {"scalar": None}, None, 1, "domain"),
+        (RTRANSFORM, None, {"coeffs": ["1/0", "2/1", "5/1"]}, None, 1, "domain"),
+        (RTRANSFORM, None, {"scalar": "bogus"}, None, 1, "domain"),
+        (RTRANSFORM, None, {"coeffs": ["nan", 2, 5], "scalar": "float"}, None, 1,
+         "domain"),
         (["spn-recover", "--p", "4", "--d", "2", "--moments"], None,
-         {"coeffs": [1.0, float("nan"), 5.0], "scalar": "float"}, None, 1),
+         {"coeffs": [1.0, float("nan"), 5.0], "scalar": "float"}, None, 1, "domain"),
+        (recover("spn-recover", 4, 0), None, {}, None, 1, "dimension-mismatch"),
+        (recover("spn-recover", 0, 0), None, {}, None, 1, "dimension-mismatch"),
+        (recover("cw-recover", 0, 2), None, {}, None, 1, "dimension-mismatch"),
+        (recover("cw-recover", 3, 0), None, {}, None, 1, "dimension-mismatch"),
+        (recover("cw-recover", -2, 2), None, {}, None, 1, "dimension-mismatch"),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
          "epsilon-nan", "density-sigma-huge", "density-value-huge",
          "density-negative-points", "huge-value-rational", "huge-value-float",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
-         "series-nan", "recover-series-nan"],
+         "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
+         "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative"],
 )
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, series,
-                                 env, status):
+                                 env, status, code):
     if env is not None:
         monkeypatch.setenv("FREEDECONV_MAX_NC_ORDER", env)
     if model is not None:
@@ -361,7 +373,7 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, ser
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if status == 1:
-        assert json.loads(err)["code"] == "domain"
+        assert json.loads(err)["code"] == code
 
 
 def test_unknown_flag_exits_two():
@@ -422,3 +434,159 @@ def test_spn_density_property_exits_cleanly(tmp_path_factory, run):
         assert set(json.loads(err.getvalue())) == {"code", "message", "module"}
     if _valid_run(model, epsilon, tol, points):
         assert status == 0, err.getvalue()
+
+
+# ------------------------------------------- property tests, other subcommands
+
+JUNK = st.sampled_from(
+    [None, True, "abc", "1/0", "nan", math.nan, math.inf, [[1]], {"a": 1}])
+VALUE = st.sampled_from([0, 1, 2, 3, "1/2", "5/2", 0.75])
+KIND = st.sampled_from([RATIONAL, FLOAT])
+DIMENSION = st.integers(-1, 4)
+WILD = st.sampled_from([None, None, "junk", "element", "missing", "non-object"])
+
+
+def _status(valid):
+    return 0 if valid else 1
+
+
+def _spoil(draw, data, wild, required, values):
+    # one way at a time in which a JSON object can be wrong
+    if wild == "junk":
+        data[draw(st.sampled_from(sorted(data)))] = draw(JUNK)
+    elif wild == "element":
+        data[values][0] = draw(JUNK)
+    elif wild == "missing":
+        del data[draw(st.sampled_from(required))]
+    elif wild == "non-object":
+        data = draw(st.sampled_from([[data], "model", 3, None]))
+    return data
+
+
+@st.composite
+def model_json(draw, values, dims=None):
+    """(JSON, valid) for a compound Wishart or a signal-plus-noise model."""
+    if dims is None:
+        d = draw(st.integers(1, 2))
+        dims = draw(st.integers(d, d + 1)), d
+    p, d = dims
+    size = p if values == "eigenvalues" else d
+    data = {"p": p, "d": d, values: draw(st.lists(VALUE, min_size=size, max_size=size))}
+    if values == "singular_values":
+        data["sigma"] = draw(VALUE)
+    wild = draw(WILD)
+    return _spoil(draw, data, wild, ["p", "d", values], values), wild is None
+
+
+@st.composite
+def series_json(draw):
+    """(JSON, valid) for a moment series."""
+    n = draw(st.integers(1, 4))
+    data = {"order": n, "coeffs": draw(st.lists(VALUE, min_size=n, max_size=n)),
+            "scalar": draw(KIND)}
+    wild = draw(WILD)
+    return _spoil(draw, data, wild, ["coeffs", "scalar"], "coeffs"), wild is None
+
+
+@st.composite
+def nc_runs(draw):
+    n = draw(st.integers(-2, 6) | st.just(15))
+    flags = ["--kreweras"] if draw(st.booleans()) else []
+    return ["nc", "--n", str(n)] + flags, {}, _status(1 <= n <= 14)
+
+
+@st.composite
+def moments_runs(draw, command):
+    values = "eigenvalues" if command == "cw-moments" else "singular_values"
+    model, valid = draw(model_json(values))
+    order = draw(st.integers(-1, 7))
+    argv = [command, "--order", str(order), "--backend", draw(KIND)]
+    return argv, {"--model": model}, _status(valid and order >= 1)
+
+
+@st.composite
+def verify_runs(draw):
+    a, valid_a = draw(model_json("singular_values"))
+    twin = valid_a and draw(st.booleans())
+    b, valid_b = draw(model_json("singular_values", (a["p"], a["d"]) if twin else None))
+    order = draw(st.integers(-1, 7))
+    same = valid_a and valid_b and (a["p"], a["d"]) == (b["p"], b["d"])
+    return ["verify", "--order", str(order)], {"--a": a, "--b": b}, _status(
+        same and order >= 1)
+
+
+@st.composite
+def convolve_runs(draw):
+    verb = draw(st.sampled_from(["boxed", "boxplus", "deconv", "rtransform"]))
+    (f, valid_f), (g, valid_g) = draw(series_json()), draw(series_json())
+    files = {"--f": f} if draw(st.booleans()) else {"--f": f, "--g": g}
+    valid = valid_f and (verb == "rtransform" or "--g" in files and valid_g and (
+        len(f["coeffs"]), f["scalar"]) == (len(g["coeffs"]), g["scalar"]) and (
+        verb != "deconv" or g["coeffs"][0] != 0))
+    return ["convolve", verb], files, _status(valid)
+
+
+@st.composite
+def recover_runs(draw, command):
+    # valid series come from the forward map of a model with distinct values
+    kind = draw(KIND)
+    if command == "cw-recover":
+        p, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        values = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p, unique=True))
+        order = p + draw(st.integers(0, 2))
+        series = cw_r_transform(CwModel(p, d, tuple(values)), order, kind)
+    else:
+        d = draw(st.integers(1, 2))
+        p = draw(st.integers(d, d + 2))
+        atoms = st.sampled_from([0, Fraction(1, 2), 1, 2, 3])
+        values = draw(st.lists(atoms, min_size=d, max_size=d, unique=True))
+        sigma = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1]))
+        order = d + 2 + draw(st.integers(0, 2))
+        series = spn_moments(SpnModel(p, d, tuple(values), sigma), order, kind)
+    series, expect = series.to_dict(), 0
+    wild = draw(st.sampled_from([None, "dimensions", "series"]))
+    if wild == "dimensions":
+        p, d = draw(DIMENSION), draw(DIMENSION)
+        impossible = p < 1 or d < 1 or command == "spn-recover" and p < d
+        expect = 1 if impossible else None
+    elif wild == "series":
+        series, valid = draw(series_json())
+        expect = None if valid else 1
+    flag = "--r" if command == "cw-recover" else "--moments"
+    return [command, "--p", str(p), "--d", str(d)], {flag: series}, expect
+
+
+RUNS = {
+    "nc": nc_runs(),
+    "cw-moments": moments_runs("cw-moments"),
+    "spn-moments": moments_runs("spn-moments"),
+    "verify": verify_runs(),
+    "convolve": convolve_runs(),
+    "cw-recover": recover_runs("cw-recover"),
+    "spn-recover": recover_runs("spn-recover"),
+}
+
+
+@pytest.fixture(scope="module")
+def runs_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("runs")
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_subcommand_property_exits_cleanly(runs_folder, command, data):
+    # expect is the exit status the input calls for, None where it depends
+    # on the numbers; each example overwrites the files of the one before
+    argv, files, expect = data.draw(RUNS[command])
+    folder = runs_folder
+    for flag, payload in files.items():
+        argv = argv + [flag, write_json(folder / f"{flag[2:]}.json", payload)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = _exit_status(argv + ["--out", str(folder / "out.json")])
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert set(json.loads(err.getvalue())) == {"code", "message", "module"}
+    if expect is not None:
+        assert status == expect, err.getvalue()

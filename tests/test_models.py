@@ -104,6 +104,40 @@ def test_models_canonicalize_and_validate():
         SpnModel(4, 2, (-1, 2), 0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SpnModel(4, 2, (1, 2), NAN), DomainError),
+        (lambda: SpnModel(4, 2, (1, NAN), 0.5), DomainError),
+        (lambda: CwModel(2, 2, (1, NAN)), DomainError),
+        (lambda: CwModel(2, 2, (1, float("inf"))), DomainError),
+        (lambda: SpnModel(4.0, 2, (1, 2), 0.5), DomainError),
+        (lambda: CwModel(2, True, (1, 2)), DomainError),
+        (lambda: SpnModel(4, 2, ("1", "2"), 0.5), DomainError),
+        (lambda: SpnModel(4, 2, (1, 2), "1/2"), DomainError),
+        (lambda: CwModel(1, 1, 3), DomainError),
+        (lambda: CwModel(0, 2, ()), DimensionMismatchError),
+        (lambda: SpnModel(4, 0, (), 0.5), DimensionMismatchError),
+    ],
+    ids=["spn-sigma-nan", "spn-value-nan", "cw-value-nan", "cw-value-inf",
+         "float-dimension", "bool-dimension", "string-values", "string-sigma",
+         "values-not-a-list", "cw-p-zero", "spn-d-zero"],
+)
+def test_model_constructors_check_fields(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_model_constructors_take_numpy_and_fraction_scalars():
+    model = SpnModel(4, 2, (np.int64(1), 2), Fraction(1, 2))
+    assert model.singular_values == (1, 2)
+    assert spn_moments(model, 3) == spn_moments(SpnModel(4, 2, (1, 2), 0.5), 3)
+    assert CwModel(2, 2, np.array([2.0, 1.0])).eigenvalues == (1.0, 2.0)
+
+
 def test_model_json_round_trip():
     cw = CwModel(2, 2, (Fraction(1, 2), 2))
     assert CwModel.from_dict(cw.to_dict()) == cw
@@ -164,6 +198,12 @@ def test_cw_recovery_errors():
     bad = MomentSeries((0.0, -1.0), FLOAT)
     with pytest.raises(NonrealRootsError):
         cw_recover_eigenvalues(bad, 2, 1)
+
+
+@pytest.mark.parametrize("p, d", [(0, 2), (3, 0), (-2, 2)])
+def test_cw_recovery_rejects_impossible_dimensions(p, d):
+    with pytest.raises(DimensionMismatchError):
+        cw_recover_eigenvalues(MomentSeries((1.0, 2.0, 3.0), FLOAT), p, d)
 
 
 # ------------------------------------------------------------------------ SPN
@@ -343,6 +383,13 @@ def test_spn_recover_errors():
     garbage = MomentSeries((1.0, 1.0, 50.0, 2.0, 900.0, 3.0), FLOAT)
     with pytest.raises(RecoveryFailedError):
         spn_recover(garbage, 4, 2)
+
+
+@pytest.mark.parametrize("p, d", [(4, 0), (0, 0), (-2, 2), (2, 4)])
+def test_spn_recover_rejects_impossible_dimensions(p, d):
+    m = spn_moments(SpnModel(4, 2, (1, 2), Fraction(1, 2)), 6)
+    with pytest.raises(DimensionMismatchError):
+        spn_recover(m, p, d)
 
 
 @pytest.mark.parametrize(

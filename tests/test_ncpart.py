@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from freedeconv.errors import (
@@ -70,8 +72,6 @@ def test_enumeration_contains_known_partition():
 def test_enumeration_order_guard():
     with pytest.raises(OrderTooLargeError):
         enumerate_nc(15)
-    with pytest.raises(OrderTooLargeError):
-        enumerate_nc(6, max_order=5)
 
 
 def test_enumeration_guard_env_override(monkeypatch):
@@ -97,6 +97,46 @@ def test_is_noncrossing_rejects_malformed():
         is_noncrossing([[1, 2], [4]])
     with pytest.raises(MalformedPartitionError):
         is_noncrossing([[1], []], n=1)
+
+
+def set_partitions(n):
+    # restricted growth strings: a[0] = 0, a[i] <= 1 + max(a[:i])
+    def grow(prefix, top):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for v in range(top + 2):
+            yield from grow(prefix + [v], max(top, v))
+
+    for labels in grow([0], 0):
+        blocks = {}
+        for x, label in enumerate(labels, start=1):
+            blocks.setdefault(label, []).append(x)
+        yield list(blocks.values())
+
+
+def crosses_by_definition(blocks):
+    where = {x: i for i, b in enumerate(blocks) for x in b}
+    n = len(where)
+    return any(
+        where[a] == where[c] != where[b] == where[d]
+        for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_crossing_rule_matches_definition(n):
+    noncrossing = 0
+    for blocks in set_partitions(n):
+        crossing = crosses_by_definition(blocks)
+        assert is_noncrossing(blocks, n) == (not crossing)
+        if crossing:
+            with pytest.raises(MalformedPartitionError):
+                NcPartition(n, tuple(map(tuple, blocks)))
+        else:
+            NcPartition(n, tuple(map(tuple, blocks)))
+            noncrossing += 1
+    assert noncrossing == catalan(n)
 
 
 def test_partition_constructor_validates():

@@ -31,21 +31,21 @@ def test_ginibre_same_seed_is_bit_identical():
 def test_ginibre_moments_real():
     spec = GinibreSpec(400, 250, seed=0)
     z = sample_ginibre(spec)
-    n = z.size
-    se_mean = np.sqrt(spec.entry_variance / n)
+    n, v = z.size, 1 / spec.d
+    se_mean = np.sqrt(v / n)
     assert abs(z.mean()) < 4 * se_mean
     # E|Z|^2 = v within four standard errors (fourth moment 3v^2 for Gaussian)
-    se_var = np.sqrt(2.0) * spec.entry_variance / np.sqrt(n)
-    assert abs(np.mean(z**2) - spec.entry_variance) < 4 * se_var
+    se_var = np.sqrt(2.0) * v / np.sqrt(n)
+    assert abs(np.mean(z**2) - v) < 4 * se_var
 
 
 def test_ginibre_moments_complex():
     spec = GinibreSpec(400, 250, field="complex", seed=1)
     z = sample_ginibre(spec)
     assert np.iscomplexobj(z)
-    n = z.size
-    se_var = spec.entry_variance / np.sqrt(n)
-    assert abs(np.mean(np.abs(z) ** 2) - spec.entry_variance) < 4 * se_var
+    n, v = z.size, 1 / spec.d
+    se_var = v / np.sqrt(n)
+    assert abs(np.mean(np.abs(z) ** 2) - v) < 4 * se_var
 
 
 def test_trial_seeds_deterministic_and_distinct():
