@@ -10,6 +10,8 @@ method, with Stieltjes inversion; and finite-dimensional Monte Carlo; plus
 recovery of model parameters from moment data by free deconvolution.
 """
 
+import importlib
+
 from .errors import (
     BackendMismatchError,
     DimensionMismatchError,
@@ -67,30 +69,50 @@ from .models import (
     spn_recover,
     verify_identifiability,
 )
-from .subordination import (
-    CPoint2,
-    DensityCurve,
-    SubordinationResult,
-    curve_cdf,
-    curve_moment,
-    eta,
-    g_lambda_atoms,
-    solve_subordination,
-    spn_density,
-)
-from .randmat import (
-    EmpiricalSpectrum,
-    GinibreSpec,
-    cw_sampler,
-    eigenvalues_selfadjoint,
-    empirical_spectrum,
-    realize_cw,
-    realize_spn,
-    sample_ginibre,
-    scale_cw_model,
-    scale_spn_model,
-    spn_sampler,
-    trial_seeds,
-)
-
 __version__ = "0.1.0"
+
+# The analytic and Monte Carlo layers compute with numpy; they are imported
+# on first use, so the exact algebra above starts without it.
+_LAZY = {
+    "subordination": (
+        "CPoint2",
+        "DensityCurve",
+        "SubordinationResult",
+        "curve_cdf",
+        "curve_moment",
+        "eta",
+        "g_lambda_atoms",
+        "solve_subordination",
+        "spn_density",
+    ),
+    "randmat": (
+        "EmpiricalSpectrum",
+        "GinibreSpec",
+        "cw_sampler",
+        "eigenvalues_selfadjoint",
+        "empirical_spectrum",
+        "realize_cw",
+        "realize_spn",
+        "sample_ginibre",
+        "scale_cw_model",
+        "scale_spn_model",
+        "spn_sampler",
+        "trial_seeds",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})

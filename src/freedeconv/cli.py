@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import FreeDeconvError
 from .models import (
     CwModel,
@@ -28,13 +26,6 @@ from .models import (
     verify_identifiability,
 )
 from .ncpart import enumerate_nc, kreweras
-from .randmat import (
-    cw_sampler,
-    empirical_spectrum,
-    scale_cw_model,
-    scale_spn_model,
-    spn_sampler,
-)
 from .series import (
     FLOAT,
     RATIONAL,
@@ -44,17 +35,24 @@ from .series import (
     free_mult_deconv,
     r_transform,
 )
-from .subordination import spn_density
+
+# numpy and the analytic and Monte Carlo layers load inside the commands
+# that compute with them, so the exact commands start without numpy.
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument("--model", type=Path, required=True)
     p_dens.add_argument("--xmin", type=float, required=True)
     p_dens.add_argument("--xmax", type=float, required=True)
-    p_dens.add_argument("--points", type=_positive_int, default=1000)
+    p_dens.add_argument("--points", type=_int_at_least(1), default=1000)
     p_dens.add_argument("--epsilon", type=float, default=1e-3)
     p_dens.add_argument("--tol", type=float, default=1e-12)
     p_dens.add_argument("--out", type=Path,
@@ -118,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kind", choices=["cw", "spn"], required=True)
     p_sim.add_argument("--dim-scale", type=int, default=1,
                        help="replicate the spectrum this many times")
-    p_sim.add_argument("--trials", type=_positive_int, default=10)
-    p_sim.add_argument("--seed", type=int, default=42)
+    p_sim.add_argument("--trials", type=_int_at_least(1), default=10)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=42)
     p_sim.add_argument("--order", type=int, default=8)
     p_sim.add_argument("--field", choices=["real", "complex"], default="real")
     p_sim.add_argument("--dump-eigs", type=Path, help="CSV eigenvalue dump")
@@ -217,6 +215,10 @@ def _cmd_spn_recover(args) -> int:
 
 
 def _cmd_spn_density(args) -> int:
+    import numpy as np
+
+    from .subordination import spn_density
+
     _require_files(args.model)
     model = SpnModel.from_dict(_read_json(args.model))
     grid = np.linspace(args.xmin, args.xmax, args.points)
@@ -242,6 +244,14 @@ def _cmd_spn_density(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .randmat import (
+        cw_sampler,
+        empirical_spectrum,
+        scale_cw_model,
+        scale_spn_model,
+        spn_sampler,
+    )
+
     _require_files(args.model)
     data = _read_json(args.model)
     if args.kind == "cw":

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -152,19 +154,26 @@ class SpnModel:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Result of signal-plus-noise parameter recovery from a moment series."""
+    """Result of signal-plus-noise parameter recovery from a moment series.
+
+    ``misfits`` holds, for each order k = d+1..N, the relative misfit
+    |r_k - t_k| / (1 + |t_k|) of the reconstructed moment r_k against the
+    input moment t_k; recovery is accepted only when each is at most 1e-4.
+    """
 
     sigma_sq_hat: float
     atom_moments: MomentSeries
     atoms: tuple
     residual: float
     search_trace: tuple
+    misfits: tuple
 
     def to_dict(self) -> dict:
         return {
             "sigma_sq_hat": self.sigma_sq_hat,
             "atoms": list(self.atoms),
             "residual": self.residual,
+            "misfits": list(self.misfits),
             "atom_moments": self.atom_moments.to_dict(),
             "search_trace": [[s, r] for s, r in self.search_trace],
         }
@@ -227,7 +236,11 @@ def _real(v):
 
 
 def _parse_values(values, field: str) -> tuple:
-    if not isinstance(values, (list, tuple, np.ndarray)):
+    # an ndarray can exist only once numpy is imported, so the exact path
+    # need not import numpy to recognize one
+    np = sys.modules.get("numpy")
+    array = np is not None and isinstance(values, np.ndarray)
+    if not isinstance(values, (list, tuple)) and not array:
         raise DomainError(f"{field} must be a list, got {values!r}")
     return tuple(sorted(_real(v) for v in values))
 
@@ -307,6 +320,8 @@ def _elementary_from_power_sums(psums: Sequence) -> list:
 
 
 def _roots_from_power_sums(psums: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     e = _elementary_from_power_sums(psums)
     poly = [(-1) ** k * e[k] for k in range(len(e))]
     return np.roots(poly)
@@ -317,6 +332,8 @@ def _cluster_means(roots: np.ndarray) -> np.ndarray:
     # eps^(1/m) around it; averaging each conjugate multiplet restores the
     # eigenvalue while leaving genuinely complex roots (conjugate pairs far
     # apart) intact for the reality check downstream.
+    import numpy as np
+
     delta = 1e-3 * (1.0 + float(np.max(np.abs(roots))))
     ordered = roots[np.argsort(roots.real, kind="stable")]
     means = []
@@ -342,6 +359,8 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     complex, which signals that ``r`` is not a compound Wishart cumulant
     series of a real spectrum.
     """
+    import numpy as np
+
     _check_dimensions(p, d)
     if r.order < p:
         raise OrderTooSmallError(f"need at least {p} cumulants, got {r.order}")
@@ -439,6 +458,8 @@ def _recurrence_gaps(psums: Sequence, d: int) -> list:
 
 
 def _root_penalty(roots: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.sum(roots.imag**2) + np.sum(np.minimum(roots.real, 0.0) ** 2))
 
 
@@ -451,6 +472,8 @@ def _evaluate(polys: Sequence, s: float) -> list:
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     """Scored noise-level candidates (s, score) and the candidate moment
     polynomials, lowest power first; see ``spn_recover``."""
+    import numpy as np
+
     order = m.order
     exact = MomentSeries(m.coeffs, RATIONAL)
     lam = Fraction(d, p)
@@ -521,6 +544,8 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     1e-4*(1+|m_k|), or that the candidates leave the float range:
     the input is not a signal-plus-noise moment series for (p, d).
     """
+    import numpy as np
+
     _check_dimensions(p, d)
     if p < d:
         raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
@@ -547,7 +572,8 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     final_residual = _root_penalty(roots) + sum((r - t) * (r - t) for r, t in pairs)
     # the sum is dominated by the highest moment, so each order is also held
     # to its own scale
-    misfit = max(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
+    misfits = tuple(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
+    misfit = max(misfits)
     tol = 1e-4 * (1.0 + sum(c * c for c in target.coeffs))
     if not math.isfinite(final_residual) or final_residual > tol or misfit > 1e-4:
         raise RecoveryFailedError(
@@ -561,6 +587,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
         atoms=tuple(float(a) for a in atoms),
         residual=final_residual,
         search_trace=tuple(trace),
+        misfits=misfits,
     )
 
 

@@ -9,12 +9,18 @@ the sampled values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EigensolverError, NonSelfadjointError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    EigensolverError,
+    NonSelfadjointError,
+)
 from .models import CwModel, SpnModel
 
 SELFADJOINT_TOL = 1e-10
@@ -35,7 +41,10 @@ class GinibreSpec:
 
     def __post_init__(self):
         if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
+            raise DomainError(
+                f"field must be 'real' or 'complex', got {self.field!r}",
+                module="randmat",
+            )
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,15 @@ def eigenvalues_selfadjoint(matrix: np.ndarray) -> np.ndarray:
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
-    """Independent per-trial seeds derived deterministically from the master."""
+    """Independent per-trial seeds derived deterministically from the master.
+
+    The master seed must be a non-negative integer.
+    """
+    if not isinstance(master_seed, numbers.Integral) or master_seed < 0:
+        raise DomainError(
+            f"master seed must be a non-negative integer, got {master_seed!r}",
+            module="randmat",
+        )
     state = np.random.SeedSequence(master_seed).generate_state(trials, np.uint64)
     return [int(s) for s in state]
 
@@ -132,7 +149,7 @@ def empirical_spectrum(
     powers of all pooled eigenvalues.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise DomainError(f"need at least one trial, got {trials}", module="randmat")
     pooled = []
     d = None
     for trial, seed in enumerate(trial_seeds(master_seed, trials)):

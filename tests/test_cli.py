@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +129,8 @@ def test_spn_pipeline_moments_recover(tmp_path, spn_model_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["sigma_sq_hat"] == pytest.approx(0.25, abs=1e-6)
     assert report["atoms"] == pytest.approx([1.0, 4.0], abs=1e-6)
+    assert len(report["misfits"]) == 6 - 2  # orders d+1..N
+    assert max(report["misfits"]) < 1e-10
 
 
 def test_spn_moments_rational_backend_matches_library(spn_model_file, capsys):
@@ -331,6 +337,7 @@ def recover(command, p, d):
         (["spn-moments"], {"sigma": "1/0"}, None, None, 1, "domain"),
         (["spn-moments"], {"d": None}, None, None, 1, "domain"),
         (["simulate", "--kind", "spn", "--trials", "0"], {}, None, None, 2, None),
+        (["simulate", "--kind", "spn", "--seed", "-1"], {}, None, None, 2, None),
         (["spn-density", "--xmin", "0.1", "--xmax", "5", "--epsilon", "nan"], {},
          None, None, 1, "domain"),
         (DENSITY, {"sigma": 1e200}, None, None, 1, "domain"),
@@ -352,6 +359,7 @@ def recover(command, p, d):
         (recover("cw-recover", -2, 2), None, {}, None, 1, "dimension-mismatch"),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
+         "negative-seed",
          "epsilon-nan", "density-sigma-huge", "density-value-huge",
          "density-negative-points", "huge-value-rational", "huge-value-float",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
@@ -380,6 +388,59 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["nc", "--n", "3", "--bogus"])
     assert info.value.code == 2
+
+
+# -------------------------------------------------------------- start-up
+
+# Runs in a fresh interpreter: the exact commands must leave numpy
+# unimported, and the numeric commands and the lazily resolved library
+# names must still work once they are used.
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import freedeconv
+from freedeconv import cli
+
+spn, cw, series = sys.argv[1:4]
+exact = [
+    ["nc", "--n", "4"],
+    ["spn-moments", "--model", spn, "--order", "6"],
+    ["cw-moments", "--model", cw, "--order", "6"],
+    ["convolve", "rtransform", "--f", series],
+    ["verify", "--a", spn, "--b", spn],
+]
+numeric = [
+    ["spn-density", "--model", spn, "--xmin", "0.1", "--xmax", "5", "--points", "5"],
+    ["simulate", "--model", spn, "--kind", "spn", "--trials", "2", "--order", "2"],
+]
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    exact_status = [cli.main(argv) for argv in exact]
+    numpy_after_exact = "numpy" in sys.modules
+    from freedeconv import GinibreSpec
+    lazy_names = [
+        freedeconv.spn_density is freedeconv.subordination.spn_density,
+        GinibreSpec is freedeconv.randmat.GinibreSpec,
+        all(getattr(freedeconv, name) is not None for name in dir(freedeconv)),
+    ]
+    numeric_status = [cli.main(argv) for argv in numeric]
+print(json.dumps({"exact": exact_status, "numpy_after_exact": numpy_after_exact,
+                  "lazy_names": lazy_names, "numeric": numeric_status}))
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path, spn_model_file, cw_model_file):
+    series = write_json(tmp_path / "series.json", SERIES)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, spn_model_file, cw_model_file, series],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "exact": [0] * 5, "numpy_after_exact": False,
+        "lazy_names": [True] * 3, "numeric": [0, 0],
+    }
 
 
 # ------------------------------------------------------------ property test

@@ -301,6 +301,13 @@ def test_spn_recover_documented_example():
     assert report.sigma_sq_hat == pytest.approx(0.25, abs=1e-6)
     assert report.atoms == pytest.approx((1.0, 4.0), abs=1e-6)
     assert report.residual < 1e-10
+    # one relative misfit per order d+1..N, of the reconstruction against m
+    fitted = SpnModel(4, 2, tuple(np.sqrt(report.atoms)), np.sqrt(report.sigma_sq_hat))
+    rebuilt = spn_moments(fitted, 6, FLOAT).coeffs
+    assert report.misfits == tuple(
+        abs(r - t) / (1 + abs(t)) for r, t in zip(rebuilt[2:], m.coeffs[2:])
+    )
+    assert max(report.misfits) < 1e-10
     assert len(report.search_trace) <= 2 + 2  # at most d + 2 scored candidates
     best = min(report.search_trace, key=lambda entry: entry[1])
     assert best[0] == report.sigma_sq_hat

@@ -3,6 +3,7 @@ import pytest
 
 from freedeconv.errors import (
     DimensionMismatchError,
+    DomainError,
     NonSelfadjointError,
 )
 from freedeconv.models import CwModel, SpnModel, cw_moments, spn_moments
@@ -53,6 +54,22 @@ def test_trial_seeds_deterministic_and_distinct():
     assert seeds == trial_seeds(42, 10)
     assert len(set(seeds)) == 10
     assert seeds != trial_seeds(43, 10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GinibreSpec(2, 2, field="bogus"),
+        lambda: empirical_spectrum(spn_sampler(SpnModel(2, 2, (1.0, 2.0), 0.5)),
+                                   trials=0, order=2),
+        lambda: trial_seeds(-1, 3),
+    ],
+    ids=["bogus-field", "zero-trials", "negative-seed"],
+)
+def test_bad_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.module == "randmat"
 
 
 # ---------------------------------------------------------------- realization
