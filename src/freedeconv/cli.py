@@ -323,13 +323,41 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_negative_numbers(argv: list[str]) -> list[str]:
+    """Join each flag and a negative number after it into --flag=value.
+
+    argparse reads only plain decimals such as -0.001 as negative numbers;
+    it would take -1e-3 or -inf for an option and report the flag's value
+    missing, so the value would never reach the command's domain check.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and len(flag) > 2 and "=" not in flag
+                and token.startswith("-") and _is_number(token)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     # exact moments of large models outgrow the default cap on the digits
     # an int may have when read from or written to JSON
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _glue_negative_numbers(sys.argv[1:] if argv is None else list(argv))
+    )
     return run(args)
 
 

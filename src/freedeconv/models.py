@@ -392,6 +392,21 @@ def _restore(x: MomentSeries, lam, shift) -> MomentSeries:
     return moment_from_r(_times(1 / lam, moment_from_r(x)))
 
 
+def _translate(m: MomentSeries, shift) -> MomentSeries:
+    """Moments of the measure with moments ``m`` translated by ``shift``:
+    coefficient n is sum_k C(n, k) shift^(n-k) m_k, with m_0 = 1.  As a
+    point mass at ``shift`` adds to the first free cumulant only, this is
+    mu(x + shift z) for m = mu(x)."""
+    moments = (1,) + m.coeffs
+    return MomentSeries(
+        tuple(
+            sum(math.comb(n, k) * shift ** (n - k) * moments[k] for k in range(n + 1))
+            for n in range(1, len(moments))
+        ),
+        m.scalar_kind,
+    )
+
+
 def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Moment series of the signal-plus-noise limit spectrum.
 
@@ -439,11 +454,26 @@ def _interpolate(values: Sequence) -> list:
     return poly
 
 
-def _horner(poly: Sequence, s):
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * s + c
-    return acc
+def _integer_basis(polys: Sequence) -> tuple:
+    """(rows, q): the rational polynomials ``polys`` as integer coefficient
+    rows over one denominator q, lowest power first, padded to one length."""
+    q = math.lcm(*(c.denominator for poly in polys for c in poly))
+    length = max(len(poly) for poly in polys)
+    rows = [[c.numerator * (q // c.denominator) for c in poly] for poly in polys]
+    return [row + [0] * (length - len(row)) for row in rows], q
+
+
+def _homogeneous(rows: Sequence, n: int, b: int) -> list:
+    """sum_i c_i n^i b^(D-i) for each integer row c of length D + 1:
+    b^D times the row's polynomial at n/b, by Horner's rule."""
+    bpow = [b**j for j in range(max(map(len, rows), default=0))]
+    out = []
+    for row in rows:
+        acc = 0
+        for c, bj in zip(reversed(row), bpow):
+            acc = acc * n + c * bj
+        out.append(acc)
+    return out
 
 
 def _recurrence_gaps(psums: Sequence, d: int) -> list:
@@ -463,51 +493,68 @@ def _root_penalty(roots: np.ndarray) -> float:
     return float(np.sum(roots.imag**2) + np.sum(np.minimum(roots.real, 0.0) ** 2))
 
 
-def _evaluate(polys: Sequence, s: float) -> list:
-    # exact evaluation at a float, rounded once
-    x = Fraction(s)
-    return [float(_horner(c, x)) for c in polys]
+def _evaluate(basis: tuple, s: float) -> list:
+    # exact evaluation of an integer basis at a float, rounded once: int / int
+    # is correctly rounded
+    rows, q = basis
+    n, b = s.as_integer_ratio()
+    scale = q * b ** (len(rows[0]) - 1)
+    return [v / scale for v in _homogeneous(rows, n, b)]
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     """Scored noise-level candidates (s, score) and the candidate moment
-    polynomials, lowest power first; see ``spn_recover``."""
+    polynomials as an integer basis (``_integer_basis``); see ``spn_recover``."""
     import numpy as np
 
     order = m.order
     exact = MomentSeries(m.coeffs, RATIONAL)
     lam = Fraction(d, p)
-    stripped = _strip(exact, lam)
-    nodes = [_restore(stripped, lam, -s).coeffs for s in range(order + 1)]
+    # node s is _restore(stripped, lam, -s): one translation of one measure
+    base = moment_from_r(_strip(exact, lam))
+    nodes = [
+        moment_from_r(_times(1 / lam, _translate(base, -s))).coeffs
+        for s in range(order + 1)
+    ]
     moment_polys = [_interpolate(col) for col in zip(*nodes)]
     gap_polys = [
         _interpolate(col)
         for col in zip(*(_recurrence_gaps([d * c for c in cs], d) for cs in nodes))
     ]
-    slope_polys = [[k * c for k, c in enumerate(g)][1:] for g in gap_polys]
-    weights = [1 / (1 + (d * c) ** 2) for c in exact.coeffs[d:]]
+    # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
+    gap_rows, q = _integer_basis(gap_polys)
+    slope_rows = [[i * c for i, c in enumerate(row)][1:] for row in gap_rows]
+    degree = len(gap_rows[0]) - 1
+    (weights,), wq = _integer_basis(
+        [[1 / (1 + (d * c) ** 2) for c in exact.coeffs[d:]]]
+    )
 
     def defect(s: float) -> tuple:
-        # D(s) exactly, and the Gauss-Newton step for it
-        x = Fraction(s)
-        gaps = [_horner(g, x) for g in gap_polys]
-        slopes = [_horner(g, x) for g in slope_polys]
-        value = sum(w * g * g for w, g in zip(weights, gaps))
+        # D(s) exactly, as (numerator, denominator), and the Gauss-Newton
+        # iterate from s, rounded once
+        n, b = s.as_integer_ratio()
+        gaps = _homogeneous(gap_rows, n, b)
+        slopes = _homogeneous(slope_rows, n, b)
+        value = (
+            sum(w * g * g for w, g in zip(weights, gaps)),
+            wq * (q * b**degree) ** 2,
+        )
         curvature = sum(w * t * t for w, t in zip(weights, slopes))
         pull = sum(w * g * t for w, g, t in zip(weights, gaps, slopes))
-        return value, (-pull / curvature if curvature else 0)
+        # s - pull / (b curvature) over one denominator
+        trial = (n * curvature - pull) / (b * curvature) if curvature else s
+        return value, max(trial, 0.0)
 
     def polish(s: float) -> tuple:
-        value, step = defect(s)
+        value, trial = defect(s)
         for _ in range(POLISH_MAX_STEPS):
-            trial = max(float(Fraction(s) + step), 0.0)
             if trial == s:
                 break
-            trial_value, trial_step = defect(trial)
-            if trial_value >= value:
+            trial_value, next_trial = defect(trial)
+            if trial_value[0] * value[1] >= value[0] * trial_value[1]:
                 break
-            s, value, step = trial, trial_value, trial_step
-        return s, value
+            s, value, trial = trial, trial_value, next_trial
+        return s, value[0] / value[1]
 
     # seeds: s = 0 and the roots of the lowest nonzero gap, scaled exactly
     # to coefficients of at most 1 before rounding
@@ -516,12 +563,13 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     roots = np.roots([float(c / scale) for c in reversed(lowest)]).real
     s_hi = max(lam * exact.coeffs[0], 0)
     seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
+    moment_rows, mq = _integer_basis(moment_polys)
     trace = []
     for seed in dict.fromkeys(seeds):
         s, value = polish(seed)
-        psums = [d * c for c in _evaluate(moment_polys[:d], s)]
-        trace.append((s, float(value) + _root_penalty(_roots_from_power_sums(psums))))
-    return trace, moment_polys
+        psums = [d * c for c in _evaluate((moment_rows[:d], mq), s)]
+        trace.append((s, value + _root_penalty(_roots_from_power_sums(psums))))
+    return trace, (moment_rows, mq)
 
 
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
@@ -530,19 +578,22 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     The input, converted exactly to rationals, is deconvolved by the free
     Poisson kernel, shifted by the point mass at -s/lambda and re-convolved:
     a candidate M[A*A] whose coefficient n is a polynomial of degree n in
-    the noise level s.  Exact evaluation at s = 0..N and interpolation give
-    the candidate moments and Newton-recurrence gaps g_k (k = d+1..N) as
-    polynomials; the gaps vanish together exactly at the true s, where the
-    candidate has d atoms.  The roots of the lowest nonzero gap, clipped to
-    [0, lambda*m_1], and s = 0 seed a Gauss-Newton polish of
+    the noise level s.  Exact evaluation at s = 0..N (the shift translates
+    one measure, so each node costs one re-convolution) and interpolation
+    give the candidate moments and Newton-recurrence gaps g_k (k = d+1..N)
+    as polynomials; the gaps vanish together exactly at the true s, where
+    the candidate has d atoms.  The roots of the lowest nonzero gap, clipped
+    to [0, lambda*m_1], and s = 0 seed a Gauss-Newton polish of
     D(s) = sum_k g_k(s)^2 / (1 + (d m_k)^2), evaluated exactly at each float
-    iterate and stepped only downhill.  The candidate with the least D plus
-    a penalty for complex or negative atoms wins; ``search_trace`` lists the
-    candidates as (s, score).  RecoveryFailedError signals that the moments
-    the recovered parameters miss the input at orders d+1..N by more than
-    1e-4*(1+|m|^2) in sum of squares, or at some order k by more than
-    1e-4*(1+|m_k|), or that the candidates leave the float range:
-    the input is not a signal-plus-noise moment series for (p, d).
+    iterate s = n/b in integers (the polynomials over one denominator, as
+    homogeneous forms in n and b) and stepped only downhill.  The candidate
+    with the least D plus a penalty for complex or negative atoms wins;
+    ``search_trace`` lists the candidates as (s, score).  RecoveryFailedError
+    signals that the moments the recovered parameters miss the input at
+    orders d+1..N by more than 1e-4*(1+|m|^2) in sum of squares, or at some
+    order k by more than 1e-4*(1+|m_k|), or that the candidates leave the
+    float range: the input is not a signal-plus-noise moment series for
+    (p, d).
     """
     import numpy as np
 
@@ -556,9 +607,9 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     target = m.as_float()
     not_spn = f"input is not a signal-plus-noise moment series for (p={p}, d={d})"
     try:
-        trace, moment_polys = _noise_level_candidates(m, p, d)
+        trace, moment_basis = _noise_level_candidates(m, p, d)
         s_best = min(trace, key=lambda entry: entry[1])[0]
-        maa = MomentSeries(tuple(_evaluate(moment_polys, s_best)), FLOAT)
+        maa = MomentSeries(tuple(_evaluate(moment_basis, s_best)), FLOAT)
     except OverflowError:
         raise RecoveryFailedError(
             f"candidates leave the float range; {not_spn}", residual=math.inf

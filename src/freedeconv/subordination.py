@@ -153,12 +153,18 @@ def _rung(terms, z1, z2, omega, tol, max_iter):
 
     Every iteration retires the points whose g has a fixed-point defect of
     at most ``tol`` and steps the rest, halving any step that would leave
-    the upper half-plane.  The closed-form w solves w = z - sigma^2 eta(g)
-    exactly, so the defect |G_A(w) - g| is max(|w2|, (d/p)|w1|) times
-    |s(w1 w2) - s(omega)|; as w1 w2 = omega - e, e = (z(omega) - Z) / u^2
-    with u = 1 + sigma^2 s, that difference is |e sum_k c_k / (d (omega -
-    a_k^2)(omega - e - a_k^2))|, free of cancellation.  Returns omega, g, w,
-    the largest defect, the iteration count and the number of halved steps.
+    the upper half-plane.  When every target Z = z1 z2 is real (and so
+    negative), the physical omega is real and left of the smallest atom,
+    where halving would slow every step that reaches the axis: a step that
+    lands left of that atom is projected onto the closed upper half-plane
+    instead.  Between atoms z(omega) = Z has real roots off the physical
+    branch, so a step that lands there is still halved.  The closed-form w
+    solves w = z - sigma^2 eta(g) exactly, so the defect |G_A(w) - g| is
+    max(|w2|, (d/p)|w1|) times |s(w1 w2) - s(omega)|; as w1 w2 = omega - e,
+    e = (z(omega) - Z) / u^2 with u = 1 + sigma^2 s, that difference is
+    |e sum_k c_k / (d (omega - a_k^2)(omega - e - a_k^2))|, free of
+    cancellation.  Returns omega, g, w, the largest defect, the iteration
+    count and the number of halved steps.
     """
     atoms, counts, p, d, sigma_sq = terms
     shift = sigma_sq * (p / d - 1)
@@ -167,6 +173,13 @@ def _rung(terms, z1, z2, omega, tol, max_iter):
     residual = np.zeros(omega.shape)
     active = np.arange(omega.size)
     its = halved = 0
+    real_target = not np.any((z1 * z2).imag)
+    if real_target:
+        def rejected(new):
+            return ~((new.imag > 0) | (new.real < atoms[0]))
+    else:
+        def rejected(new):
+            return ~(new.imag > 0)
     with np.errstate(all="ignore"):
         while active.size:
             its += 1
@@ -199,12 +212,14 @@ def _rung(terms, z1, z2, omega, tol, max_iter):
                     iterations=its,
                 )
             new = om - step
-            off = ~(new.imag > 0)
+            off = rejected(new)
             halved += int(np.count_nonzero(off))
             while off.any():
                 step[off] /= 2.0
                 new[off] = om[off] - step[off]
-                off = ~(new.imag > 0)
+                off = rejected(new)
+            if real_target:
+                new.imag = np.maximum(new.imag, 0.0)
             omega[active] = new
     return omega, (g1, g2), (w1, w2), float(residual.max()), its, halved
 

@@ -343,6 +343,11 @@ def recover(command, p, d):
         (DENSITY, {"sigma": 1e200}, None, None, 1, "domain"),
         (DENSITY, HUGE_DENSITY, None, None, 1, "domain"),
         (DENSITY + ["--points", "-1"], {}, None, None, 2, None),
+        (DENSITY + ["--epsilon", "-1e-3"], {}, None, None, 1, "domain"),
+        (DENSITY + ["--epsilon", "-inf"], {}, None, None, 1, "domain"),
+        (DENSITY + ["--tol", "-1e-12"], {}, None, None, 1, "domain"),
+        (["spn-density", "--xmin", "-1e-3", "--xmax", "5"], {}, None, None, 1,
+         "domain"),
         (["spn-moments"], HUGE, None, None, 0, None),
         (["spn-moments", "--backend", "float"], HUGE, None, None, 1, "domain"),
         (RTRANSFORM, None, {"scalar": None}, None, 1, "domain"),
@@ -361,7 +366,9 @@ def recover(command, p, d):
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
          "negative-seed",
          "epsilon-nan", "density-sigma-huge", "density-value-huge",
-         "density-negative-points", "huge-value-rational", "huge-value-float",
+         "density-negative-points", "epsilon-negative-exponent",
+         "epsilon-negative-inf", "tol-negative-exponent", "xmin-negative-exponent",
+         "huge-value-rational", "huge-value-float",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
          "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
          "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative"],

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedeconv.errors import (
     DimensionMismatchError,
@@ -14,6 +15,13 @@ from freedeconv.errors import (
 from freedeconv.models import (
     CwModel,
     SpnModel,
+    _evaluate,
+    _homogeneous,
+    _integer_basis,
+    _restore,
+    _strip,
+    _times,
+    _translate,
     atomic_moments,
     cw_moments,
     cw_r_transform,
@@ -376,6 +384,108 @@ def test_spn_recover_criterion5_draws(draw, order, kind):
     # with atoms off by 1.7e-4.
     model = criterion5_draw(draw)
     assert_recovers(model, spn_moments(model, order, kind))
+
+
+def fraction_horner(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+RATIONAL_COEFF = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**9))
+POLY = st.lists(RATIONAL_COEFF, min_size=1, max_size=13)  # degree <= 12
+EVAL_POINT = st.sampled_from([0.0, 5e-324, 1e-300, 2.0**60]) | st.floats(
+    -1e3, 1e3, allow_nan=False
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(polys=st.lists(POLY, min_size=1, max_size=4), s=EVAL_POINT)
+def test_integer_basis_evaluates_exactly(polys, s):
+    # at s = n/b each row gives b^D q times the polynomial, D the padded degree
+    rows, q = _integer_basis(polys)
+    n, b = s.as_integer_ratio()
+    degree = len(rows[0]) - 1
+    exact = [fraction_horner(poly, Fraction(s)) for poly in polys]
+    assert [Fraction(v, q * b**degree) for v in _homogeneous(rows, n, b)] == exact
+    assert _evaluate((rows, q), s) == [float(v) for v in exact]
+
+
+@pytest.mark.parametrize(
+    "model, order",
+    [(SpnModel(4, 2, (1, 2), Fraction(1, 2)), 8),
+     (SpnModel(5, 3, (Fraction(1, 3), 1, Fraction(7, 4)), Fraction(2, 3)), 7)],
+    ids=["readme", "three-atoms"],
+)
+def test_translated_nodes_equal_restore(model, order):
+    # the noise-level nodes: one translation of one measure per node, in
+    # place of adding a point mass to the cumulants and re-convolving
+    lam = model.aspect_ratio
+    stripped = _strip(spn_moments(model, order), lam)
+    base = moment_from_r(stripped)
+    for s in range(order + 1):
+        node = moment_from_r(_times(1 / lam, _translate(base, -s)))
+        assert node == _restore(stripped, lam, -s)
+        shifted = MomentSeries((stripped.coeffs[0] - s,) + stripped.coeffs[1:])
+        assert _translate(base, -s) == moment_from_r(shifted)
+
+
+# sigma_sq_hat, atoms and search_trace as float.hex, from the recovery as it
+# was before the noise-level search ran on integers; every bit must stay
+README_MODEL = SpnModel(4, 2, (1, 2), Fraction(1, 2))
+README_PIN = (
+    "0x1.0000000000000p-2",
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+2"),
+    (("0x1.0000000000000p-2", "0x0.0p+0"),
+     ("0x1.b2dc78f861701p+0", "0x1.e876d9e19e39bp+0"),
+     ("0x1.0000000000000p-2", "0x0.0p+0")),
+)
+RECOVERY_PINS = {
+    "readme-exact-8": (README_MODEL, 8, RATIONAL, README_PIN),
+    "readme-float-8": (README_MODEL, 8, FLOAT, README_PIN),
+    "draw16-exact-8": (16, 8, RATIONAL, (
+        "0x1.e2a9ff805935ap+1",
+        ("0x1.5b7f4b88b124cp-4", "0x1.21fed831e303fp-2", "0x1.d1da09add6213p-2",
+         "0x1.1b41a79102a96p+0"),
+        (("0x1.e2a9ff805935ap+1", "0x1.60161642835edp-150"),
+         ("0x1.fb5c63bd3902bp+1", "0x1.e8f3f83ef9c9dp-3"),
+         ("0x1.e2a9ff805935ap+1", "0x1.60161642835edp-150")),
+    )),
+    "draw16-float-8": (16, 8, FLOAT, (
+        "0x1.e2a9ff72f215cp+1",
+        ("0x1.5b7f4a260bfe4p-4", "0x1.21fedb4c94ccfp-2", "0x1.d1da0912430edp-2",
+         "0x1.1b41a81373cbcp+0"),
+        (("0x1.e2a9ff72f215cp+1", "0x1.faf0191cef6bap-98"),
+         ("0x1.fb5c63bd3902bp+1", "0x1.e8f3f82b30b5bp-3"),
+         ("0x1.e2a9ff72f215cp+1", "0x1.faf0191cef6bap-98")),
+    )),
+    "draw31-exact-6": (31, 6, RATIONAL, (
+        "0x1.a82f68ec47522p+1",
+        ("0x1.064f4979ba85ap-9", "0x1.f81261ae73e6cp-8"),
+        (("0x1.a82f68ec47522p+1", "0x1.4fe6f17ed6d7fp-165"),
+         ("0x1.a864586cd0439p+1", "0x1.1d2beb1a3cde9p-22"),
+         ("0x1.a82f68ec47522p+1", "0x1.4fe6f17ed6d7fp-165")),
+    )),
+    "draw31-float-8": (31, 8, FLOAT, (
+        "0x1.a82f68ee9756bp+1",
+        ("0x1.064f3d7ab573fp-9", "0x1.f8124bedc0060p-8"),
+        (("0x1.a82f68ee9756bp+1", "0x1.21ff6466fcde8p-97"),
+         ("0x1.a864586cd0439p+1", "0x1.1d2beb3533b61p-22"),
+         ("0x1.a82f68ee9756bp+1", "0x1.21ff6466fcde8p-97")),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOVERY_PINS))
+def test_spn_recover_pinned_bits(case):
+    model, order, kind, (sigma_sq, atoms, trace) = RECOVERY_PINS[case]
+    if isinstance(model, int):
+        model = criterion5_draw(model)
+    report = spn_recover(spn_moments(model, order, kind), model.p, model.d)
+    assert report.sigma_sq_hat.hex() == sigma_sq
+    assert tuple(a.hex() for a in report.atoms) == atoms
+    assert tuple((s.hex(), r.hex()) for s, r in report.search_trace) == trace
 
 
 def test_spn_recover_near_collision_exact():

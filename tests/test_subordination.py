@@ -160,6 +160,27 @@ def test_fixed_point_residual_and_range():
         assert abs(result.g.z2 - g2[0]) <= 1e-10
 
 
+@pytest.mark.parametrize("p", [5, 3], ids=["p5", "p3"])
+@pytest.mark.parametrize(
+    "z",
+    [CPoint2(1j, 1j), CPoint2(2j, 0.5j), CPoint2(0.1j, 0.1j),
+     CPoint2(0.3j, 0.3j), CPoint2(0.2j, 0.5j)],
+    ids=["i-i", "2i-half-i", "tenth-i", "0.3i", "0.2i-0.5i"],
+)
+def test_real_negative_target_converges_quadratically(p, z):
+    # A real target Z = z1 z2 < 0 has a real omega; halving every step that
+    # reached the axis once took 36-37 iterations on the last rung.  For
+    # p = 5, every Z in about (-0.15, 0) also has real roots of
+    # z(omega) = Z between the atoms, off the physical branch.
+    model = SpnModel(p, 3, (0.5, 1.0, 2.0), 0.8)
+    result = solve_subordination(model, z)
+    assert result.iterations <= 8
+    assert result.residual <= 1e-12
+    g1, g2 = picard(model, np.array([z.z1]), np.array([z.z2]))
+    assert abs(result.g.z1 - g1[0]) <= 1e-10
+    assert abs(result.g.z2 - g2[0]) <= 1e-10
+
+
 def test_fixed_point_resolvent_normalization():
     model = SpnModel(4, 2, (1.0, 2.0), 0.5)
     previous = None
