@@ -11,12 +11,13 @@ identity
     M[W] deconv nu = (M[A*A] deconv nu) boxplus M[delta_{sigma^2/lambda}]
 
 with lambda = d/p and nu the free Poisson law of rate 1/lambda and jump
-size lambda (the Marchenko-Pastur-type law whose R-transform is
-f_lambda(z) = sum lambda^{n-1} z^n).  Both directions of that identity are
-implemented here: the forward moment map and the inverse map recovering
-(sigma^2, spectrum of A*A) from moments, which is well-posed because the
-moment map is injective up to permutation of singular values and the sign
-of sigma.
+size lambda, whose R-transform f_lambda(z) = sum lambda^{n-1} z^n is a
+scaling under boxed convolution.  So with rho the R-transform it reads
+lambda rho(M[W]) = T_{sigma^2}(lambda rho(M[A*A])), T_s the shift of a
+measure by s.  Forward moments and the recovery of (sigma^2, spectrum of
+A*A) are one map, mu(lambda^-1 T_s(lambda rho(.))), with opposite shifts;
+recovery is well-posed, as the moment map is one-to-one up to the order of
+the singular values and the sign of sigma.
 """
 
 from __future__ import annotations
@@ -319,12 +320,20 @@ def _elementary_from_power_sums(psums: Sequence) -> list:
     return e
 
 
-def _roots_from_power_sums(psums: Sequence[float]) -> np.ndarray:
+def _roots(poly: Sequence[float]) -> np.ndarray:
+    # np.roots raises LinAlgError on a companion matrix holding inf or nan;
+    # its entries are the coefficients over the leading nonzero one
     import numpy as np
 
-    e = _elementary_from_power_sums(psums)
-    poly = [(-1) ** k * e[k] for k in range(len(e))]
+    lead = next(c for c in poly if c != 0)
+    if not all(math.isfinite(c / lead) for c in poly):
+        raise DomainError("polynomial roots leave the float range")
     return np.roots(poly)
+
+
+def _roots_from_power_sums(psums: Sequence[float]) -> np.ndarray:
+    e = _elementary_from_power_sums(psums)
+    return _roots([(-1) ** k * e[k] for k in range(len(e))])
 
 
 def _cluster_means(roots: np.ndarray) -> np.ndarray:
@@ -364,7 +373,7 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     _check_dimensions(p, d)
     if r.order < p:
         raise OrderTooSmallError(f"need at least {p} cumulants, got {r.order}")
-    psums = [d * float(c) for c in r.coeffs[:p]]
+    psums = [d * c for c in MomentSeries(r.coeffs[:p], FLOAT).coeffs]
     roots = _cluster_means(_roots_from_power_sums(psums))
     bad = np.abs(roots.imag) > IMAG_ROOT_TOL * (1.0 + np.abs(roots))
     if bad.any():
@@ -374,53 +383,45 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     return np.sort(roots.real)
 
 
-def _strip(m: MomentSeries, lam) -> MomentSeries:
-    """rho(lambda rho(m)): lambda times the R-transform of m deconv nu.
-
-    Boxed convolution by the kernel f_lambda = lambda^-1 Zeta(lambda z) is a
-    scaling, X x f_lambda = lambda^-1 mu(lambda X), and so is its inverse,
-    X x f_lambda^{x-1} = lambda^-1 rho(lambda X); mu = moment_from_r,
-    rho = r_transform and lambda X is the coefficientwise multiple.
-    """
-    return r_transform(_times(lam, r_transform(m)))
-
-
-def _restore(x: MomentSeries, lam, shift) -> MomentSeries:
-    """mu(lambda^-1 mu(x + shift z)): undoes ``_strip`` after adding the
-    point mass at shift/lambda, which moves the first cumulant only."""
-    x = MomentSeries((x.coeffs[0] + shift,) + x.coeffs[1:], x.scalar_kind)
-    return moment_from_r(_times(1 / lam, moment_from_r(x)))
-
-
 def _translate(m: MomentSeries, shift) -> MomentSeries:
     """Moments of the measure with moments ``m`` translated by ``shift``:
     coefficient n is sum_k C(n, k) shift^(n-k) m_k, with m_0 = 1.  As a
     point mass at ``shift`` adds to the first free cumulant only, this is
-    mu(x + shift z) for m = mu(x)."""
-    moments = (1,) + m.coeffs
+    mu(x + shift z) for m = mu(x).  The powers of ``shift`` are running
+    products: a float power past the range is inf, where ``**`` raises."""
+    moments, powers = (1,) + m.coeffs, [1]
+    for _ in m.coeffs:
+        powers.append(powers[-1] * shift)
     return MomentSeries(
         tuple(
-            sum(math.comb(n, k) * shift ** (n - k) * moments[k] for k in range(n + 1))
+            sum(math.comb(n, k) * powers[n - k] * moments[k] for k in range(n + 1))
             for n in range(1, len(moments))
         ),
         m.scalar_kind,
     )
 
 
-def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeries:
-    """Moment series of the signal-plus-noise limit spectrum.
+def _spn_map(y: MomentSeries, lam, shift) -> MomentSeries:
+    """mu(lambda^-1 T_shift(y)), with T the translation ``_translate``.
 
-    Forward evaluation of the deconvolution identity: deconvolve M[A*A] by
-    the free Poisson kernel, shift by the point mass at sigma^2/lambda, and
-    convolve the kernel back in at the cumulant level.  With the kernel as
-    a scaling this is mu(lambda^-1 mu(rho(lambda rho(M[A*A])) + sigma^2 z)).
+    Boxed convolution by the kernel f_lambda = lambda^-1 Zeta(lambda z) is a
+    scaling, X x f_lambda = lambda^-1 mu(lambda X), and so is its inverse,
+    so a point mass at shift/lambda added to m deconv nu translates
+    y = lambda rho(m) by ``shift`` (mu = moment_from_r, rho = r_transform).
+    """
+    return moment_from_r(_times(1 / lam, _translate(y, shift)))
+
+
+def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeries:
+    """Moment series of the signal-plus-noise limit spectrum: ``_spn_map``
+    at sigma^2 on lambda rho(M[A*A]), one R-transform and one moment series.
     """
     lam = _as_kind(model.aspect_ratio, kind)
     # convert before squaring: a float squared past its range raises
     a = [_as_kind(v, kind) for v in model.singular_values]
     maa = atomic_moments([v * v for v in a], order, kind)
     sigma = _as_kind(model.sigma, kind)
-    m = _restore(_strip(maa, lam), lam, sigma * sigma)
+    m = _spn_map(_times(lam, r_transform(maa)), lam, sigma * sigma)
     if kind == FLOAT and not all(math.isfinite(c) for c in m.coeffs):
         raise DomainError(
             "moments overflow the float backend; use the rational backend"
@@ -437,7 +438,7 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
     mu(lambda^-1 rho(lambda rho(m))).
     """
     lam = _aspect(aspect, m.scalar_kind)
-    return moment_from_r(_times(1 / lam, _strip(m, lam)))
+    return moment_from_r(_times(1 / lam, r_transform(_times(lam, r_transform(m)))))
 
 
 def _interpolate(values: Sequence) -> list:
@@ -510,12 +511,9 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     order = m.order
     exact = MomentSeries(m.coeffs, RATIONAL)
     lam = Fraction(d, p)
-    # node s is _restore(stripped, lam, -s): one translation of one measure
-    base = moment_from_r(_strip(exact, lam))
-    nodes = [
-        moment_from_r(_times(1 / lam, _translate(base, -s))).coeffs
-        for s in range(order + 1)
-    ]
+    # node s is the map at -s: one translation of one measure
+    base = _times(lam, r_transform(exact))
+    nodes = [_spn_map(base, lam, -s).coeffs for s in range(order + 1)]
     moment_polys = [_interpolate(col) for col in zip(*nodes)]
     gap_polys = [
         _interpolate(col)
@@ -560,7 +558,7 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     # to coefficients of at most 1 before rounding
     lowest = next((g for g in gap_polys if any(g)), [1])
     scale = max(abs(c) for c in lowest)
-    roots = np.roots([float(c / scale) for c in reversed(lowest)]).real
+    roots = _roots([float(c / scale) for c in reversed(lowest)]).real
     s_hi = max(lam * exact.coeffs[0], 0)
     seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
     moment_rows, mq = _integer_basis(moment_polys)
@@ -575,25 +573,26 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     """Recover (sigma^2, spectrum of A*A) from a signal-plus-noise moment series.
 
-    The input, converted exactly to rationals, is deconvolved by the free
-    Poisson kernel, shifted by the point mass at -s/lambda and re-convolved:
-    a candidate M[A*A] whose coefficient n is a polynomial of degree n in
-    the noise level s.  Exact evaluation at s = 0..N (the shift translates
-    one measure, so each node costs one re-convolution) and interpolation
-    give the candidate moments and Newton-recurrence gaps g_k (k = d+1..N)
-    as polynomials; the gaps vanish together exactly at the true s, where
-    the candidate has d atoms.  The roots of the lowest nonzero gap, clipped
-    to [0, lambda*m_1], and s = 0 seed a Gauss-Newton polish of
-    D(s) = sum_k g_k(s)^2 / (1 + (d m_k)^2), evaluated exactly at each float
-    iterate s = n/b in integers (the polynomials over one denominator, as
-    homogeneous forms in n and b) and stepped only downhill.  The candidate
-    with the least D plus a penalty for complex or negative atoms wins;
-    ``search_trace`` lists the candidates as (s, score).  RecoveryFailedError
-    signals that the moments the recovered parameters miss the input at
-    orders d+1..N by more than 1e-4*(1+|m|^2) in sum of squares, or at some
-    order k by more than 1e-4*(1+|m_k|), or that the candidates leave the
-    float range: the input is not a signal-plus-noise moment series for
-    (p, d).
+    The input m, converted exactly to rationals, goes through the map of
+    ``spn_moments`` with the opposite shift: mu(lambda^-1 T_{-s}(y)) on
+    y = lambda rho(m) is a candidate M[A*A] whose coefficient n is a
+    polynomial of degree n in the noise level s.  Exact evaluation at
+    s = 0..N (one R-transform in all, one moment series per node) and
+    interpolation give the candidate moments and Newton-recurrence gaps
+    g_k (k = d+1..N) as polynomials; the gaps vanish together exactly at
+    the true s, where the candidate has d atoms.  The roots of the lowest
+    nonzero gap, clipped to [0, lambda*m_1], and s = 0 seed a Gauss-Newton
+    polish of D(s) = sum_k g_k(s)^2 / (1 + (d m_k)^2), evaluated exactly at
+    each float iterate s = n/b in integers (the polynomials over one
+    denominator, as homogeneous forms in n and b) and stepped only
+    downhill.  The candidate with the least D plus a penalty for complex or
+    negative atoms wins; ``search_trace`` lists the candidates as
+    (s, score).  The fit is the same map at the winning s, forward, on
+    lambda rho of the atoms' moments.  RecoveryFailedError signals that the
+    fit misses the input at orders d+1..N by more than 1e-4*(1+|m|^2) in
+    sum of squares, or at some order k by more than 1e-4*(1+|m_k|), or that
+    the candidates leave the float range: the input is not a
+    signal-plus-noise moment series for (p, d).
     """
     import numpy as np
 
@@ -610,15 +609,14 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
         trace, moment_basis = _noise_level_candidates(m, p, d)
         s_best = min(trace, key=lambda entry: entry[1])[0]
         maa = MomentSeries(tuple(_evaluate(moment_basis, s_best)), FLOAT)
-    except OverflowError:
+        roots = _roots_from_power_sums([d * c for c in maa.coeffs[:d]])
+    except (OverflowError, DomainError):
         raise RecoveryFailedError(
             f"candidates leave the float range; {not_spn}", residual=math.inf
         ) from None
-    roots = _roots_from_power_sums([d * c for c in maa.coeffs[:d]])
-    atoms = np.sort(np.maximum(roots.real, 0.0))
-    reconstructed = spn_moments(
-        SpnModel(p, d, tuple(np.sqrt(atoms)), np.sqrt(s_best)), m.order, FLOAT
-    )
+    atoms = tuple(float(a) for a in np.sort(np.maximum(roots.real, 0.0)))
+    y = _times(d / p, r_transform(atomic_moments(atoms, m.order, FLOAT)))
+    reconstructed = _spn_map(y, d / p, s_best)
     pairs = list(zip(reconstructed.coeffs[d:], target.coeffs[d:]))
     final_residual = _root_penalty(roots) + sum((r - t) * (r - t) for r, t in pairs)
     # the sum is dominated by the highest moment, so each order is also held
@@ -635,7 +633,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     return RecoveryReport(
         sigma_sq_hat=s_best,
         atom_moments=maa,
-        atoms=tuple(float(a) for a in atoms),
+        atoms=atoms,
         residual=final_residual,
         search_trace=tuple(trace),
         misfits=misfits,

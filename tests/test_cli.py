@@ -329,6 +329,19 @@ def recover(command, p, d):
     return [command, "--p", str(p), "--d", str(d), series_flag]
 
 
+def float_series(*coeffs):
+    return {"order": len(coeffs), "coeffs": list(coeffs), "scalar": "float"}
+
+
+# a seed polynomial whose companion matrix overflows, and a fit whose
+# moments overflow
+INF_SEED = float_series(-2.490706403362065e+155, 3.5960155560722736e+66,
+                        5849363198.099221, -8.95461187909294e+58,
+                        5.119825206540934e+135, 5.659904110117594e+16)
+INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
+                       8.794051640213491e+24)
+
+
 @pytest.mark.parametrize(
     "argv, model, series, env, status, code",
     [
@@ -350,6 +363,8 @@ def recover(command, p, d):
          "domain"),
         (["spn-moments"], HUGE, None, None, 0, None),
         (["spn-moments", "--backend", "float"], HUGE, None, None, 1, "domain"),
+        (["spn-moments", "--backend", "float"], {"sigma": 1e100}, None, None, 1,
+         "domain"),
         (RTRANSFORM, None, {"scalar": None}, None, 1, "domain"),
         (RTRANSFORM, None, {"coeffs": ["1/0", "2/1", "5/1"]}, None, 1, "domain"),
         (RTRANSFORM, None, {"scalar": "bogus"}, None, 1, "domain"),
@@ -362,16 +377,24 @@ def recover(command, p, d):
         (recover("cw-recover", 0, 2), None, {}, None, 1, "dimension-mismatch"),
         (recover("cw-recover", 3, 0), None, {}, None, 1, "dimension-mismatch"),
         (recover("cw-recover", -2, 2), None, {}, None, 1, "dimension-mismatch"),
+        (recover("spn-recover", 9, 3), None, INF_SEED, None, 1, "recovery-failed"),
+        (recover("spn-recover", 1, 1), None, INF_FIT, None, 1, "recovery-failed"),
+        (recover("cw-recover", 2, 1), None, {"order": 2, "coeffs": [1e300, 0]},
+         None, 1, "domain"),
+        (recover("cw-recover", 2, 1), None, {"order": 2, "coeffs": ["1e400", 0]},
+         None, 1, "domain"),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
          "negative-seed",
          "epsilon-nan", "density-sigma-huge", "density-value-huge",
          "density-negative-points", "epsilon-negative-exponent",
          "epsilon-negative-inf", "tol-negative-exponent", "xmin-negative-exponent",
-         "huge-value-rational", "huge-value-float",
+         "huge-value-rational", "huge-value-float", "huge-sigma-float",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
          "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
-         "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative"],
+         "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative",
+         "recover-seed-overflow", "recover-fit-overflow", "cw-recover-overflow",
+         "cw-recover-beyond-float"],
 )
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, series,
                                  env, status, code):
@@ -510,6 +533,8 @@ JUNK = st.sampled_from(
     [None, True, "abc", "1/0", "nan", math.nan, math.inf, [[1]], {"a": 1}])
 VALUE = st.sampled_from([0, 1, 2, 3, "1/2", "5/2", 0.75])
 KIND = st.sampled_from([RATIONAL, FLOAT])
+# finite values at and near the ends of the float range
+EXTREME = VALUE | st.sampled_from([1e300, -1e300, 1e154, 1e-300])
 DIMENSION = st.integers(-1, 4)
 WILD = st.sampled_from([None, None, "junk", "element", "missing", "non-object"])
 
@@ -612,7 +637,7 @@ def recover_runs(draw, command):
         order = d + 2 + draw(st.integers(0, 2))
         series = spn_moments(SpnModel(p, d, tuple(values), sigma), order, kind)
     series, expect = series.to_dict(), 0
-    wild = draw(st.sampled_from([None, "dimensions", "series"]))
+    wild = draw(st.sampled_from([None, "dimensions", "series", "extreme"]))
     if wild == "dimensions":
         p, d = draw(DIMENSION), draw(DIMENSION)
         impossible = p < 1 or d < 1 or command == "spn-recover" and p < d
@@ -620,6 +645,10 @@ def recover_runs(draw, command):
     elif wild == "series":
         series, valid = draw(series_json())
         expect = None if valid else 1
+    elif wild == "extreme":
+        n = series["order"]
+        series["coeffs"] = draw(st.lists(EXTREME, min_size=n, max_size=n))
+        expect = None
     flag = "--r" if command == "cw-recover" else "--moments"
     return [command, "--p", str(p), "--d", str(d)], {flag: series}, expect
 

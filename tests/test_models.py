@@ -18,8 +18,7 @@ from freedeconv.models import (
     _evaluate,
     _homogeneous,
     _integer_basis,
-    _restore,
-    _strip,
+    _spn_map,
     _times,
     _translate,
     atomic_moments,
@@ -412,6 +411,29 @@ def test_integer_basis_evaluates_exactly(polys, s):
     assert _evaluate((rows, q), s) == [float(v) for v in exact]
 
 
+def strip(m, lam):
+    """rho(lambda rho(m)): lambda times the R-transform of m deconv nu."""
+    return r_transform(_times(lam, r_transform(m)))
+
+
+def restore(x, lam, shift):
+    """mu(lambda^-1 mu(x + shift z)): undoes ``strip`` after adding the point
+    mass at shift/lambda, which moves the first cumulant only."""
+    x = MomentSeries((x.coeffs[0] + shift,) + x.coeffs[1:], x.scalar_kind)
+    return moment_from_r(_times(1 / lam, moment_from_r(x)))
+
+
+def reference_spn_moments(model, order, kind=RATIONAL):
+    """The forward moments as four series transforms, restore(strip(M[A*A])):
+    the reference for the one translation of ``spn_moments``."""
+    scalar = Fraction if kind == RATIONAL else float
+    lam = scalar(model.aspect_ratio)
+    a = [scalar(v) for v in model.singular_values]
+    maa = atomic_moments([v * v for v in a], order, kind)
+    sigma = scalar(model.sigma)
+    return restore(strip(maa, lam), lam, sigma * sigma)
+
+
 @pytest.mark.parametrize(
     "model, order",
     [(SpnModel(4, 2, (1, 2), Fraction(1, 2)), 8),
@@ -419,20 +441,51 @@ def test_integer_basis_evaluates_exactly(polys, s):
     ids=["readme", "three-atoms"],
 )
 def test_translated_nodes_equal_restore(model, order):
-    # the noise-level nodes: one translation of one measure per node, in
-    # place of adding a point mass to the cumulants and re-convolving
+    # the noise-level nodes and the forward moments: one translation of one
+    # measure, in place of adding a point mass to the cumulants and
+    # re-convolving
     lam = model.aspect_ratio
-    stripped = _strip(spn_moments(model, order), lam)
-    base = moment_from_r(stripped)
+    m = spn_moments(model, order)
+    stripped = strip(m, lam)
+    base = _times(lam, r_transform(m))
+    assert base == moment_from_r(stripped)
     for s in range(order + 1):
-        node = moment_from_r(_times(1 / lam, _translate(base, -s)))
-        assert node == _restore(stripped, lam, -s)
+        assert _spn_map(base, lam, -s) == restore(stripped, lam, -s)
         shifted = MomentSeries((stripped.coeffs[0] - s,) + stripped.coeffs[1:])
         assert _translate(base, -s) == moment_from_r(shifted)
+    for n in range(1, 13):
+        assert spn_moments(model, n) == reference_spn_moments(model, n)
+
+
+def float_sweep():
+    """Models with a double, a zero or a tiny atom and noise below the signal,
+    at scales 1e-3 to 1e3 and orders 6 to 16."""
+    rng = random.Random(26)
+    for i in range(30):
+        d = rng.randint(1, 4)
+        p = rng.randint(d, 3 * d)
+        scale = 10.0 ** rng.randint(-3, 3)
+        a = [rng.uniform(0.1, 2.5) * scale for _ in range(d)]
+        a[0] = (a[-1], 0.0, 1e-9 * scale)[i % 3]
+        sigma = rng.uniform(0.05, 0.5) * scale
+        yield SpnModel(p, d, tuple(a), sigma), rng.randint(6, 16)
+
+
+def test_float_spn_moments_match_exact():
+    # the four-transform route missed by 7.8e-13 relative here
+    worst = 0.0
+    for model, order in float_sweep():
+        exact = SpnModel(model.p, model.d, tuple(map(Fraction, model.singular_values)),
+                         Fraction(model.sigma))
+        pairs = zip(spn_moments(model, order, FLOAT).coeffs,
+                    spn_moments(exact, order).coeffs)
+        worst = max(worst, *(abs(g - float(e)) / float(e) for g, e in pairs))
+    assert worst <= 1e-13
 
 
 # sigma_sq_hat, atoms and search_trace as float.hex, from the recovery as it
-# was before the noise-level search ran on integers; every bit must stay
+# was before the noise-level search ran on integers, with float input from
+# the four-transform reference; every bit must stay
 README_MODEL = SpnModel(4, 2, (1, 2), Fraction(1, 2))
 README_PIN = (
     "0x1.0000000000000p-2",
@@ -482,7 +535,8 @@ def test_spn_recover_pinned_bits(case):
     model, order, kind, (sigma_sq, atoms, trace) = RECOVERY_PINS[case]
     if isinstance(model, int):
         model = criterion5_draw(model)
-    report = spn_recover(spn_moments(model, order, kind), model.p, model.d)
+    m = reference_spn_moments(model, order, kind)
+    report = spn_recover(m, model.p, model.d)
     assert report.sigma_sq_hat.hex() == sigma_sq
     assert tuple(a.hex() for a in report.atoms) == atoms
     assert tuple((s.hex(), r.hex()) for s, r in report.search_trace) == trace
