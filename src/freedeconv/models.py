@@ -27,6 +27,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -43,6 +44,7 @@ from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
+    _moments,
     format_rational,
     moment_from_r,
     parse_scalar,
@@ -383,33 +385,60 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     return np.sort(roots.real)
 
 
-def _translate(m: MomentSeries, shift) -> MomentSeries:
+class _Poly(tuple):
+    """An exact polynomial in s, coefficients lowest power first, with the
+    ring operations of the series recursion and division by a number.
+    Trailing zeros stay: the length is the degree bound plus one."""
+
+    def __add__(self, other):
+        other = other if isinstance(other, _Poly) else (other,)
+        return _Poly(a + b for a, b in zip_longest(self, other, fillvalue=0))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = other if isinstance(other, _Poly) else (other,)
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                out[i + j] += a * b
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, number):
+        return _Poly(a / number for a in self)
+
+
+_MINUS_S = _Poly((0, -1))
+
+
+def _translate(m: Sequence, shift) -> tuple:
     """Moments of the measure with moments ``m`` translated by ``shift``:
     coefficient n is sum_k C(n, k) shift^(n-k) m_k, with m_0 = 1.  As a
     point mass at ``shift`` adds to the first free cumulant only, this is
     mu(x + shift z) for m = mu(x).  The powers of ``shift`` are running
     products: a float power past the range is inf, where ``**`` raises."""
-    moments, powers = (1,) + m.coeffs, [1]
-    for _ in m.coeffs:
+    moments, powers = (1,) + tuple(m), [1]
+    for _ in m:
         powers.append(powers[-1] * shift)
-    return MomentSeries(
-        tuple(
-            sum(math.comb(n, k) * powers[n - k] * moments[k] for k in range(n + 1))
-            for n in range(1, len(moments))
-        ),
-        m.scalar_kind,
+    return tuple(
+        sum(math.comb(n, k) * powers[n - k] * moments[k] for k in range(n + 1))
+        for n in range(1, len(moments))
     )
 
 
-def _spn_map(y: MomentSeries, lam, shift) -> MomentSeries:
-    """mu(lambda^-1 T_shift(y)), with T the translation ``_translate``.
+def _spn_map(m: MomentSeries, lam, shift) -> tuple:
+    """mu(lambda^-1 T_shift(lambda rho(m))), with T the translation
+    ``_translate``, mu = moment_from_r and rho = r_transform.
 
     Boxed convolution by the kernel f_lambda = lambda^-1 Zeta(lambda z) is a
     scaling, X x f_lambda = lambda^-1 mu(lambda X), and so is its inverse,
     so a point mass at shift/lambda added to m deconv nu translates
-    y = lambda rho(m) by ``shift`` (mu = moment_from_r, rho = r_transform).
+    y = lambda rho(m) by ``shift``.  ``shift`` may be a ``_Poly``.
     """
-    return moment_from_r(_times(1 / lam, _translate(y, shift)))
+    y = [lam * c for c in r_transform(m).coeffs]
+    return _moments([(1 / lam) * c for c in _translate(y, shift)])
 
 
 def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeries:
@@ -421,7 +450,7 @@ def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeri
     a = [_as_kind(v, kind) for v in model.singular_values]
     maa = atomic_moments([v * v for v in a], order, kind)
     sigma = _as_kind(model.sigma, kind)
-    m = _spn_map(_times(lam, r_transform(maa)), lam, sigma * sigma)
+    m = MomentSeries(_spn_map(maa, lam, sigma * sigma), kind)
     if kind == FLOAT and not all(math.isfinite(c) for c in m.coeffs):
         raise DomainError(
             "moments overflow the float backend; use the rational backend"
@@ -439,20 +468,6 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
     """
     lam = _aspect(aspect, m.scalar_kind)
     return moment_from_r(_times(1 / lam, r_transform(_times(lam, r_transform(m)))))
-
-
-def _interpolate(values: Sequence) -> list:
-    """Coefficients, lowest power first, of the polynomial through (k, values[k])."""
-    dd = list(values)
-    for j in range(1, len(dd)):
-        for i in range(len(dd) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j
-    poly = [dd[-1]]
-    for i in range(len(dd) - 2, -1, -1):
-        # poly <- poly * (s - i) + dd[i]
-        poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
-        poly[0] += dd[i]
-    return poly
 
 
 def _integer_basis(polys: Sequence) -> tuple:
@@ -479,11 +494,10 @@ def _homogeneous(rows: Sequence, n: int, b: int) -> list:
 
 def _recurrence_gaps(psums: Sequence, d: int) -> list:
     # Power sums of d atoms obey the degree-d Newton recurrence set by the
-    # first d of them; gap k is how far power sum k misses it.
+    # first d; gap k = sum_{j=0..d} (-1)^j e_j p_{k-j} is how far p_k misses it.
     e = _elementary_from_power_sums(psums[:d])
     return [
-        psums[k - 1]
-        - sum((-1) ** (j + 1) * e[j] * psums[k - j - 1] for j in range(1, d + 1))
+        sum((-1) ** j * e[j] * psums[k - j - 1] for j in range(d + 1))
         for k in range(d + 1, len(psums) + 1)
     ]
 
@@ -504,21 +518,13 @@ def _evaluate(basis: tuple, s: float) -> list:
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
-    """Scored noise-level candidates (s, score) and the candidate moment
-    polynomials as an integer basis (``_integer_basis``); see ``spn_recover``."""
-    import numpy as np
-
-    order = m.order
+    """Scored noise-level candidates (s, score), one per distinct polished
+    s, and the candidate moment polynomials in s, ``_spn_map`` at -s over
+    ``_Poly``, as an integer basis (``_integer_basis``); see ``spn_recover``."""
     exact = MomentSeries(m.coeffs, RATIONAL)
     lam = Fraction(d, p)
-    # node s is the map at -s: one translation of one measure
-    base = _times(lam, r_transform(exact))
-    nodes = [_spn_map(base, lam, -s).coeffs for s in range(order + 1)]
-    moment_polys = [_interpolate(col) for col in zip(*nodes)]
-    gap_polys = [
-        _interpolate(col)
-        for col in zip(*(_recurrence_gaps([d * c for c in cs], d) for cs in nodes))
-    ]
+    moment_polys = _spn_map(exact, lam, _MINUS_S)
+    gap_polys = _recurrence_gaps([d * c for c in moment_polys], d)
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
     gap_rows, q = _integer_basis(gap_polys)
     slope_rows = [[i * c for i, c in enumerate(row)][1:] for row in gap_rows]
@@ -562,12 +568,13 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     s_hi = max(lam * exact.coeffs[0], 0)
     seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
     moment_rows, mq = _integer_basis(moment_polys)
-    trace = []
+    scores = {}
     for seed in dict.fromkeys(seeds):
         s, value = polish(seed)
-        psums = [d * c for c in _evaluate((moment_rows[:d], mq), s)]
-        trace.append((s, value + _root_penalty(_roots_from_power_sums(psums))))
-    return trace, (moment_rows, mq)
+        if s not in scores:
+            psums = [d * c for c in _evaluate((moment_rows[:d], mq), s)]
+            scores[s] = value + _root_penalty(_roots_from_power_sums(psums))
+    return list(scores.items()), (moment_rows, mq)
 
 
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
@@ -576,18 +583,18 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     The input m, converted exactly to rationals, goes through the map of
     ``spn_moments`` with the opposite shift: mu(lambda^-1 T_{-s}(y)) on
     y = lambda rho(m) is a candidate M[A*A] whose coefficient n is a
-    polynomial of degree n in the noise level s.  Exact evaluation at
-    s = 0..N (one R-transform in all, one moment series per node) and
-    interpolation give the candidate moments and Newton-recurrence gaps
-    g_k (k = d+1..N) as polynomials; the gaps vanish together exactly at
-    the true s, where the candidate has d atoms.  The roots of the lowest
+    polynomial of degree n in the noise level s.  The map runs once, with s
+    a polynomial variable (one R-transform and one moment series over
+    exact polynomials), and the Newton recurrence on its output gives the
+    gaps g_k (k = d+1..N) as polynomials; the gaps vanish together exactly
+    at the true s, where the candidate has d atoms.  The roots of the lowest
     nonzero gap, clipped to [0, lambda*m_1], and s = 0 seed a Gauss-Newton
     polish of D(s) = sum_k g_k(s)^2 / (1 + (d m_k)^2), evaluated exactly at
     each float iterate s = n/b in integers (the polynomials over one
     denominator, as homogeneous forms in n and b) and stepped only
     downhill.  The candidate with the least D plus a penalty for complex or
-    negative atoms wins; ``search_trace`` lists the candidates as
-    (s, score).  The fit is the same map at the winning s, forward, on
+    negative atoms wins; ``search_trace`` lists each distinct candidate
+    once, as (s, score).  The fit is the same map at the winning s, forward, on
     lambda rho of the atoms' moments.  RecoveryFailedError signals that the
     fit misses the input at orders d+1..N by more than 1e-4*(1+|m|^2) in
     sum of squares, or at some order k by more than 1e-4*(1+|m_k|), or that
@@ -615,9 +622,8 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
             f"candidates leave the float range; {not_spn}", residual=math.inf
         ) from None
     atoms = tuple(float(a) for a in np.sort(np.maximum(roots.real, 0.0)))
-    y = _times(d / p, r_transform(atomic_moments(atoms, m.order, FLOAT)))
-    reconstructed = _spn_map(y, d / p, s_best)
-    pairs = list(zip(reconstructed.coeffs[d:], target.coeffs[d:]))
+    reconstructed = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)
+    pairs = list(zip(reconstructed[d:], target.coeffs[d:]))
     final_residual = _root_penalty(roots) + sum((r - t) * (r - t) for r, t in pairs)
     # the sum is dominated by the highest moment, so each order is also held
     # to its own scale

@@ -142,14 +142,6 @@ class MomentSeries:
         return cls(tuple(parse_scalar(c) for c in coeffs), kind)
 
 
-def _unit(kind):
-    return Fraction(1) if kind == RATIONAL else 1.0
-
-
-def _zero(kind):
-    return Fraction(0) if kind == RATIONAL else 0.0
-
-
 def _check_compatible(f: MomentSeries, g: MomentSeries) -> None:
     if f.order != g.order:
         raise OrderMismatchError(f"orders differ: {f.order} vs {g.order}")
@@ -161,14 +153,12 @@ def _check_compatible(f: MomentSeries, g: MomentSeries) -> None:
 
 def delta_series(order: int, kind: str = RATIONAL) -> MomentSeries:
     """Delta(z) = z, the unit of boxed convolution."""
-    one, zero = _unit(kind), _zero(kind)
-    return MomentSeries((one,) + (zero,) * (order - 1), kind)
+    return MomentSeries((1,) + (0,) * (order - 1), kind)
 
 
 def zeta_series(order: int, kind: str = RATIONAL) -> MomentSeries:
     """Zeta(z) = z + z^2 + ..., all coefficients one."""
-    one = _unit(kind)
-    return MomentSeries((one,) * order, kind)
+    return MomentSeries((1,) * order, kind)
 
 
 def _invertible_first(f: MomentSeries):
@@ -189,11 +179,13 @@ def _at(x, y, j):
 
 class _Powers:
     """rows[k][i] = [z^i] W^k for k = 0..count and i <= count - k, where W is
-    a series with constant term whose coefficients arrive one at a time."""
+    a series with constant term whose coefficients arrive one at a time, in
+    any commutative ring with unit ``1`` and zero ``0``, the plain ints:
+    Fraction, float, or polynomials over them."""
 
-    def __init__(self, count: int, kind: str, w=()):
+    def __init__(self, count: int, w=()):
         self.count, self.w = count, []
-        self.rows = [[_unit(kind)] + [_zero(kind)] * count] + [[] for _ in range(count)]
+        self.rows = [[1] + [0] * count] + [[] for _ in range(count)]
         for c in w:
             self.push(c)
 
@@ -208,10 +200,10 @@ class _Powers:
         return sum(h[k] * self.rows[k][m - k] for k in range(min(m + 1, len(h))))
 
 
-def _right_inverse(a, w, kind: str) -> list:
+def _right_inverse(a, w) -> list:
     """Coefficients of h with h(zW) = A, for W known and W_0 != 0: h_m
     enters the order-m equation only as h_m W_0^m."""
-    powers, h = _Powers(len(a), kind, w), [_zero(kind)]
+    powers, h = _Powers(len(a), w), [0]
     for m, c in enumerate(a, start=1):
         h.append((c - powers.compose(h, m)) / w[0] ** m)
     return h[1:]
@@ -227,29 +219,29 @@ def _right_inverse(a, w, kind: str) -> list:
 
 def _forward(f: MomentSeries, g: MomentSeries) -> MomentSeries:
     """A from f and g."""
-    n, kind = f.order, f.scalar_kind
-    pu, pv = _Powers(n, kind), _Powers(n, kind)
-    a1, fq, gq = [_unit(kind)], [], []  # 1 + A, f(zU)/(zU), g(zV)/(zV)
+    n = f.order
+    pu, pv = _Powers(n), _Powers(n)
+    a1, fq, gq = [1], [], []  # 1 + A, f(zU)/(zU), g(zV)/(zV)
     for j in range(n):
         fq.append(pu.compose(f.coeffs, j))
         gq.append(pv.compose(g.coeffs, j))
         pu.push(_at(a1, gq, j))
         pv.push(_at(a1, fq, j))
         a1.append(_at(pu.w, fq, j))
-    return MomentSeries(tuple(a1[1:]), kind)
+    return MomentSeries(tuple(a1[1:]), f.scalar_kind)
 
 
 def _backward(a: MomentSeries, g: MomentSeries) -> MomentSeries:
     """f from A and g; divides by g_1 only."""
-    n, kind, g1 = a.order, a.scalar_kind, g.coeffs[0]
-    pv, gq = _Powers(n, kind), []
+    n, g1 = a.order, g.coeffs[0]
+    pv, gq = _Powers(n), []
     for j in range(n):
         gq.append(pv.compose(g.coeffs, j))
         # a_{j+1} = [z^j] V g(zV)/(zV), where V_j enters only as V_j g_1
         pv.push((a.coeffs[j] - _at(gq[1:], pv.w, j - 1)) / g1)
-    a1 = (_unit(kind),) + a.coeffs
+    a1 = (1,) + a.coeffs
     u = [_at(a1, gq, j) for j in range(n)]  # U_0 = g_1
-    return MomentSeries(tuple(_right_inverse(a.coeffs, u, kind)), kind)
+    return MomentSeries(tuple(_right_inverse(a.coeffs, u)), a.scalar_kind)
 
 
 def boxed_conv(f: MomentSeries, g: MomentSeries) -> MomentSeries:
@@ -282,21 +274,22 @@ def r_transform(f: MomentSeries) -> MomentSeries:
 
     Solved from R(z(1 + M(z))) = M(z) coefficient by coefficient.
     """
-    w = (_unit(f.scalar_kind),) + f.coeffs[:-1]
-    return MomentSeries(tuple(_right_inverse(f.coeffs, w, f.scalar_kind)), f.scalar_kind)
+    w = (1,) + f.coeffs[:-1]
+    return MomentSeries(tuple(_right_inverse(f.coeffs, w)), f.scalar_kind)
 
 
 def moment_from_r(r: MomentSeries) -> MomentSeries:
-    """Moment series with free-cumulant series ``r``: the inverse of r_transform.
+    """Moment series with free-cumulant series ``r``: the inverse of r_transform."""
+    return MomentSeries(_moments(r.coeffs), r.scalar_kind)
 
-    Solved from M(z) = R(z(1 + M(z))) coefficient by coefficient: M_m needs
-    M below m only.
-    """
-    kind = r.scalar_kind
-    w, h = _Powers(r.order, kind, [_unit(kind)]), (_zero(kind),) + r.coeffs
-    for m in range(1, r.order + 1):
+
+def _moments(r) -> tuple:
+    """Moments from free cumulants r_1..r_N over any ring of ``_Powers``, from
+    M(z) = R(z(1 + M(z))) coefficient by coefficient: M_m needs M below m."""
+    w, h = _Powers(len(r), [1]), (0,) + tuple(r)
+    for m in range(1, len(r) + 1):
         w.push(w.compose(h, m))
-    return MomentSeries(tuple(w.w[1:]), kind)
+    return tuple(w.w[1:])
 
 
 def free_add_conv(f: MomentSeries, g: MomentSeries) -> MomentSeries:
@@ -322,7 +315,7 @@ def scale_argument(f: MomentSeries, beta) -> MomentSeries:
     """Series of z -> f(beta z): coefficient n becomes beta^n c_n."""
     b = _coerce(beta, f.scalar_kind)
     out = []
-    power = _unit(f.scalar_kind)
+    power = 1
     for c in f.coeffs:
         power = power * b
         out.append(power * c)

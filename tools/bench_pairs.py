@@ -9,8 +9,8 @@ in) once with the working directory in each tree, so one copy of the
 benchmark code measures both packages; the side that runs first alternates
 from pair to pair.  The output holds every run's metrics, each side's median
 and quartiles per metric, the pairs the change wins, whether each side's
-interquartile range stays within the metric's bound (``steady``), and the
-machine.  The metric directions and bounds come from the change tree's
+interquartile range stays within the metric's bound of that side's own
+median (``steady``), and the machine.  The metric directions and bounds come from the change tree's
 BENCHMARK.json.
 """
 
@@ -83,8 +83,10 @@ def summarize(pairs: list, metrics: list) -> dict:
             "within_bound": -gain / parent <= metric["bound"],
             # the runs tell the sides apart only while each side's
             # interquartile range stays within the bound, taken as a share
-            # of the parent's median, in the metric's own unit
-            "steady": max(iqr, change_iqr) <= metric["bound"] * abs(parent),
+            # of that side's own median: a host's drift is relative, so a
+            # faster side spreads more in the metric's unit
+            "steady": (iqr <= metric["bound"] * abs(parent)
+                       and change_iqr <= metric["bound"] * abs(change)),
         }
     return summary
 
