@@ -44,6 +44,7 @@ from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
+    _cumulants,
     _moments,
     format_rational,
     moment_from_r,
@@ -310,18 +311,6 @@ def cw_moments(model: CwModel, order: int, kind: str = RATIONAL) -> MomentSeries
     return moment_from_r(cw_r_transform(model, order, kind))
 
 
-def _elementary_from_power_sums(psums: Sequence) -> list:
-    # Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.
-    # Integer seeds promote to whichever scalar type the power sums carry.
-    e = [1]
-    for k in range(1, len(psums) + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc = acc + (-1) ** (i - 1) * e[k - i] * psums[i - 1]
-        e.append(acc / k)
-    return e
-
-
 def _roots(poly: Sequence[float]) -> np.ndarray:
     # np.roots raises LinAlgError on a companion matrix holding inf or nan;
     # its entries are the coefficients over the leading nonzero one
@@ -334,7 +323,11 @@ def _roots(poly: Sequence[float]) -> np.ndarray:
 
 
 def _roots_from_power_sums(psums: Sequence[float]) -> np.ndarray:
-    e = _elementary_from_power_sums(psums)
+    # Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+    e = [1]
+    for k in range(1, len(psums) + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * psums[i - 1] for i in range(1, k + 1))
+        e.append(acc / k)
     return _roots([(-1) ** k * e[k] for k in range(len(e))])
 
 
@@ -386,9 +379,9 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
 
 
 class _Poly(tuple):
-    """An exact polynomial in s, coefficients lowest power first, with the
-    ring operations of the series recursion and division by a number.
-    Trailing zeros stay: the length is the degree bound plus one."""
+    """An exact polynomial, coefficients lowest power first, with the ring
+    operations of the series recursion.  Trailing zeros stay: the length is
+    the degree bound plus one."""
 
     def __add__(self, other):
         other = other if isinstance(other, _Poly) else (other,)
@@ -405,12 +398,6 @@ class _Poly(tuple):
         return _Poly(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, number):
-        return _Poly(a / number for a in self)
-
-
-_MINUS_S = _Poly((0, -1))
 
 
 def _translate(m: Sequence, shift) -> tuple:
@@ -435,7 +422,7 @@ def _spn_map(m: MomentSeries, lam, shift) -> tuple:
     Boxed convolution by the kernel f_lambda = lambda^-1 Zeta(lambda z) is a
     scaling, X x f_lambda = lambda^-1 mu(lambda X), and so is its inverse,
     so a point mass at shift/lambda added to m deconv nu translates
-    y = lambda rho(m) by ``shift``.  ``shift`` may be a ``_Poly``.
+    y = lambda rho(m) by ``shift``.
     """
     y = [lam * c for c in r_transform(m).coeffs]
     return _moments([(1 / lam) * c for c in _translate(y, shift)])
@@ -470,15 +457,6 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
     return moment_from_r(_times(1 / lam, r_transform(_times(lam, r_transform(m)))))
 
 
-def _integer_basis(polys: Sequence) -> tuple:
-    """(rows, q): the rational polynomials ``polys`` as integer coefficient
-    rows over one denominator q, lowest power first, padded to one length."""
-    q = math.lcm(*(c.denominator for poly in polys for c in poly))
-    length = max(len(poly) for poly in polys)
-    rows = [[c.numerator * (q // c.denominator) for c in poly] for poly in polys]
-    return [row + [0] * (length - len(row)) for row in rows], q
-
-
 def _homogeneous(rows: Sequence, n: int, b: int) -> list:
     """sum_i c_i n^i b^(D-i) for each integer row c of length D + 1:
     b^D times the row's polynomial at n/b, by Horner's rule."""
@@ -494,12 +472,57 @@ def _homogeneous(rows: Sequence, n: int, b: int) -> list:
 
 def _recurrence_gaps(psums: Sequence, d: int) -> list:
     # Power sums of d atoms obey the degree-d Newton recurrence set by the
-    # first d; gap k = sum_{j=0..d} (-1)^j e_j p_{k-j} is how far p_k misses it.
-    e = _elementary_from_power_sums(psums[:d])
-    return [
-        sum((-1) ** j * e[j] * psums[k - j - 1] for j in range(d + 1))
-        for k in range(d + 1, len(psums) + 1)
-    ]
+    # first d; gap k = sum_{j=0..d} (-1)^j e_j p_{k-j} is how far p_k misses
+    # it.  This gives d! g_k from E_k = k! e_k, which Newton's identities give
+    # without division: E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_{k-i} p_i.
+    e = [1]
+    for k in range(1, d + 1):
+        e.append(sum((-1) ** (i - 1) * math.perm(k - 1, i - 1) * e[k - i]
+                     * psums[i - 1] for i in range(1, k + 1)))
+    return [sum((-1) ** j * math.perm(d, d - j) * e[j] * psums[k - j - 1]
+                for j in range(d + 1)) for k in range(d + 1, len(psums) + 1)]
+
+
+def _rows_in_s(polys: Sequence, big_q: int, d: int, scale: int = 1) -> tuple:
+    """(rows, q): int polynomials X_k(u) = Q^k scale x_k(s), u = Q s / d, of
+    consecutive weights k ending at the last's degree W, as the rows of x_k
+    in s over q = scale Q^W d^W: coefficient i is X_i Q^(i + W - k) d^(W - i)."""
+    top = len(polys[-1]) - 1
+    rows = [[c * big_q ** (i + lift) * d ** (top - i) for i, c in enumerate(poly)]
+            + [0] * (top + 1 - len(poly))
+            for lift, poly in enumerate(reversed(polys))]
+    return rows[::-1], scale * (big_q * d) ** top
+
+
+def _rescaled(exact: Sequence) -> tuple:
+    """(Q, M) with every M_n = Q^n m_n an int: Q <- Q den(Q^n m_n), n = 1..N."""
+    big_q = 1
+    for n, c in enumerate(exact, start=1):
+        big_q *= c.denominator // math.gcd(big_q**n, c.denominator)
+    return big_q, [c.numerator * (big_q**n // c.denominator)
+                   for n, c in enumerate(exact, start=1)]
+
+
+def _candidate_rows(exact: Sequence, p: int, d: int) -> tuple:
+    """((moment_rows, mq), (gap_rows, q)): the candidate moments at -s and
+    their gaps as int rows in s.  With M_n = Q^n m_n ints, so are R = rho(M)
+    and, in u = Q s / d, the candidate cumulants Q^n c_n(s), the polynomials
+    T_{-d u}(R)_n + (p - d) d^(n-1) (-u)^n; their moments are Q^n cand_n(s).
+    """
+    big_q, scaled = _rescaled(exact)
+    translated = _translate(_cumulants(scaled), _Poly((0, -d)))
+    cumulants = [x + _Poly((0,) * n + ((p - d) * d ** (n - 1) * (-1) ** n,))
+                 for n, x in enumerate(translated, start=1)]
+    moments = _moments(cumulants)
+    gaps = _recurrence_gaps([d * c for c in moments], d)
+    return _rows_in_s(moments, big_q, d), _rows_in_s(gaps, big_q, d, math.factorial(d))
+
+
+def _round53(w: Fraction) -> Fraction:
+    """w > 0 rounded to 53 significant bits as float(w), which it equals where
+    that is normal, but with no bound on the exponent: never 0."""
+    scale = Fraction(2) ** (w.denominator.bit_length() - w.numerator.bit_length())
+    return Fraction(float(w * scale)) / scale
 
 
 def _root_penalty(roots: np.ndarray) -> float:
@@ -519,19 +542,16 @@ def _evaluate(basis: tuple, s: float) -> list:
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     """Scored noise-level candidates (s, score), one per distinct polished
-    s, and the candidate moment polynomials in s, ``_spn_map`` at -s over
-    ``_Poly``, as an integer basis (``_integer_basis``); see ``spn_recover``."""
-    exact = MomentSeries(m.coeffs, RATIONAL)
-    lam = Fraction(d, p)
-    moment_polys = _spn_map(exact, lam, _MINUS_S)
-    gap_polys = _recurrence_gaps([d * c for c in moment_polys], d)
+    s, and the int rows of the candidate moments (``_candidate_rows``), all
+    on ints with weights rounded once to 53 bits; see ``spn_recover``."""
+    exact = MomentSeries(m.coeffs, RATIONAL).coeffs
+    (moment_rows, mq), (gap_rows, q) = _candidate_rows(exact, p, d)
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
-    gap_rows, q = _integer_basis(gap_polys)
     slope_rows = [[i * c for i, c in enumerate(row)][1:] for row in gap_rows]
     degree = len(gap_rows[0]) - 1
-    (weights,), wq = _integer_basis(
-        [[1 / (1 + (d * c) ** 2) for c in exact.coeffs[d:]]]
-    )
+    weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
+    wq = max(w.denominator for w in weights)  # powers of two
+    weights = [w.numerator * (wq // w.denominator) for w in weights]
 
     def defect(s: float) -> tuple:
         # D(s) exactly, as (numerator, denominator), and the Gauss-Newton
@@ -562,12 +582,11 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
 
     # seeds: s = 0 and the roots of the lowest nonzero gap, scaled exactly
     # to coefficients of at most 1 before rounding
-    lowest = next((g for g in gap_polys if any(g)), [1])
+    lowest = next((row for row in gap_rows if any(row)), [1])
     scale = max(abs(c) for c in lowest)
-    roots = _roots([float(c / scale) for c in reversed(lowest)]).real
-    s_hi = max(lam * exact.coeffs[0], 0)
+    roots = _roots([c / scale for c in reversed(lowest)]).real
+    s_hi = max(Fraction(d, p) * exact[0], 0)
     seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
-    moment_rows, mq = _integer_basis(moment_polys)
     scores = {}
     for seed in dict.fromkeys(seeds):
         s, value = polish(seed)
@@ -584,22 +603,22 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     ``spn_moments`` with the opposite shift: mu(lambda^-1 T_{-s}(y)) on
     y = lambda rho(m) is a candidate M[A*A] whose coefficient n is a
     polynomial of degree n in the noise level s.  The map runs once, with s
-    a polynomial variable (one R-transform and one moment series over
-    exact polynomials), and the Newton recurrence on its output gives the
-    gaps g_k (k = d+1..N) as polynomials; the gaps vanish together exactly
-    at the true s, where the candidate has d atoms.  The roots of the lowest
-    nonzero gap, clipped to [0, lambda*m_1], and s = 0 seed a Gauss-Newton
-    polish of D(s) = sum_k g_k(s)^2 / (1 + (d m_k)^2), evaluated exactly at
-    each float iterate s = n/b in integers (the polynomials over one
-    denominator, as homogeneous forms in n and b) and stepped only
-    downhill.  The candidate with the least D plus a penalty for complex or
-    negative atoms wins; ``search_trace`` lists each distinct candidate
-    once, as (s, score).  The fit is the same map at the winning s, forward, on
-    lambda rho of the atoms' moments.  RecoveryFailedError signals that the
-    fit misses the input at orders d+1..N by more than 1e-4*(1+|m|^2) in
-    sum of squares, or at some order k by more than 1e-4*(1+|m_k|), or that
-    the candidates leave the float range: the input is not a
-    signal-plus-noise moment series for (p, d).
+    a polynomial variable, over the integers after one exact rescaling
+    m_n -> Q^n m_n, and the Newton recurrence on its output gives the gaps
+    g_k (k = d+1..N); all are int rows in s over one denominator.  The gaps
+    vanish together exactly at the true s, where the candidate has d atoms.
+    The roots of the lowest nonzero gap, clipped to [0, lambda*m_1], and
+    s = 0 seed a Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k the
+    weight 1/(1 + (d m_k)^2) rounded once to 53 bits with no exponent bound,
+    evaluated exactly at each float iterate s = n/b in integers (homogeneous
+    forms in n and b) and stepped only downhill.  The candidate with the
+    least D plus a penalty for complex or negative atoms wins;
+    ``search_trace`` lists each distinct candidate once, as (s, score).  The
+    fit is the same map at the winning s, forward, on lambda rho of the
+    atoms' moments.  RecoveryFailedError signals that the fit misses the
+    input at orders d+1..N by more than 1e-4*(1+|m|^2) in sum of squares, or
+    at some order k by more than 1e-4*(1+|m_k|), or that the candidates leave
+    the float range: the input is not a signal-plus-noise series for (p, d).
     """
     import numpy as np
 

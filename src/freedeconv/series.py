@@ -274,13 +274,21 @@ def r_transform(f: MomentSeries) -> MomentSeries:
 
     Solved from R(z(1 + M(z))) = M(z) coefficient by coefficient.
     """
-    w = (1,) + f.coeffs[:-1]
-    return MomentSeries(tuple(_right_inverse(f.coeffs, w)), f.scalar_kind)
+    return MomentSeries(_cumulants(f.coeffs), f.scalar_kind)
 
 
 def moment_from_r(r: MomentSeries) -> MomentSeries:
     """Moment series with free-cumulant series ``r``: the inverse of r_transform."""
     return MomentSeries(_moments(r.coeffs), r.scalar_kind)
+
+
+def _cumulants(m) -> tuple:
+    """Free cumulants from moments m_1..m_N: the right inverse with
+    W = 1 + M, whose W_0 = 1 divides nothing, so ints stay ints."""
+    w, h = _Powers(len(m), (1,) + tuple(m[:-1])), [0]
+    for n, c in enumerate(m, start=1):
+        h.append(c - w.compose(h, n))
+    return tuple(h[1:])
 
 
 def _moments(r) -> tuple:

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +15,16 @@ from freedeconv.errors import (
     RecoveryFailedError,
 )
 from freedeconv.models import (
-    _MINUS_S,
     CwModel,
     SpnModel,
+    _candidate_rows,
     _evaluate,
     _homogeneous,
-    _integer_basis,
     _noise_level_candidates,
     _Poly,
     _recurrence_gaps,
+    _rescaled,
+    _round53,
     _spn_map,
     _times,
     _translate,
@@ -41,6 +44,7 @@ from freedeconv.series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
+    _cumulants,
     _moments,
     boxed_conv,
     free_add_conv,
@@ -404,16 +408,53 @@ EVAL_POINT = st.sampled_from([0.0, 5e-324, 1e-300, 2.0**60]) | st.floats(
 )
 
 
+def integer_basis(polys):
+    """(rows, q): the rational polynomials ``polys`` as integer coefficient
+    rows over one denominator q, lowest power first, padded to one length."""
+    q = math.lcm(*(c.denominator for poly in polys for c in poly))
+    length = max(len(poly) for poly in polys)
+    rows = [[c.numerator * (q // c.denominator) for c in poly] for poly in polys]
+    return [row + [0] * (length - len(row)) for row in rows], q
+
+
+def as_rationals(basis):
+    rows, q = basis
+    return [[Fraction(c, q) for c in row] for row in rows]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(polys=st.lists(POLY, min_size=1, max_size=4), s=EVAL_POINT)
 def test_integer_basis_evaluates_exactly(polys, s):
     # at s = n/b each row gives b^D q times the polynomial, D the padded degree
-    rows, q = _integer_basis(polys)
+    rows, q = integer_basis(polys)
     n, b = s.as_integer_ratio()
     degree = len(rows[0]) - 1
     exact = [fraction_horner(poly, Fraction(s)) for poly in polys]
     assert [Fraction(v, q * b**degree) for v in _homogeneous(rows, n, b)] == exact
     assert _evaluate((rows, q), s) == [float(v) for v in exact]
+
+
+MINUS_S = _Poly((0, -1))
+
+
+def signed_sum_gaps(psums, d):
+    """g_k = sum_{j=0..d} (-1)^j e_j p_{k-j}, k = d+1..N, with e_k from
+    Newton's identities divided through by k: the reference for the
+    division-free ``_recurrence_gaps``, which gives d! g_k."""
+    e = [1]
+    for k in range(1, d + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * psums[i - 1] for i in range(1, k + 1))
+        e.append(Fraction(1, k) * acc)
+    return [sum((-1) ** j * e[j] * psums[k - j - 1] for j in range(d + 1))
+            for k in range(d + 1, len(psums) + 1)]
+
+
+def fraction_candidates(m, p, d):
+    """The candidate moment and gap polynomials in s over Fraction, as the
+    recovery once built them: ``_spn_map`` at -s, s a polynomial variable,
+    then the signed-sum gaps.  The reference for ``_candidate_rows``."""
+    moments = _spn_map(MomentSeries(m.coeffs, RATIONAL), Fraction(d, p), MINUS_S)
+    return moments, signed_sum_gaps([d * c for c in moments], d)
 
 
 def strip(m, lam):
@@ -455,7 +496,7 @@ def test_translated_nodes_equal_restore(model, order):
     stripped = strip(m, lam)
     base = _times(lam, r_transform(m))
     assert base == moment_from_r(stripped)
-    polys = _spn_map(m, lam, _MINUS_S)
+    polys = _spn_map(m, lam, MINUS_S)
     for s in range(order + 1):
         node = tuple(fraction_horner(poly, s) for poly in polys)
         assert node == restore(stripped, lam, -s).coeffs
@@ -486,7 +527,7 @@ def interpolated_candidates(m, p, d):
     the one map over polynomials in s."""
     exact = MomentSeries(m.coeffs, RATIONAL)
     nodes = [_spn_map(exact, Fraction(d, p), -s) for s in range(m.order + 1)]
-    gaps = [_recurrence_gaps([d * c for c in node], d) for node in nodes]
+    gaps = [signed_sum_gaps([d * c for c in node], d) for node in nodes]
     return ([interpolate(col) for col in zip(*nodes)],
             [interpolate(col) for col in zip(*gaps)])
 
@@ -506,13 +547,64 @@ def test_candidate_polynomials_equal_interpolated():
         p, d = model.p, model.d
         m = spn_moments(model, order, kind)
         moments, gaps = interpolated_candidates(m, p, d)
-        polys = _spn_map(MomentSeries(m.coeffs, RATIONAL), Fraction(d, p), _MINUS_S)
+        polys, gap_polys = fraction_candidates(m, p, d)
         assert [len(poly) for poly in polys] == list(range(2, order + 2))
         assert padded(polys, order + 1) == moments
-        gap_polys = _recurrence_gaps([d * c for c in polys], d)
         assert padded(gap_polys, order + 1) == gaps
         if model is README_MODEL:
-            assert _noise_level_candidates(m, p, d)[1] == _integer_basis(moments)
+            assert as_rationals(_noise_level_candidates(m, p, d)[1]) == moments
+
+
+def assert_int_rows_equal_reference(m, p, d):
+    exact = MomentSeries(m.coeffs, RATIONAL).coeffs
+    moment_basis, gap_basis = _candidate_rows(exact, p, d)
+    moments, gaps = fraction_candidates(m, p, d)
+    for (rows, q), polys in ((moment_basis, moments), (gap_basis, gaps)):
+        assert all(type(c) is int for row in rows for c in row) and type(q) is int
+        assert as_rationals((rows, q)) == padded(polys, m.order + 1)
+
+
+def test_int_candidate_rows_equal_fraction_reference():
+    # the 32 criterion-5 draws at orders d+2 and d+4 on both backends, the
+    # README model at orders 8, 12 and 16, sigma = 0, p = d, an all-zero
+    # series and a first coefficient of 0
+    draws = [criterion5_draw(n) for n in range(1, 33)]
+    cases = [(spn_moments(model, model.d + extra, kind), model.p, model.d)
+             for model in draws for extra in (2, 4) for kind in (RATIONAL, FLOAT)]
+    cases += [(spn_moments(README_MODEL, n), 4, 2) for n in (8, 12, 16)]
+    for model in (SpnModel(5, 2, (1, Fraction(3, 2)), 0),
+                  SpnModel(3, 3, (Fraction(1, 2), 1, 2), Fraction(1, 3)),
+                  SpnModel(3, 2, (0, 0), 0)):
+        cases.append((spn_moments(model, model.d + 3), model.p, model.d))
+    zero_first = (0, Fraction(1, 3), Fraction(-2, 7), 5, 0, Fraction(11, 13))
+    cases.append((MomentSeries(zero_first), 4, 2))
+    for m, p, d in cases:
+        assert_int_rows_equal_reference(m, p, d)
+
+
+# zero, negative, and large unrelated denominators
+SERIES_COEFF = st.just(Fraction(0)) | st.builds(
+    Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**15)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(SERIES_COEFF, min_size=3, max_size=7), data=st.data())
+def test_rescaled_int_rows_and_ring_contract(coeffs, data):
+    # Q^n m_n is an int for each n, the int rows are the Fraction reference's
+    # rationals, and the series recursions keep the scalar type: int on int
+    # input (no division by the unit W_0 = 1), Fraction and float on those
+    big_q, scaled = _rescaled(coeffs)
+    assert all(type(c) is int for c in scaled)
+    assert [Fraction(c) for c in scaled] == [
+        big_q**n * c for n, c in enumerate(coeffs, start=1)]
+    d = data.draw(st.integers(1, len(coeffs) - 2))
+    p = data.draw(st.integers(d, 3 * d))
+    assert_int_rows_equal_reference(MomentSeries(tuple(coeffs)), p, d)
+    floats = [float(c) for c in coeffs]
+    for values, scalar in ((scaled, int), (coeffs, Fraction), (floats, float)):
+        for transform in (_cumulants, _moments):
+            assert all(type(c) is scalar for c in transform(values))
 
 
 SMALL_COEFF = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
@@ -524,15 +616,15 @@ SMALL_COEFF = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
        t=SMALL_COEFF, data=st.data())
 def test_series_recursion_commutes_with_evaluation(polys, t, data):
     # the ring contract: _moments and _recurrence_gaps run on polynomials
-    # as on numbers, and on numbers they return no int left from the unit 1
+    # as on numbers
     polys = [_Poly(poly) for poly in polys]
     at_t = [fraction_horner(poly, t) for poly in polys]
     assert [fraction_horner(c, t) for c in _moments(polys)] == list(_moments(at_t))
     d = data.draw(st.integers(1, len(polys)))
     gaps = _recurrence_gaps(polys, d)
     assert [fraction_horner(g, t) for g in gaps] == _recurrence_gaps(at_t, d)
-    for values, scalar in ((at_t, Fraction), ([float(c) for c in at_t], float)):
-        assert all(type(c) is scalar for c in _moments(values))
+    assert _recurrence_gaps(at_t, d) == [
+        math.factorial(d) * g for g in signed_sum_gaps(at_t, d)]
 
 
 def float_sweep():
@@ -563,8 +655,9 @@ def test_float_spn_moments_match_exact():
 
 # sigma_sq_hat, atoms and search_trace as float.hex, from the recovery as it
 # was before the noise-level search ran on integers, with float input from
-# the four-transform reference; every bit must stay, and the trace lists
-# each polished s once
+# the four-transform reference; the trace lists each polished s once.  Every
+# bit must stay but one: the weights of the polish are rounded once to 53
+# bits, which moved draw16-exact-8's first score from 0x1.60161642835edp-150
 README_MODEL = SpnModel(4, 2, (1, 2), Fraction(1, 2))
 README_PIN = (
     "0x1.0000000000000p-2",
@@ -579,7 +672,7 @@ RECOVERY_PINS = {
         "0x1.e2a9ff805935ap+1",
         ("0x1.5b7f4b88b124cp-4", "0x1.21fed831e303fp-2", "0x1.d1da09add6213p-2",
          "0x1.1b41a79102a96p+0"),
-        (("0x1.e2a9ff805935ap+1", "0x1.60161642835edp-150"),
+        (("0x1.e2a9ff805935ap+1", "0x1.60161642835eep-150"),
          ("0x1.fb5c63bd3902bp+1", "0x1.e8f3f83ef9c9dp-3"))
     )),
     "draw16-float-8": (16, 8, FLOAT, (
@@ -614,6 +707,50 @@ def test_spn_recover_pinned_bits(case):
     assert report.sigma_sq_hat.hex() == sigma_sq
     assert tuple(a.hex() for a in report.atoms) == atoms
     assert tuple((s.hex(), r.hex()) for s, r in report.search_trace) == trace
+
+
+# The README model scaled by 2^e: its moments pass 1e154 at order 6, where a
+# float weight 1/(1 + (d m_k)^2) underflows to 0.  The recovery with exact
+# weights gave these bits, which scale exactly: s by 2^(2e), scores by 2^(4e).
+SCALED_TRACE = {6: ("0x1.d17db5945f937p+0", "0x1.13e1954570578p+1"),
+                7: ("0x1.b2e0ff6e0eecbp+0", "0x1.e872a61bf52c0p+0")}
+
+
+@pytest.mark.parametrize("order", [6, 7])
+@pytest.mark.parametrize("e", [40, 45, 50, 60])
+def test_spn_recover_pinned_bits_scaled(e, order):
+    model = SpnModel(4, 2, (2**e, 2 * 2**e), 2**e / 2)
+    report = spn_recover(spn_moments(model, order), 4, 2)
+    assert report.sigma_sq_hat == math.ldexp(1.0, 2 * e - 2)
+    assert report.atoms == (math.ldexp(1.0, 2 * e), math.ldexp(1.0, 2 * e + 2))
+    s, score = (float.fromhex(x) for x in SCALED_TRACE[order])
+    assert report.search_trace == (
+        (math.ldexp(1.0, 2 * e - 2), 0.0),
+        (math.ldexp(s, 2 * e), math.ldexp(score, 4 * e)),
+    )
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 2**120), st.integers(1, 2**120))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(w=POSITIVE, shift=st.integers(-2200, 2200))
+def test_weight_rounding(w, shift):
+    # 53 significant bits, to nearest, as float() rounds where its result is
+    # normal, at any exponent: never 0 for w > 0, and a power of two scales
+    # straight through
+    rounded = _round53(w)
+    assert abs(rounded - w) <= w / 2**53
+    if sys.float_info.min <= w <= sys.float_info.max:
+        assert rounded == Fraction(float(w))
+    scaled = w * Fraction(2) ** shift
+    assert _round53(scaled) == rounded * Fraction(2) ** shift > 0
+
+
+def test_weight_rounding_past_the_float_range():
+    tiny = Fraction(1, 2**2000)
+    assert _round53(tiny) == tiny
+    assert _round53(tiny / 3) == Fraction(float(Fraction(1, 3))) * tiny > 0
 
 
 def test_spn_recover_near_collision_exact():
