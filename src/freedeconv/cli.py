@@ -231,6 +231,7 @@ def _cmd_spn_density(args) -> int:
         "max_residual": curve.max_residual,
         "max_iterations_used": curve.max_iterations,
         "fallback_points": curve.fallback_points,
+        "rung_iterations": list(curve.rung_iterations),
     }
     if args.out is None:
         sys.stdout.write(csv_text)

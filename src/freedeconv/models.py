@@ -457,17 +457,20 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
     return moment_from_r(_times(1 / lam, r_transform(_times(lam, r_transform(m)))))
 
 
-def _homogeneous(rows: Sequence, n: int, b: int) -> list:
-    """sum_i c_i n^i b^(D-i) for each integer row c of length D + 1:
-    b^D times the row's polynomial at n/b, by Horner's rule."""
+def _homogeneous(rows: Sequence, n: int, b: int) -> tuple:
+    """(values, slopes): b^D P(n/b) = sum_i c_i n^i b^(D-i) and
+    b^(D-1) P'(n/b) for the polynomial P of each integer row c of length
+    D + 1, in one pass of Horner's rule."""
     bpow = [b**j for j in range(max(map(len, rows), default=0))]
-    out = []
+    values, slopes = [], []
     for row in rows:
-        acc = 0
+        acc = slope = 0
         for c, bj in zip(reversed(row), bpow):
+            slope = slope * n + acc
             acc = acc * n + c * bj
-        out.append(acc)
-    return out
+        values.append(acc)
+        slopes.append(slope)
+    return values, slopes
 
 
 def _recurrence_gaps(psums: Sequence, d: int) -> list:
@@ -537,7 +540,7 @@ def _evaluate(basis: tuple, s: float) -> list:
     rows, q = basis
     n, b = s.as_integer_ratio()
     scale = q * b ** (len(rows[0]) - 1)
-    return [v / scale for v in _homogeneous(rows, n, b)]
+    return [v / scale for v in _homogeneous(rows, n, b)[0]]
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
@@ -547,7 +550,6 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
     (moment_rows, mq), (gap_rows, q) = _candidate_rows(exact, p, d)
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
-    slope_rows = [[i * c for i, c in enumerate(row)][1:] for row in gap_rows]
     degree = len(gap_rows[0]) - 1
     weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
     wq = max(w.denominator for w in weights)  # powers of two
@@ -557,8 +559,7 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         # D(s) exactly, as (numerator, denominator), and the Gauss-Newton
         # iterate from s, rounded once
         n, b = s.as_integer_ratio()
-        gaps = _homogeneous(gap_rows, n, b)
-        slopes = _homogeneous(slope_rows, n, b)
+        gaps, slopes = _homogeneous(gap_rows, n, b)
         value = (
             sum(w * g * g for w, g in zip(weights, gaps)),
             wq * (q * b**degree) ** 2,

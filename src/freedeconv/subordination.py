@@ -21,8 +21,12 @@ and G = G_A(w1, w2) are closed forms in omega.  The solver is Newton's
 method on z(omega) = Z, vectorised over points, walking Im Z down the rungs
 10 E, E, E/10, ... of the spectrum's scale E = (max|a| + |sigma|(1 + sqrt(p/d)))^2
 from omega = Z; a step that would leave the upper half-plane, and with it
-the physical branch, is halved.  Stieltjes inversion along
-z1 = z2 = sqrt(x + i eps) gives the density of (A + sigma C)*(A + sigma C).
+the physical branch, is halved.  A rung above the target only has to start
+the next one inside its basin: at height h it stops once every point has
+|z(omega) - Z| <= h / 10, the next rung's height.  Only the target tests
+the fixed-point defect of G against the tolerance.  Stieltjes inversion
+along z1 = z2 = sqrt(x + i eps) gives the density of
+(A + sigma C)*(A + sigma C).
 """
 
 from __future__ import annotations
@@ -67,9 +71,11 @@ class DensityCurve:
     """Spectral density sampled on a positive grid by Stieltjes inversion.
 
     ``max_residual`` is the largest fixed-point defect on the grid,
-    ``max_iterations`` the largest number of Newton iterations on one rung
-    and ``fallback_points`` the number of Newton steps that were halved to
-    stay on the physical branch, summed over rungs.
+    ``max_iterations`` the largest number of Newton iterations on one rung,
+    ``rung_iterations`` the Newton iterations on each rung, from 10 E down,
+    with the target last, and ``fallback_points`` the number of Newton
+    steps that were halved to stay on the physical branch, summed over
+    rungs.
     """
 
     grid: np.ndarray
@@ -79,6 +85,7 @@ class DensityCurve:
     max_residual: float = 0.0
     max_iterations: int = 0
     fallback_points: int = 0
+    rung_iterations: tuple = ()
 
 
 def _require_upper(z: CPoint2) -> None:
@@ -148,6 +155,70 @@ def _ladder(scale: float, floor: float) -> list:
     return rungs
 
 
+def _newton(terms, omega, big_z):
+    """z(omega) - Z and the Newton step at the points ``omega``, with what
+    the defect reuses: the gaps omega - a_k^2, the weights
+    c_k / (omega - a_k^2), s(omega) and u = 1 + sigma^2 s."""
+    atoms, counts, p, d, sigma_sq = terms
+    shift = sigma_sq * (p / d - 1)
+    gap = omega[None, :] - atoms[:, None]
+    weighted = counts[:, None] / gap
+    s = weighted.sum(axis=0) / d
+    ds = -(weighted / gap).sum(axis=0) / d
+    u = 1.0 + sigma_sq * s
+    f = omega * u * u + shift * u - big_z
+    step = f / (u * u + sigma_sq * ds * (2.0 * omega * u + shift))
+    return f, step, gap, weighted, s, u
+
+
+def _advance(omega, step, rejected):
+    """omega - step, halving each step that ``rejected`` flags until it is
+    not; and the number of steps halved."""
+    new = omega - step
+    off = rejected(new)
+    halved = int(np.count_nonzero(off))
+    while off.any():
+        step[off] /= 2.0
+        new[off] = omega[off] - step[off]
+        off = rejected(new)
+    return new, halved
+
+
+def _below(new):
+    # off the physical branch: omega must stay in the upper half-plane
+    return ~(new.imag > 0)
+
+
+def _unconverged(its, residual):
+    return NoConvergenceError(
+        f"subordination Newton iteration stopped unconverged after {its} "
+        f"iterations (residual {residual:.3e})",
+        residual=float(residual),
+        iterations=its,
+    )
+
+
+def _continue(terms, x, height, omega, max_iter):
+    """Newton's method on z(omega) = x + i height from ``omega``, at every
+    point until each has |z(omega) - Z| <= height / 10, the next rung's
+    height: a continuation step only has to start the next rung inside its
+    basin.  Returns omega, the iteration count and the number of halved
+    steps."""
+    big_z = x + 1j * height
+    its = halved = 0
+    with np.errstate(all="ignore"):
+        while True:
+            its += 1
+            f, step, *_ = _newton(terms, omega, big_z)
+            miss = np.abs(f).max()
+            if miss <= height / 10:
+                return omega, its, halved
+            if its >= max_iter or not np.isfinite(step).all():
+                raise _unconverged(its, miss)
+            omega, h = _advance(omega, step, _below)
+            halved += h
+
+
 def _rung(terms, z1, z2, omega, tol, max_iter):
     """Newton's method on z(omega) = z1 z2 from ``omega``, pointwise.
 
@@ -166,31 +237,25 @@ def _rung(terms, z1, z2, omega, tol, max_iter):
     cancellation.  Returns omega, g, w, the largest defect, the iteration
     count and the number of halved steps.
     """
-    atoms, counts, p, d, sigma_sq = terms
+    atoms, _, p, d, sigma_sq = terms
     shift = sigma_sq * (p / d - 1)
+    big_z = z1 * z2
     omega = omega.copy()
     g1, g2, w1, w2 = (np.empty_like(omega) for _ in range(4))
     residual = np.zeros(omega.shape)
     active = np.arange(omega.size)
     its = halved = 0
-    real_target = not np.any((z1 * z2).imag)
+    real_target = not np.any(big_z.imag)
     if real_target:
         def rejected(new):
             return ~((new.imag > 0) | (new.real < atoms[0]))
     else:
-        def rejected(new):
-            return ~(new.imag > 0)
+        rejected = _below
     with np.errstate(all="ignore"):
         while active.size:
             its += 1
             om, a1, a2 = omega[active], z1[active], z2[active]
-            gap = om[None, :] - atoms[:, None]
-            weighted = counts[:, None] / gap
-            s = weighted.sum(axis=0) / d
-            ds = -(weighted / gap).sum(axis=0) / d
-            u = 1.0 + sigma_sq * s
-            f = om * u * u + shift * u - a1 * a2
-            step = f / (u * u + sigma_sq * ds * (2.0 * om * u + shift))
+            f, step, gap, weighted, s, u = _newton(terms, om, big_z[active])
             e = f / (u * u)
             v2 = a2 / u
             v1 = (a1 - shift / v2) / u
@@ -205,19 +270,9 @@ def _rung(terms, z1, z2, omega, tol, max_iter):
             keep = ~done
             active, om, step = active[keep], om[keep], step[keep]
             if active.size and (its >= max_iter or not np.isfinite(step).all()):
-                raise NoConvergenceError(
-                    f"subordination Newton iteration stopped unconverged after "
-                    f"{its} iterations (residual {res.max():.3e})",
-                    residual=float(res.max()),
-                    iterations=its,
-                )
-            new = om - step
-            off = rejected(new)
-            halved += int(np.count_nonzero(off))
-            while off.any():
-                step[off] /= 2.0
-                new[off] = om[off] - step[off]
-                off = rejected(new)
+                raise _unconverged(its, res.max())
+            new, h = _advance(om, step, rejected)
+            halved += h
             if real_target:
                 new.imag = np.maximum(new.imag, 0.0)
             omega[active] = new
@@ -227,19 +282,21 @@ def _rung(terms, z1, z2, omega, tol, max_iter):
 def _walk(terms, z1, z2, rungs, tol, max_iter):
     """Solve at the points (z1, z2), walking Im Z down ``rungs`` first.
 
-    Rung eta solves at Z = Re(z1 z2) + i eta along z1 = z2 = sqrt(Z), each
-    from the last; the first starts from omega = Z.  Returns g, w, the
-    largest defect, the most iterations on one rung and the halved steps.
+    Rung eta is the continuation (``_continue``) at Z = Re(z1 z2) + i eta,
+    each from the last; the first starts from omega = Z.  Only the target
+    runs ``_rung`` and its defect test.  Returns g, w, the largest defect,
+    the iterations on each rung with the target's last, and the halved
+    steps summed over rungs.
     """
     x = (z1 * z2).real
     omega = x + 1j * (rungs[0] if rungs else (z1 * z2).imag)
-    max_its = halved = 0
-    for eta_k in rungs:
-        zeta = np.sqrt(x + 1j * eta_k)
-        omega, _, _, _, its, h = _rung(terms, zeta, zeta, omega, tol, max_iter)
-        max_its, halved = max(max_its, its), halved + h
+    rung_its, halved = [], 0
+    for height in rungs:
+        omega, its, h = _continue(terms, x, height, omega, max_iter)
+        rung_its.append(its)
+        halved += h
     _, g, w, res, its, h = _rung(terms, z1, z2, omega, tol, max_iter)
-    return g, w, res, max(max_its, its), halved + h
+    return g, w, res, (*rung_its, its), halved + h
 
 
 def solve_subordination(
@@ -255,7 +312,8 @@ def solve_subordination(
     solves at the conjugate point, as z(omega) has real coefficients.  With
     sigma = 0 the signal transform is returned after a single evaluation.
     Raises NoConvergenceError if some rung takes more than ``max_iter``
-    iterations to reach a defect of ``tol``.
+    iterations: to come within its next rung's height of its Z, or, at the
+    target, to reach a defect of ``tol``.
     """
     _require_upper(z)
     terms, scale = _problem(model)
@@ -268,12 +326,13 @@ def solve_subordination(
         z1, z2 = z1.conj(), z2.conj()
     big_z = complex(z1[0] * z2[0])
     floor = big_z.imag if big_z.real >= 0 else abs(big_z)
-    g, w, residual, iterations, _ = _walk(
+    g, w, residual, rung_its, _ = _walk(
         terms, z1, z2, _ladder(max(scale, abs(big_z)), floor), tol, max_iter
     )
     g1, g2, w1, w2 = (complex(v[0].conjugate() if flip else v[0]) for v in (*g, *w))
     return SubordinationResult(
-        g=CPoint2(g1, g2), omega=CPoint2(w1, w2), iterations=iterations, residual=residual
+        g=CPoint2(g1, g2), omega=CPoint2(w1, w2), iterations=max(rung_its),
+        residual=residual
     )
 
 
@@ -289,9 +348,11 @@ def spn_density(
     Solves at z1 = z2 = sqrt(x + i eps), through the rungs above ``epsilon``,
     and reads the density off by Stieltjes inversion,
     rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  Raises NoConvergenceError if
-    some rung takes more than ``max_iter`` iterations to reach a defect of
-    ``tol`` at every point.  Only the absolutely continuous regime sigma != 0 is supported; for
-    sigma = 0 the spectrum is atomic and covered by the moment route.
+    some rung takes more than ``max_iter`` iterations: to come within its
+    next rung's height of its Z at every point, or, at the target, to reach
+    a defect of ``tol`` at every point.  Only the absolutely continuous
+    regime sigma != 0 is supported; for sigma = 0 the spectrum is atomic and
+    covered by the moment route.
     """
     if model.sigma == 0:
         raise SigmaZeroError(
@@ -311,7 +372,7 @@ def spn_density(
 
     terms, scale = _problem(model)
     zeta = np.sqrt(x + 1j * epsilon)
-    (g1, _), _, max_res, max_its, halved = _walk(
+    (g1, _), _, max_res, rung_its, halved = _walk(
         terms, zeta, zeta, _ladder(scale, epsilon), tol, max_iter
     )
     values = np.maximum(-np.imag(g1 / zeta) / np.pi, 0.0)
@@ -322,8 +383,9 @@ def spn_density(
         epsilon=epsilon,
         mass=mass,
         max_residual=max_res,
-        max_iterations=max_its,
+        max_iterations=max(rung_its),
         fallback_points=halved,
+        rung_iterations=rung_its,
     )
 
 

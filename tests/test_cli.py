@@ -190,6 +190,10 @@ def test_spn_density_writes_csv_and_sidecar(tmp_path, spn_model_file):
     assert sidecar["max_residual"] <= 1e-12
     assert sidecar["max_iterations_used"] >= 1
     assert sidecar["fallback_points"] >= 0
+    # the rungs 10E, E, ..., E/1000 above eps (E about 10.3), then the target
+    rungs = sidecar["rung_iterations"]
+    assert len(rungs) == 6 and min(rungs) >= 1
+    assert max(rungs) == sidecar["max_iterations_used"]
 
 
 def test_spn_density_on_the_scale_of_the_model(tmp_path):

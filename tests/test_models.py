@@ -425,12 +425,17 @@ def as_rationals(basis):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(polys=st.lists(POLY, min_size=1, max_size=4), s=EVAL_POINT)
 def test_integer_basis_evaluates_exactly(polys, s):
-    # at s = n/b each row gives b^D q times the polynomial, D the padded degree
+    # at s = n/b each row gives b^D q times the polynomial, D the padded
+    # degree, and b^(D-1) q times its derivative
     rows, q = integer_basis(polys)
     n, b = s.as_integer_ratio()
     degree = len(rows[0]) - 1
     exact = [fraction_horner(poly, Fraction(s)) for poly in polys]
-    assert [Fraction(v, q * b**degree) for v in _homogeneous(rows, n, b)] == exact
+    values, slopes = _homogeneous(rows, n, b)
+    assert [Fraction(v, q * b**degree) for v in values] == exact
+    derivatives = [fraction_horner([i * c for i, c in enumerate(poly)][1:], Fraction(s))
+                   for poly in polys]
+    assert [Fraction(v, q) / Fraction(b) ** (degree - 1) for v in slopes] == derivatives
     assert _evaluate((rows, q), s) == [float(v) for v in exact]
 
 

@@ -4,13 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freedeconv import subordination
 from freedeconv.errors import DomainError, SigmaZeroError
 from freedeconv.models import SpnModel, spn_moments
 from freedeconv.subordination import (
     CPoint2,
+    _continue,
     _g_atoms,
     _ladder,
     _problem,
+    _rung,
     _walk,
     curve_cdf,
     curve_moment,
@@ -135,9 +138,8 @@ def test_fixed_point_matches_semicircle_closed_form():
         assert abs(result.g.z2 - expect) < 1e-8
 
 
-def test_fixed_point_residual_and_range():
+def fixed_point_points():
     rng = random.Random(32)
-    model = SpnModel(5, 3, (0.5, 1.0, 2.0), 0.8)
     points = [
         CPoint2(
             complex(rng.uniform(-6, 6), rng.uniform(0.05, 2)),
@@ -146,7 +148,17 @@ def test_fixed_point_residual_and_range():
         for _ in range(20)
     ]
     # z1 z2 = -1 lies on the negative axis; the last point has Im(z1 z2) < 0
-    points += [CPoint2(1j, 1j), CPoint2(-2 + 0.5j, 0.3 + 0.2j)]
+    return points + [CPoint2(1j, 1j), CPoint2(-2 + 0.5j, 0.3 + 0.2j)]
+
+
+FIXED_POINT_MODEL = SpnModel(5, 3, (0.5, 1.0, 2.0), 0.8)
+REAL_TARGETS = [CPoint2(1j, 1j), CPoint2(2j, 0.5j), CPoint2(0.1j, 0.1j),
+                CPoint2(0.3j, 0.3j), CPoint2(0.2j, 0.5j)]
+
+
+def test_fixed_point_residual_and_range():
+    model = FIXED_POINT_MODEL
+    points = fixed_point_points()
     assert sum((z.z1 * z.z2).imag < 0 for z in points) >= 5
     for z in points:
         result = solve_subordination(model, z, tol=1e-12)
@@ -162,10 +174,7 @@ def test_fixed_point_residual_and_range():
 
 @pytest.mark.parametrize("p", [5, 3], ids=["p5", "p3"])
 @pytest.mark.parametrize(
-    "z",
-    [CPoint2(1j, 1j), CPoint2(2j, 0.5j), CPoint2(0.1j, 0.1j),
-     CPoint2(0.3j, 0.3j), CPoint2(0.2j, 0.5j)],
-    ids=["i-i", "2i-half-i", "tenth-i", "0.3i", "0.2i-0.5i"],
+    "z", REAL_TARGETS, ids=["i-i", "2i-half-i", "tenth-i", "0.3i", "0.2i-0.5i"]
 )
 def test_real_negative_target_converges_quadratically(p, z):
     # A real target Z = z1 z2 < 0 has a real omega; halving every step that
@@ -342,6 +351,22 @@ def test_branch_rule_keeps_a_single_jump_on_the_physical_branch(model):
     assert np.max(np.abs(jump[1] - full[1])) <= 1e-10
 
 
+@pytest.mark.parametrize("model", [PURE_NOISE, SpnModel(2, 1, (0.54,), 1.34)],
+                         ids=["noise", "one-atom"])
+def test_branch_rule_halves_on_a_continuation_rung(model):
+    # the same jump on a rung above the target, from eps = 1 to 2e-3
+    grid = _edge_grid(model, 600)
+    terms, zeta, (full, _, _, _, _) = _solve_grid(model, grid, 1e-3)
+    x = (zeta * zeta).real
+    omega, _, _ = _continue(terms, x, 1.0, x + 1j, 100)
+    omega, _, halved = _continue(terms, x, 2e-3, omega, 100)
+    assert halved > 0 and np.all(omega.imag > 0)
+    _, _, (jump, _, res, _, _) = _solve_grid(model, grid, 1e-3, rungs=[1.0, 2e-3])
+    assert res <= 1e-12
+    assert np.max(np.abs(jump[0] - full[0])) <= 1e-10
+    assert np.max(np.abs(jump[1] - full[1])) <= 1e-10
+
+
 def test_pure_noise_density_scales_with_sigma():
     # W = sigma^2 Z*Z, so sigma^2 rho_sigma(sigma^2 x) at offset eps is the
     # sigma = 1 density at x with offset eps / sigma^2
@@ -381,3 +406,98 @@ def test_small_epsilon_converges_with_default_max_iter():
     assert curve.max_iterations <= 10000
     noise = spn_density(PURE_NOISE, _edge_grid(PURE_NOISE, 2000), epsilon=1e-3)
     assert noise.max_residual <= 1e-12
+
+
+# ------------------------------------------------------- continuation ladder
+
+def converged_walk(terms, z1, z2, rungs, tol, max_iter):
+    # reference: the ladder with every rung solved by the target's own
+    # pointwise defect test, at the square of sqrt(Re Z + i eta)
+    x = (z1 * z2).real
+    omega = x + 1j * (rungs[0] if rungs else (z1 * z2).imag)
+    rung_its, halved = [], 0
+    for height in rungs:
+        zeta = np.sqrt(x + 1j * height)
+        omega, _, _, _, its, h = _rung(terms, zeta, zeta, omega, tol, max_iter)
+        rung_its.append(its)
+        halved += h
+    _, g, w, res, its, h = _rung(terms, z1, z2, omega, tol, max_iter)
+    return g, w, res, (*rung_its, its), halved + h
+
+
+def criterion7_models(count):
+    rng = random.Random(1007)
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        p = rng.randint(d, 3 * d)
+        a = tuple(rng.uniform(0.0, 2.0) for _ in range(d))
+        out.append(SpnModel(p, d, a, rng.uniform(0.3, 1.5)))
+    return out
+
+
+def z_of_omega(terms, omega):
+    # the information-plus-noise map z(omega) = omega u^2 + sigma^2 (p/d - 1) u
+    atoms, counts, p, d, sigma_sq = terms
+    u = 1 + sigma_sq * (counts / (omega[:, None] - atoms)).sum(axis=1) / d
+    return omega * u * u + sigma_sq * (p / d - 1) * u
+
+
+@pytest.mark.parametrize("epsilon", [2e-3, 1e-3])
+def test_continuation_ladder_agrees_with_converged_ladder(monkeypatch, epsilon):
+    for model in criterion7_models(20):
+        grid = _edge_grid(model, 2000)
+        terms, scale = _problem(model)
+        zeta = np.sqrt(grid + 1j * epsilon)
+        rungs = _ladder(scale, epsilon)
+        (g1, g2), _, res, its, _ = _walk(terms, zeta, zeta, rungs, 1e-12, 100)
+        (r1, r2), _, _, _, _ = converged_walk(terms, zeta, zeta, rungs, 1e-12, 100)
+        assert res <= 1e-12
+        assert max(np.max(np.abs(g1 - r1)), np.max(np.abs(g2 - r2))) <= 1e-10
+        curve = spn_density(model, grid, epsilon=epsilon)
+        assert curve.rung_iterations == its and len(its) == len(rungs) + 1
+        assert curve.max_iterations == max(its)
+        with monkeypatch.context() as patch:
+            patch.setattr(subordination, "_walk", converged_walk)
+            reference = spn_density(model, grid, epsilon=epsilon)
+        assert np.max(np.abs(curve.values - reference.values)) <= 1e-10
+
+
+def test_continuation_agrees_with_converged_ladder_pointwise(monkeypatch):
+    cases = [(FIXED_POINT_MODEL, z) for z in fixed_point_points()]
+    cases += [(SpnModel(p, 3, (0.5, 1.0, 2.0), 0.8), z)
+              for p in (5, 3) for z in REAL_TARGETS]
+    cases += [(SpnModel(3, 3, (0.0, 0.0, 0.0), 1.0), CPoint2(zeta, zeta))
+              for zeta in (0.4 + 0.3j, 1.3 + 0.5j, 2.5 + 2j, -1 + 0.05j)]
+    results = [solve_subordination(model, z) for model, z in cases]
+    monkeypatch.setattr(subordination, "_walk", converged_walk)
+    for (model, z), result in zip(cases, results):
+        reference = solve_subordination(model, z)
+        assert abs(result.g.z1 - reference.g.z1) <= 1e-10
+        assert abs(result.g.z2 - reference.g.z2) <= 1e-10
+        assert result.residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model", [REFERENCE, PURE_NOISE, *criterion7_models(4)],
+    ids=["reference", "noise", "draw1", "draw2", "draw3", "draw4"],
+)
+def test_intermediate_rungs_reach_the_next_rung_height(model):
+    # each continuation rung ends within eta/10 of its Z at every point, in
+    # the upper half-plane, and the walk is those rungs and then the target
+    terms, scale = _problem(model)
+    rungs = _ladder(scale, 1e-3)
+    zeta = np.sqrt(_edge_grid(model, 2000) + 1j * 1e-3)
+    x = (zeta * zeta).real
+    omega = x + 1j * rungs[0]
+    counts = []
+    for height in rungs:
+        omega, its, _ = _continue(terms, x, height, omega, 100)
+        counts.append(its)
+        assert np.all(omega.imag > 0)
+        miss = np.abs(z_of_omega(terms, omega) - (x + 1j * height))
+        assert np.max(miss) <= height / 10
+    _, g, _, _, its, _ = _rung(terms, zeta, zeta, omega, 1e-12, 100)
+    walked = _walk(terms, zeta, zeta, rungs, 1e-12, 100)
+    assert walked[3] == (*counts, its)
+    assert np.array_equal(walked[0][0], g[0]) and np.array_equal(walked[0][1], g[1])
