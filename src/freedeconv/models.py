@@ -163,6 +163,10 @@ class RecoveryReport:
     ``misfits`` holds, for each order k = d+1..N, the relative misfit
     |r_k - t_k| / (1 + |t_k|) of the reconstructed moment r_k against the
     input moment t_k; recovery is accepted only when each is at most 1e-4.
+    ``residual`` is the fit's sum of squares in the input's units, which
+    reads inf where it passes the float range.  ``sigma_sq_exact`` is the
+    noise level as an exact ``Fraction`` when the winner is the gaps' exact
+    common root, and then ``sigma_sq_hat`` is its float; otherwise None.
     """
 
     sigma_sq_hat: float
@@ -171,10 +175,12 @@ class RecoveryReport:
     residual: float
     search_trace: tuple
     misfits: tuple
+    sigma_sq_exact: Fraction | None
 
     def to_dict(self) -> dict:
         return {
             "sigma_sq_hat": self.sigma_sq_hat,
+            "sigma_sq_exact": _scalar_to_json(self.sigma_sq_exact),
             "atoms": list(self.atoms),
             "residual": self.residual,
             "misfits": list(self.misfits),
@@ -521,6 +527,102 @@ def _candidate_rows(exact: Sequence, p: int, d: int) -> tuple:
     return _rows_in_s(moments, big_q, d), _rows_in_s(gaps, big_q, d, math.factorial(d))
 
 
+def _trimmed(a: Sequence[int]) -> list:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _primitive(a: list) -> list:
+    """a over its content, with a positive leading coefficient."""
+    c = math.gcd(*a)
+    return [x // (c if a[-1] > 0 else -c) for x in a]
+
+
+def _pseudo_divide(a: list, b: list) -> tuple:
+    """(q, r) with lc(b)^k a = q b + r and deg r < deg b, for int
+    polynomials a and b != 0, coefficients lowest power first and no
+    trailing zeros: each step clears the leading term of a."""
+    lead, top = b[-1], len(b) - 1
+    q = [0] * max(len(a) - top, 0)
+    while len(a) > top:
+        c, shift = a[-1], len(a) - 1 - top
+        a = [x * lead for x in a]
+        q = [x * lead for x in q]
+        q[shift] += c
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        a = _trimmed(a)
+    return q, a
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """The primitive gcd over Z of two int polynomials, coefficients lowest
+    power first, with a positive leading coefficient; [] when both are 0.
+    By the primitive polynomial remainder sequence (Brown, J. ACM 18, 1971):
+    pseudo-remainders, each divided by its content."""
+    a, b = sorted((_trimmed(a), _trimmed(b)), key=len, reverse=True)
+    if not b:
+        return _primitive(a) if a else []
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_divide(a, b)[1]
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _rational_root(h: list, x: float) -> Fraction | None:
+    """The rational root of the primitive int polynomial h that Newton's
+    method reaches from x, or None.  A root r of h in lowest terms has its
+    denominator dividing c = lc(h), so c r is an int: Newton's method on
+    X = 2^P x, in ints with 2^P > 4c, comes within 1/2 of 2^P r, and
+    h(round(c X / 2^P) / c) = 0 is checked exactly."""
+    lead = h[-1]
+    bits = lead.bit_length() + 2
+    one = 1 << bits
+    n, b = x.as_integer_ratio()
+    big_x = (n << bits) // b
+    # from a float start each step doubles the correct bits, up to P
+    for _ in range(bits.bit_length() + 8):
+        (value,), (slope,) = _homogeneous([h], big_x, one)
+        if not slope:
+            return None
+        # X - 2^P h(x) / h'(x), rounded to nearest
+        step = (2 * value + slope) // (2 * slope)
+        if not step:
+            break
+        big_x -= step
+    top = (lead * big_x + one // 2) >> bits
+    return Fraction(top, lead) if _homogeneous([h], top, lead)[0] == [0] else None
+
+
+def _gcd_roots(rows: Sequence) -> list:
+    """The distinct rational roots r >= 0 of the primitive gcd g over Z of
+    the int polynomials ``rows``: those of its square-free part
+    h = g / gcd(g, g'), exactly -h_0 / h_1 when h has degree 1, and
+    otherwise by ``_rational_root`` from each float root of h.  There are
+    none when every row is 0 or g has degree 0."""
+    g = []
+    for row in rows:
+        g = _int_gcd(g, row)
+        if len(g) == 1:
+            return []
+    if not g:
+        return []
+    derivative = [i * c for i, c in enumerate(g)][1:]
+    h = _primitive(_pseudo_divide(g, _int_gcd(g, derivative))[0])
+    if len(h) == 2:
+        roots = [Fraction(-h[0], h[1])]
+    else:
+        scale = max(abs(c) for c in h)
+        roots = [_rational_root(h, float(x.real))
+                 for x in _roots([c / scale for c in reversed(h)])]
+    return sorted({r for r in roots if r is not None and r >= 0})
+
+
 def _round53(w: Fraction) -> Fraction:
     """w > 0 rounded to 53 significant bits as float(w), which it equals where
     that is normal, but with no bound on the exponent: never 0."""
@@ -535,8 +637,8 @@ def _root_penalty(roots: np.ndarray) -> float:
 
 
 def _evaluate(basis: tuple, s: float) -> list:
-    # exact evaluation of an integer basis at a float, rounded once: int / int
-    # is correctly rounded
+    # exact evaluation of an integer basis at a float or a Fraction, rounded
+    # once: int / int is correctly rounded
     rows, q = basis
     n, b = s.as_integer_ratio()
     scale = q * b ** (len(rows[0]) - 1)
@@ -544,11 +646,23 @@ def _evaluate(basis: tuple, s: float) -> list:
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
-    """Scored noise-level candidates (s, score), one per distinct polished
-    s, and the int rows of the candidate moments (``_candidate_rows``), all
-    on ints with weights rounded once to 53 bits; see ``spn_recover``."""
+    """Scored noise-level candidates (s, score), one per distinct s, the int
+    rows of the candidate moments (``_candidate_rows``) and the gaps' exact
+    common roots (``_gcd_roots``) by their floats, all on ints with weights
+    rounded once to 53 bits; see ``spn_recover``."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
     (moment_rows, mq), (gap_rows, q) = _candidate_rows(exact, p, d)
+
+    def penalty(s) -> float:
+        psums = [d * c for c in _evaluate((moment_rows[:d], mq), s)]
+        return _root_penalty(_roots_from_power_sums(psums))
+
+    # every gap vanishes at an exact root, so D = 0 there and its score is
+    # the penalty alone; a score of 0, the floor, ends the search
+    exact_roots = {float(r): r for r in _gcd_roots(gap_rows)}
+    scores = {s: penalty(r) for s, r in exact_roots.items()}
+    if 0.0 in scores.values():
+        return list(scores.items()), (moment_rows, mq), exact_roots
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
     degree = len(gap_rows[0]) - 1
     weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
@@ -588,13 +702,11 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     roots = _roots([c / scale for c in reversed(lowest)]).real
     s_hi = max(Fraction(d, p) * exact[0], 0)
     seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
-    scores = {}
     for seed in dict.fromkeys(seeds):
         s, value = polish(seed)
         if s not in scores:
-            psums = [d * c for c in _evaluate((moment_rows[:d], mq), s)]
-            scores[s] = value + _root_penalty(_roots_from_power_sums(psums))
-    return list(scores.items()), (moment_rows, mq)
+            scores[s] = value + penalty(s)
+    return list(scores.items()), (moment_rows, mq), exact_roots
 
 
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
@@ -607,19 +719,28 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     a polynomial variable, over the integers after one exact rescaling
     m_n -> Q^n m_n, and the Newton recurrence on its output gives the gaps
     g_k (k = d+1..N); all are int rows in s over one denominator.  The gaps
-    vanish together exactly at the true s, where the candidate has d atoms.
-    The roots of the lowest nonzero gap, clipped to [0, lambda*m_1], and
-    s = 0 seed a Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k the
-    weight 1/(1 + (d m_k)^2) rounded once to 53 bits with no exponent bound,
-    evaluated exactly at each float iterate s = n/b in integers (homogeneous
-    forms in n and b) and stepped only downhill.  The candidate with the
-    least D plus a penalty for complex or negative atoms wins;
-    ``search_trace`` lists each distinct candidate once, as (s, score).  The
-    fit is the same map at the winning s, forward, on lambda rho of the
-    atoms' moments.  RecoveryFailedError signals that the fit misses the
-    input at orders d+1..N by more than 1e-4*(1+|m|^2) in sum of squares, or
-    at some order k by more than 1e-4*(1+|m_k|), or that the candidates leave
-    the float range: the input is not a signal-plus-noise series for (p, d).
+    vanish together exactly at the true s, where the candidate has d atoms,
+    so on exact input the true s is a root of their gcd over Z.  Each
+    rational root s >= 0 of the gcd's square-free part (``_gcd_roots``) is a
+    candidate with D(s) = 0, scored by the penalty alone: complex or
+    negative atoms, read at the exact s and rounded once.  A score of 0 is
+    the least there is, so it ends the search, and ``sigma_sq_exact`` reports
+    that s as a Fraction.  Otherwise (float input that is not exact has
+    gcd 1) the roots of the lowest nonzero gap, clipped to [0, lambda*m_1],
+    and s = 0 seed a Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k
+    the weight 1/(1 + (d m_k)^2) rounded once to 53 bits with no exponent
+    bound, evaluated exactly at each float iterate s = n/b in integers
+    (homogeneous forms in n and b) and stepped only downhill.  The candidate with the
+    least D plus the penalty wins; ``search_trace`` lists each distinct
+    candidate once, as (s, score), the exact roots first.  The fit is the
+    same map at the winning s, forward, on lambda rho of the atoms' moments.
+    RecoveryFailedError signals that the fit misses the input at orders
+    d+1..N by more than 1e-4*(1+|m|^2) in sum of squares, or at some order k
+    by more than 1e-4*(1+|m_k|), or that the candidates leave the float
+    range: the input is not a signal-plus-noise series for (p, d).  The sum
+    of squares is compared in units of a power of two at least max|m_k|, so
+    it does not overflow; ``residual`` reports it in the input's units,
+    where it may read inf.
     """
     import numpy as np
 
@@ -633,7 +754,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     target = m.as_float()
     not_spn = f"input is not a signal-plus-noise moment series for (p={p}, d={d})"
     try:
-        trace, moment_basis = _noise_level_candidates(m, p, d)
+        trace, moment_basis, exact_roots = _noise_level_candidates(m, p, d)
         s_best = min(trace, key=lambda entry: entry[1])[0]
         maa = MomentSeries(tuple(_evaluate(moment_basis, s_best)), FLOAT)
         roots = _roots_from_power_sums([d * c for c in maa.coeffs[:d]])
@@ -644,13 +765,20 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     atoms = tuple(float(a) for a in np.sort(np.maximum(roots.real, 0.0)))
     reconstructed = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)
     pairs = list(zip(reconstructed[d:], target.coeffs[d:]))
-    final_residual = _root_penalty(roots) + sum((r - t) * (r - t) for r, t in pairs)
+    penalty = _root_penalty(roots)
+    final_residual = penalty + sum((r - t) * (r - t) for r, t in pairs)
+    # the sum of squares is decided in units of c, a power of two at least
+    # max|t_k| and 1: the scaling is exact, so no decision moves, but no
+    # square of a valid input's moments overflows
+    unit = 2.0 ** -max(math.frexp(max(abs(t) for t in target.coeffs))[1], 0)
+    scaled = penalty * unit * unit + sum(
+        x * x for x in (r * unit - t * unit for r, t in pairs))
+    tol = 1e-4 * (unit * unit + sum((t * unit) * (t * unit) for t in target.coeffs))
     # the sum is dominated by the highest moment, so each order is also held
     # to its own scale
     misfits = tuple(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
     misfit = max(misfits)
-    tol = 1e-4 * (1.0 + sum(c * c for c in target.coeffs))
-    if not math.isfinite(final_residual) or final_residual > tol or misfit > 1e-4:
+    if not math.isfinite(scaled) or scaled > tol or misfit > 1e-4:
         raise RecoveryFailedError(
             f"best residual {final_residual:.3e} (worst relative misfit "
             f"{misfit:.3e}) exceeds tolerance; {not_spn}",
@@ -663,6 +791,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
         residual=final_residual,
         search_trace=tuple(trace),
         misfits=misfits,
+        sigma_sq_exact=exact_roots.get(s_best),
     )
 
 

@@ -146,6 +146,13 @@ def _problem(model: SpnModel):
     return (atoms, counts, model.p, model.d, sigma * sigma), float(scale)
 
 
+def _defect_tol(tol: float, scale: float) -> float:
+    """The target's defect bound, in units of g below scale 1.  With z of
+    size sqrt(E), g has size 1 / sqrt(E), and so has the rounding floor of
+    its defect: an absolute ``tol`` would sit under that floor at small E."""
+    return tol / min(1.0, scale) ** 0.5
+
+
 def _ladder(scale: float, floor: float) -> list:
     """The rungs 10 scale, scale, scale / 10, ... that lie above ``floor``."""
     rungs, rung = [], 10.0 * scale
@@ -313,7 +320,8 @@ def solve_subordination(
     sigma = 0 the signal transform is returned after a single evaluation.
     Raises NoConvergenceError if some rung takes more than ``max_iter``
     iterations: to come within its next rung's height of its Z, or, at the
-    target, to reach a defect of ``tol``.
+    target, to reach a defect of ``tol`` (``tol / sqrt(E)`` when E < 1, as
+    g has size 1 / sqrt(E)).
     """
     _require_upper(z)
     terms, scale = _problem(model)
@@ -327,7 +335,8 @@ def solve_subordination(
     big_z = complex(z1[0] * z2[0])
     floor = big_z.imag if big_z.real >= 0 else abs(big_z)
     g, w, residual, rung_its, _ = _walk(
-        terms, z1, z2, _ladder(max(scale, abs(big_z)), floor), tol, max_iter
+        terms, z1, z2, _ladder(max(scale, abs(big_z)), floor), _defect_tol(tol, scale),
+        max_iter
     )
     g1, g2, w1, w2 = (complex(v[0].conjugate() if flip else v[0]) for v in (*g, *w))
     return SubordinationResult(
@@ -350,7 +359,8 @@ def spn_density(
     rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  Raises NoConvergenceError if
     some rung takes more than ``max_iter`` iterations: to come within its
     next rung's height of its Z at every point, or, at the target, to reach
-    a defect of ``tol`` at every point.  Only the absolutely continuous
+    a defect of ``tol`` at every point (``tol / sqrt(E)`` when the scale
+    E < 1, as g has size 1 / sqrt(E)).  Only the absolutely continuous
     regime sigma != 0 is supported; for sigma = 0 the spectrum is atomic and
     covered by the moment route.
     """
@@ -373,7 +383,7 @@ def spn_density(
     terms, scale = _problem(model)
     zeta = np.sqrt(x + 1j * epsilon)
     (g1, _), _, max_res, rung_its, halved = _walk(
-        terms, zeta, zeta, _ladder(scale, epsilon), tol, max_iter
+        terms, zeta, zeta, _ladder(scale, epsilon), _defect_tol(tol, scale), max_iter
     )
     values = np.maximum(-np.imag(g1 / zeta) / np.pi, 0.0)
     mass = float(np.trapezoid(values, x))

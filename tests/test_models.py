@@ -19,9 +19,12 @@ from freedeconv.models import (
     SpnModel,
     _candidate_rows,
     _evaluate,
+    _gcd_roots,
     _homogeneous,
+    _int_gcd,
     _noise_level_candidates,
     _Poly,
+    _pseudo_divide,
     _recurrence_gaps,
     _rescaled,
     _round53,
@@ -47,6 +50,7 @@ from freedeconv.series import (
     _cumulants,
     _moments,
     boxed_conv,
+    format_rational,
     free_add_conv,
     moment_from_r,
     r_transform,
@@ -324,7 +328,11 @@ def test_spn_recover_documented_example():
         abs(r - t) / (1 + abs(t)) for r, t in zip(rebuilt[2:], m.coeffs[2:])
     )
     assert max(report.misfits) < 1e-10
-    assert len(report.search_trace) <= 2 + 2  # at most d + 2 scored candidates
+    # the float moments are exact, so the gaps' exact root is the one entry;
+    # otherwise the exact roots come first, then at most d + 2 polished
+    # candidates: from s = 0 and from the d + 1 roots of the lowest gap
+    assert len(report.search_trace) == 1
+    assert report.sigma_sq_exact == Fraction(1, 4)
     best = min(report.search_trace, key=lambda entry: entry[1])
     assert best[0] == report.sigma_sq_hat
 
@@ -660,15 +668,15 @@ def test_float_spn_moments_match_exact():
 
 # sigma_sq_hat, atoms and search_trace as float.hex, from the recovery as it
 # was before the noise-level search ran on integers, with float input from
-# the four-transform reference; the trace lists each polished s once.  Every
-# bit must stay but one: the weights of the polish are rounded once to 53
-# bits, which moved draw16-exact-8's first score from 0x1.60161642835edp-150
+# the four-transform reference; the trace lists each distinct s once.  Every
+# bit must stay but the traces of exact input (the README model's float
+# moments are exact too), where the gaps' exact common root ends the search
+# with one entry of score 0.
 README_MODEL = SpnModel(4, 2, (1, 2), Fraction(1, 2))
 README_PIN = (
     "0x1.0000000000000p-2",
     ("0x1.0000000000000p+0", "0x1.0000000000000p+2"),
-    (("0x1.0000000000000p-2", "0x0.0p+0"),
-     ("0x1.b2dc78f861701p+0", "0x1.e876d9e19e39bp+0"))
+    (("0x1.0000000000000p-2", "0x0.0p+0"),)
 )
 RECOVERY_PINS = {
     "readme-exact-8": (README_MODEL, 8, RATIONAL, README_PIN),
@@ -677,8 +685,7 @@ RECOVERY_PINS = {
         "0x1.e2a9ff805935ap+1",
         ("0x1.5b7f4b88b124cp-4", "0x1.21fed831e303fp-2", "0x1.d1da09add6213p-2",
          "0x1.1b41a79102a96p+0"),
-        (("0x1.e2a9ff805935ap+1", "0x1.60161642835eep-150"),
-         ("0x1.fb5c63bd3902bp+1", "0x1.e8f3f83ef9c9dp-3"))
+        (("0x1.e2a9ff805935ap+1", "0x0.0p+0"),)
     )),
     "draw16-float-8": (16, 8, FLOAT, (
         "0x1.e2a9ff72f215cp+1",
@@ -690,8 +697,7 @@ RECOVERY_PINS = {
     "draw31-exact-6": (31, 6, RATIONAL, (
         "0x1.a82f68ec47522p+1",
         ("0x1.064f4979ba85ap-9", "0x1.f81261ae73e6cp-8"),
-        (("0x1.a82f68ec47522p+1", "0x1.4fe6f17ed6d7fp-165"),
-         ("0x1.a864586cd0439p+1", "0x1.1d2beb1a3cde9p-22"))
+        (("0x1.a82f68ec47522p+1", "0x0.0p+0"),)
     )),
     "draw31-float-8": (31, 8, FLOAT, (
         "0x1.a82f68ee9756bp+1",
@@ -714,25 +720,48 @@ def test_spn_recover_pinned_bits(case):
     assert tuple((s.hex(), r.hex()) for s, r in report.search_trace) == trace
 
 
-# The README model scaled by 2^e: its moments pass 1e154 at order 6, where a
-# float weight 1/(1 + (d m_k)^2) underflows to 0.  The recovery with exact
-# weights gave these bits, which scale exactly: s by 2^(2e), scores by 2^(4e).
-SCALED_TRACE = {6: ("0x1.d17db5945f937p+0", "0x1.13e1954570578p+1"),
-                7: ("0x1.b2e0ff6e0eecbp+0", "0x1.e872a61bf52c0p+0")}
+@pytest.mark.parametrize("order", [6, 7])
+@pytest.mark.parametrize("e", [40, 45, 50, 60])
+def test_spn_recover_pinned_bits_scaled(e, order):
+    # The README model scaled by 2^e, exact: its gaps' common root is
+    # sigma^2 = 2^(2e - 2), so the search ends there with no polish.
+    model = SpnModel(4, 2, (2**e, 2 * 2**e), 2**e / 2)
+    report = spn_recover(spn_moments(model, order), 4, 2)
+    assert report.sigma_sq_hat == math.ldexp(1.0, 2 * e - 2)
+    assert report.sigma_sq_exact == Fraction(2) ** (2 * e - 2)
+    assert report.atoms == (math.ldexp(1.0, 2 * e), math.ldexp(1.0, 2 * e + 2))
+    assert report.search_trace == ((math.ldexp(1.0, 2 * e - 2), 0.0),)
+
+
+# The model above with sigma = 2^e / 3, from float moments, whose gcd is 1:
+# they pass 1e154 at order 6, where a float weight 1/(1 + (d m_k)^2) would
+# underflow to 0 and the fit's sum of squares overflows.  The polish's s
+# scale by 2^(2e); its D is scale-free, as the weights are 1/(d m_k)^2 to 53
+# bits from e = 40 on, and the penalty of the complex atoms scales by 2^(4e).
+SCALED_TRACE = {
+    6: (("0x1.c71c71c71c722p-4", "0x1.0b97df59165ffp-105"),
+        ("0x1.a6f6682ab6aeap+0", "0x1.0b61e3a577c00p+1")),
+    7: (("0x1.c71c71c71c728p-4", "0x1.7abbbba90b8b3p-105"),
+        ("0x1.743d37555468cp+0", "0x1.c8d8bf559089ap+0")),
+}
 
 
 @pytest.mark.parametrize("order", [6, 7])
 @pytest.mark.parametrize("e", [40, 45, 50, 60])
-def test_spn_recover_pinned_bits_scaled(e, order):
-    model = SpnModel(4, 2, (2**e, 2 * 2**e), 2**e / 2)
-    report = spn_recover(spn_moments(model, order), 4, 2)
-    assert report.sigma_sq_hat == math.ldexp(1.0, 2 * e - 2)
-    assert report.atoms == (math.ldexp(1.0, 2 * e), math.ldexp(1.0, 2 * e + 2))
-    s, score = (float.fromhex(x) for x in SCALED_TRACE[order])
+def test_spn_recover_large_float_moments(e, order):
+    # once rejected with "best residual inf" at order 6 for e >= 50 and at
+    # order 7 for e >= 40: the fit is now decided in units of a power of two
+    # at least max|m_k|, and the residual, in the input's units, reads inf
+    model = SpnModel(4, 2, (2**e, 2 * 2**e), 2**e / 3)
+    report = spn_recover(spn_moments(model, order, FLOAT), 4, 2)
+    assert report.sigma_sq_hat == pytest.approx(float(model.sigma) ** 2, rel=1e-14)
+    assert report.atoms == pytest.approx((4.0**e, 4.0 ** (e + 1)), rel=1e-14)
+    assert report.sigma_sq_exact is None
+    (s1, d1), (s2, p2) = (map(float.fromhex, entry) for entry in SCALED_TRACE[order])
     assert report.search_trace == (
-        (math.ldexp(1.0, 2 * e - 2), 0.0),
-        (math.ldexp(s, 2 * e), math.ldexp(score, 4 * e)),
-    )
+        (math.ldexp(s1, 2 * e), d1), (math.ldexp(s2, 2 * e), math.ldexp(p2, 4 * e)))
+    if order == 7:
+        assert report.residual == math.inf
 
 
 POSITIVE = st.builds(Fraction, st.integers(1, 2**120), st.integers(1, 2**120))
@@ -756,6 +785,69 @@ def test_weight_rounding_past_the_float_range():
     tiny = Fraction(1, 2**2000)
     assert _round53(tiny) == tiny
     assert _round53(tiny / 3) == Fraction(float(Fraction(1, 3))) * tiny > 0
+
+
+def test_spn_recover_exact_input_reports_exact_sigma_sq():
+    # the 32 criterion-5 draws on exact input at orders d+2 and d+4: the
+    # gaps' exact common root ends the search.  At order 4 the d = 2, p = 6
+    # draws (4, 6 and 31) have a gcd of degree 3, a rational root times an
+    # irreducible quadratic, so their root comes from Newton's method
+    for n in range(1, 33):
+        model = criterion5_draw(n)
+        for order in (model.d + 2, model.d + 4):
+            report = spn_recover(spn_moments(model, order), model.p, model.d)
+            assert report.sigma_sq_exact == Fraction(model.sigma) ** 2
+            assert report.search_trace == ((float(report.sigma_sq_exact), 0.0),)
+            assert report.to_dict()["sigma_sq_exact"] == format_rational(
+                report.sigma_sq_exact)
+
+
+def trimmed(poly):
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def fraction_gcd(a, b):
+    """The monic gcd over Q by Euclid's algorithm in Fraction, [] when both
+    are 0: the reference for ``_int_gcd``."""
+    a, b = trimmed(map(Fraction, a)), trimmed(map(Fraction, b))
+    while b:
+        while len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
+            a = trimmed(a)
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+INT_POLY = st.lists(st.integers(-30, 30), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(factor=INT_POLY, cofactors=st.lists(INT_POLY, min_size=1, max_size=4),
+       a=st.integers(-20, 20), b=st.integers(1, 12))
+def test_int_gcd_recovers_a_planted_factor(factor, cofactors, a, b):
+    # rows sharing the factor (b s - a) f(s): their gcd is primitive, equals
+    # the monic rational gcd up to content and sign, divides every row and
+    # is divided by the planted factor, and a/b >= 0 is among its roots
+    planted = _Poly((-a, b)) * _Poly(factor)
+    rows = [list(planted * _Poly(c)) for c in cofactors]
+    g, reference = [], []
+    for row in rows:
+        g, reference = _int_gcd(g, row), fraction_gcd(reference, row)
+    if not reference:
+        assert g == [] and _gcd_roots(rows) == []
+        return
+    assert g[-1] > 0 and math.gcd(*g) == 1
+    assert [Fraction(c, g[-1]) for c in g] == reference
+    for row in rows:
+        assert not trimmed(row) or _pseudo_divide(trimmed(row), g)[1] == []
+    assert _pseudo_divide(g, trimmed(planted))[1] == []
+    if a >= 0:
+        assert Fraction(a, b) in _gcd_roots(rows)
 
 
 def test_spn_recover_near_collision_exact():

@@ -377,6 +377,24 @@ def test_pure_noise_density_scales_with_sigma():
         assert np.max(np.abs(sigma**2 * scaled.values - unit.values)) <= 1e-10
 
 
+def test_density_and_fixed_point_scale_below_scale_one():
+    # The README model with a scaled by 10^-3, so W by 10^-6 and E by 10^-6:
+    # g grows like 1 / sqrt(E), and with an absolute defect bound the target
+    # stalled at its rounding floor (residual 2.0e-12 after 100 iterations).
+    # Solved in units of g, it is the unscaled solution, scaled.
+    unit, small = SpnModel(4, 2, (1, 2), 0.5), SpnModel(4, 2, (1e-3, 2e-3), 5e-4)
+    grid = np.linspace(1e-3, 12.0, 2000)
+    curve = spn_density(unit, grid, epsilon=1e-3)
+    scaled = spn_density(small, 1e-6 * grid, epsilon=1e-9)
+    assert np.max(np.abs(1e-6 * scaled.values - curve.values)) <= 1e-8 * curve.values.max()
+    for x in (3.0, 5.090508474576271, 6.919491525423729):
+        z = complex(np.sqrt(x + 1e-3j))
+        g = solve_subordination(unit, CPoint2(z, z)).g
+        g_small = solve_subordination(small, CPoint2(1e-3 * z, 1e-3 * z)).g
+        for a, b in zip(g_small, g):
+            assert abs(1e-3 * a - b) <= 1e-8 * abs(b)
+
+
 @pytest.mark.parametrize(
     "model",
     [SpnModel(4, 2, (1.0, 2.0), 1e200), SpnModel(4, 2, (1e200, 2.0), 0.5),
