@@ -54,7 +54,8 @@ from .series import (
     zeta_series,
 )
 
-IMAG_ROOT_TOL = 1e-6
+# The rank rule of ``_atoms`` on float input: |beta_k| <= RANK_TOL mu_2/mu_0 is 0.
+RANK_TOL = 1e-10
 # Gauss-Newton steps spent polishing each noise-level candidate.
 POLISH_MAX_STEPS = 30
 
@@ -160,13 +161,14 @@ class SpnModel:
 class RecoveryReport:
     """Result of signal-plus-noise parameter recovery from a moment series.
 
-    ``misfits`` holds, for each order k = d+1..N, the relative misfit
-    |r_k - t_k| / (1 + |t_k|) of the reconstructed moment r_k against the
-    input moment t_k; recovery is accepted only when each is at most 1e-4.
-    ``residual`` is the fit's sum of squares in the input's units, which
-    reads inf where it passes the float range.  ``sigma_sq_exact`` is the
-    noise level as an exact ``Fraction`` when the winner is the gaps' exact
-    common root, and then ``sigma_sq_hat`` is its float; otherwise None.
+    ``atoms`` is the spectrum of A*A, ascending, with its repeats; ``misfits``
+    holds, for each order k = d+1..N, the relative misfit |r_k - t_k| /
+    (1 + |t_k|) of the reconstructed moment r_k against the input moment t_k;
+    recovery is accepted only when each is at most 1e-4.  ``residual`` is the
+    fit's sum of squares in the input's units, which reads inf where it passes
+    the float range.  ``search_trace`` lists the candidates (s, D(s)), D = 0
+    at the gaps' exact roots; ``sigma_sq_exact`` is the winner as a
+    ``Fraction`` when it is such a root, else None.
     """
 
     sigma_sq_hat: float
@@ -328,60 +330,83 @@ def _roots(poly: Sequence[float]) -> np.ndarray:
     return np.roots(poly)
 
 
-def _roots_from_power_sums(psums: Sequence[float]) -> np.ndarray:
-    # Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-    e = [1]
-    for k in range(1, len(psums) + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * psums[i - 1] for i in range(1, k + 1))
-        e.append(acc / k)
-    return _roots([(-1) ** k * e[k] for k in range(len(e))])
-
-
-def _cluster_means(roots: np.ndarray) -> np.ndarray:
-    # Companion-matrix roots of an m-fold eigenvalue scatter by roughly
-    # eps^(1/m) around it; averaging each conjugate multiplet restores the
-    # eigenvalue while leaving genuinely complex roots (conjugate pairs far
-    # apart) intact for the reality check downstream.
+def _atoms(psums: Sequence, count: int, exact: bool) -> tuple:
+    """(distinct atoms ascending, multiplicities, no atom < 0) of n = ``count``
+    atoms of equal weight from their power sums p_1..p_n, ``Fraction``s.  On
+    atoms scaled to give ints, Newton's identities give e_k and the moments
+    mu_0..mu_(2n-1), the Chebyshev algorithm (Gautschi, 2004, 2.1.7) on the
+    ints tau_k,l = D_k sigma_k,l (D_k the k-th Hankel determinant) the Jacobi
+    coefficients.  The first beta_k = D_(k+1) D_(k-1) / D_k^2 that is 0 (on
+    float input, at most RANK_TOL mu_2/mu_0) gives the atoms: the eigenvalues
+    of the Jacobi matrix, of multiplicities n v_0^2 (Golub and Welsch, 1969).
+    NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
+    or multiplicities that do not add up to n."""
     import numpy as np
 
-    delta = 1e-3 * (1.0 + float(np.max(np.abs(roots))))
-    ordered = roots[np.argsort(roots.real, kind="stable")]
-    means = []
-    cluster = [ordered[0]]
-    for z in ordered[1:]:
-        if abs(z - cluster[-1]) <= delta:
-            cluster.append(z)
-        else:
-            means.extend([np.mean(cluster)] * len(cluster))
-            cluster = [z]
-    means.extend([np.mean(cluster)] * len(cluster))
-    return np.asarray(means)
+    n, (big_q, scaled), e = count, _rescaled(psums), [1]
+    c = math.factorial(n) * big_q
+    mu = [n] + [math.factorial(n) ** k * x for k, x in enumerate(scaled, 1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** i * e[k - 1 - i] * mu[i + 1] for i in range(k)) // k)
+    for k in range(n + 1, 2 * n):
+        mu.append(sum((-1) ** (j - 1) * e[j] * mu[k - j] for j in range(1, n + 1)))
+    num, den = RANK_TOL.as_integer_ratio()
+    # the rows tau_(-1) = 0, tau_0 = mu, ..., and D_0..D_(k+1)
+    tau, dets = [[0] * (2 * n), mu], [1, n]
+    for k in range(n - 1):
+        (prev, row), dk, dk1 = tau[-2:], dets[-2], dets[-1]
+        tau.append([0] * (k + 1) + [(dk * (dk1 * row[l + 1] - row[k + 1] * row[l])
+                                     + dk1 * (prev[k] * row[l] - dk1 * prev[l])) // dk**2
+                                    for l in range(k + 1, 2 * n - k - 1)])
+        dk2 = tau[-1][k + 1]
+        if not any(tau[-1]) if exact else abs(dk2) * dk * n * den <= num * mu[2] * dk1**2:
+            break
+        if dk2 <= 0:
+            raise NonrealRootsError(f"the power sums are not those of {n} real atoms")
+        dets.append(dk2)
+    try:
+        # int / int is correctly rounded, and raises past the float range
+        alpha = [(tau[k + 1][k + 1] * dets[k] - tau[k][k] * dets[k + 1])
+                 / (dets[k] * dets[k + 1] * c) for k in range(len(dets) - 1)]
+        off = [math.sqrt(dets[k + 1] * dets[k - 1] / (dets[k] * c) ** 2)
+               for k in range(1, len(dets) - 1)]
+        jacobi = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+    except OverflowError:
+        raise DomainError("atoms leave the float range") from None
+    values, vectors = np.linalg.eigh(jacobi)
+    # an eigenvalue of weight below 1/(2n) is no atom
+    mults = np.rint(n * vectors[0] ** 2).astype(int)
+    if mults.sum() != n:
+        raise NonrealRootsError(f"the power sums are not those of {n} real atoms")
+    return values[mults > 0], mults[mults > 0], all(x >= 0 for x in e)
 
 
 def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     """Recover the spectrum of D from the compound Wishart cumulant series.
 
-    The first p cumulants give the power sums of the spectrum (scaled by d);
-    Newton's identities turn those into elementary symmetric functions, and
-    the roots of the resulting monic polynomial, sorted ascending, are the
-    eigenvalues.  Repeated eigenvalues are stabilized by averaging each
-    root multiplet.  Raises NonrealRootsError when roots stay materially
-    complex, which signals that ``r`` is not a compound Wishart cumulant
-    series of a real spectrum.
+    The cumulants times d are the power sums of the spectrum: ``_atoms``
+    reads it from the first p, converted exactly, with its repeats, ascending.
+    The series must fit: on rational input every gap above order p
+    (``_recurrence_gaps``) is 0; on float input each rebuilt cumulant meets
+    |r_k - t_k| <= 1e-4 (1 + |t_k|), the rule of ``spn_recover``.  Otherwise
+    NonrealRootsError, RecoveryFailedError or DomainError signal that ``r`` is
+    not a compound Wishart cumulant series for (p, d).
     """
     import numpy as np
 
     _check_dimensions(p, d)
     if r.order < p:
         raise OrderTooSmallError(f"need at least {p} cumulants, got {r.order}")
-    psums = [d * c for c in MomentSeries(r.coeffs[:p], FLOAT).coeffs]
-    roots = _cluster_means(_roots_from_power_sums(psums))
-    bad = np.abs(roots.imag) > IMAG_ROOT_TOL * (1.0 + np.abs(roots))
-    if bad.any():
-        raise NonrealRootsError(
-            f"recovered spectrum has complex roots: {roots[bad]}"
-        )
-    return np.sort(roots.real)
+    psums = [d * c for c in MomentSeries(r.coeffs, RATIONAL).coeffs]
+    values = np.repeat(*_atoms(psums[:p], p, r.scalar_kind == RATIONAL)[:2])
+    if r.scalar_kind == RATIONAL:
+        fits = not any(_recurrence_gaps(psums, p))
+    else:
+        rebuilt = _power_means(values, d, r.order, FLOAT).coeffs
+        fits = all(abs(x - t) <= 1e-4 * (1 + abs(t)) for x, t in zip(rebuilt, r.coeffs))
+    if not fits:
+        raise RecoveryFailedError(f"not a compound Wishart series for (p={p}, d={d})")
+    return values
 
 
 class _Poly(tuple):
@@ -630,15 +655,9 @@ def _round53(w: Fraction) -> Fraction:
     return Fraction(float(w * scale)) / scale
 
 
-def _root_penalty(roots: np.ndarray) -> float:
-    import numpy as np
-
-    return float(np.sum(roots.imag**2) + np.sum(np.minimum(roots.real, 0.0) ** 2))
-
-
 def _evaluate(basis: tuple, s: float) -> list:
     # exact evaluation of an integer basis at a float or a Fraction, rounded
-    # once: int / int is correctly rounded
+    # once: int / int is correctly rounded, and int / Fraction exact
     rows, q = basis
     n, b = s.as_integer_ratio()
     scale = q * b ** (len(rows[0]) - 1)
@@ -646,23 +665,29 @@ def _evaluate(basis: tuple, s: float) -> list:
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
-    """Scored noise-level candidates (s, score), one per distinct s, the int
-    rows of the candidate moments (``_candidate_rows``) and the gaps' exact
-    common roots (``_gcd_roots``) by their floats, all on ints with weights
-    rounded once to 53 bits; see ``spn_recover``."""
+    """(trace, winner): the candidates (s, D(s)), one per distinct s, on the
+    int rows of ``_candidate_rows``, and the winner (s, its candidate moments,
+    their ``_atoms`` reading, s if exact), or None; see ``spn_recover``."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
     (moment_rows, mq), (gap_rows, q) = _candidate_rows(exact, p, d)
 
-    def penalty(s) -> float:
-        psums = [d * c for c in _evaluate((moment_rows[:d], mq), s)]
-        return _root_penalty(_roots_from_power_sums(psums))
+    def first_real(candidates, exactly: bool):
+        for s in candidates:
+            psums = [d * c for c in _evaluate((moment_rows[:d], Fraction(mq)), s)]
+            try:
+                reading = _atoms(psums, d, exactly)
+            except NonrealRootsError:
+                continue
+            if reading[2] or not exactly:
+                moments = _evaluate((moment_rows, mq), s)
+                return float(s), moments, reading, s if exactly else None
 
-    # every gap vanishes at an exact root, so D = 0 there and its score is
-    # the penalty alone; a score of 0, the floor, ends the search
-    exact_roots = {float(r): r for r in _gcd_roots(gap_rows)}
-    scores = {s: penalty(r) for s, r in exact_roots.items()}
-    if 0.0 in scores.values():
-        return list(scores.items()), (moment_rows, mq), exact_roots
+    # every gap vanishes at an exact root, so D = 0 there; the first whose
+    # exact reading has no negative atom wins outright
+    roots = _gcd_roots(gap_rows)
+    scores, winner = {float(r): 0.0 for r in roots}, first_real(roots, True)
+    if winner:
+        return list(scores.items()), winner
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
     degree = len(gap_rows[0]) - 1
     weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
@@ -674,10 +699,7 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         # iterate from s, rounded once
         n, b = s.as_integer_ratio()
         gaps, slopes = _homogeneous(gap_rows, n, b)
-        value = (
-            sum(w * g * g for w, g in zip(weights, gaps)),
-            wq * (q * b**degree) ** 2,
-        )
+        value = sum(w * g * g for w, g in zip(weights, gaps)), wq * (q * b**degree) ** 2
         curvature = sum(w * t * t for w, t in zip(weights, slopes))
         pull = sum(w * g * t for w, g, t in zip(weights, gaps, slopes))
         # s - pull / (b curvature) over one denominator
@@ -699,100 +721,78 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     # to coefficients of at most 1 before rounding
     lowest = next((row for row in gap_rows if any(row)), [1])
     scale = max(abs(c) for c in lowest)
-    roots = _roots([c / scale for c in reversed(lowest)]).real
+    seeds = _roots([c / scale for c in reversed(lowest)]).real
     s_hi = max(Fraction(d, p) * exact[0], 0)
-    seeds = [0.0] + [float(min(max(r, 0.0), s_hi)) for r in roots]
-    for seed in dict.fromkeys(seeds):
+    polished = {}
+    for seed in dict.fromkeys([0.0] + [float(min(max(r, 0.0), s_hi)) for r in seeds]):
         s, value = polish(seed)
         if s not in scores:
-            scores[s] = value + penalty(s)
-    return list(scores.items()), (moment_rows, mq), exact_roots
+            scores[s] = polished[s] = value
+    # the least D whose reading is real wins
+    return list(scores.items()), first_real(sorted(polished, key=polished.get), False)
 
 
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     """Recover (sigma^2, spectrum of A*A) from a signal-plus-noise moment series.
 
-    The input m, converted exactly to rationals, goes through the map of
-    ``spn_moments`` with the opposite shift: mu(lambda^-1 T_{-s}(y)) on
-    y = lambda rho(m) is a candidate M[A*A] whose coefficient n is a
-    polynomial of degree n in the noise level s.  The map runs once, with s
-    a polynomial variable, over the integers after one exact rescaling
-    m_n -> Q^n m_n, and the Newton recurrence on its output gives the gaps
-    g_k (k = d+1..N); all are int rows in s over one denominator.  The gaps
-    vanish together exactly at the true s, where the candidate has d atoms,
-    so on exact input the true s is a root of their gcd over Z.  Each
-    rational root s >= 0 of the gcd's square-free part (``_gcd_roots``) is a
-    candidate with D(s) = 0, scored by the penalty alone: complex or
-    negative atoms, read at the exact s and rounded once.  A score of 0 is
-    the least there is, so it ends the search, and ``sigma_sq_exact`` reports
-    that s as a Fraction.  Otherwise (float input that is not exact has
-    gcd 1) the roots of the lowest nonzero gap, clipped to [0, lambda*m_1],
-    and s = 0 seed a Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k
-    the weight 1/(1 + (d m_k)^2) rounded once to 53 bits with no exponent
-    bound, evaluated exactly at each float iterate s = n/b in integers
-    (homogeneous forms in n and b) and stepped only downhill.  The candidate with the
-    least D plus the penalty wins; ``search_trace`` lists each distinct
-    candidate once, as (s, score), the exact roots first.  The fit is the
-    same map at the winning s, forward, on lambda rho of the atoms' moments.
-    RecoveryFailedError signals that the fit misses the input at orders
-    d+1..N by more than 1e-4*(1+|m|^2) in sum of squares, or at some order k
-    by more than 1e-4*(1+|m_k|), or that the candidates leave the float
-    range: the input is not a signal-plus-noise series for (p, d).  The sum
-    of squares is compared in units of a power of two at least max|m_k|, so
-    it does not overflow; ``residual`` reports it in the input's units,
-    where it may read inf.
+    The map of ``spn_moments`` with the opposite shift, mu(lambda^-1 T_{-s}(y))
+    on y = lambda rho(m), gives a candidate M[A*A] whose coefficient n is a
+    polynomial of degree n in the noise level s, and the Newton recurrence on
+    it the gaps g_k, k = d+1..N, as int rows in s (``_candidate_rows``).  They
+    vanish together at the true s, so on exact input it is a root of their gcd
+    over Z.  Each rational root s >= 0 (``_gcd_roots``) is a candidate with
+    D(s) = 0, read exactly by ``_atoms``: the first whose atoms are real and
+    none negative wins outright, and ``sigma_sq_exact`` reports it.  Otherwise
+    s = 0 and the roots of the lowest nonzero gap, clipped to [0, lambda*m_1],
+    seed a Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k =
+    1/(1 + (d m_k)^2) rounded once to 53 bits, evaluated exactly at each float
+    iterate and stepped only downhill.  In order of D, each polished s is read
+    by ``_atoms`` under its rank rule; the first with real atoms wins, its
+    negative atoms clipped to 0.  ``search_trace`` lists each distinct
+    candidate once, as (s, D), the exact roots first.  The fit is the same map
+    at the winning s, forward, on lambda rho of the atoms' moments.
+    RecoveryFailedError signals that no candidate reads as real atoms, that
+    the fit misses orders d+1..N by more than 1e-4*(1+|m|^2) in sum of squares
+    (decided in units of a power of two at least max|m_k|, so that it does
+    not overflow) or order k by more than 1e-4*(1+|m_k|), or that the
+    candidates leave the float range: m is not a signal-plus-noise series.
     """
-    import numpy as np
-
     _check_dimensions(p, d)
     if p < d:
         raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
     if m.order < d + 2:
-        raise OrderTooSmallError(
-            f"need order >= d+2 = {d + 2} to recover, got {m.order}"
-        )
+        raise OrderTooSmallError(f"need order >= d+2 = {d + 2} to recover, got {m.order}")
     target = m.as_float()
     not_spn = f"input is not a signal-plus-noise moment series for (p={p}, d={d})"
     try:
-        trace, moment_basis, exact_roots = _noise_level_candidates(m, p, d)
-        s_best = min(trace, key=lambda entry: entry[1])[0]
-        maa = MomentSeries(tuple(_evaluate(moment_basis, s_best)), FLOAT)
-        roots = _roots_from_power_sums([d * c for c in maa.coeffs[:d]])
+        trace, winner = _noise_level_candidates(m, p, d)
+        if winner is None:
+            raise RecoveryFailedError(f"no real candidate; {not_spn}", residual=math.inf)
+        s_best, moments, (values, mults, _), s_exact = winner
+        maa = MomentSeries(tuple(moments), FLOAT)
     except (OverflowError, DomainError):
-        raise RecoveryFailedError(
-            f"candidates leave the float range; {not_spn}", residual=math.inf
-        ) from None
-    atoms = tuple(float(a) for a in np.sort(np.maximum(roots.real, 0.0)))
+        raise RecoveryFailedError(f"candidates leave the float range; {not_spn}",
+                                  residual=math.inf) from None
+    atoms = tuple(max(0.0, float(a)) for a, k in zip(values, mults) for _ in range(k))
     reconstructed = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)
     pairs = list(zip(reconstructed[d:], target.coeffs[d:]))
-    penalty = _root_penalty(roots)
-    final_residual = penalty + sum((r - t) * (r - t) for r, t in pairs)
+    final_residual = sum((r - t) * (r - t) for r, t in pairs)
     # the sum of squares is decided in units of c, a power of two at least
     # max|t_k| and 1: the scaling is exact, so no decision moves, but no
     # square of a valid input's moments overflows
     unit = 2.0 ** -max(math.frexp(max(abs(t) for t in target.coeffs))[1], 0)
-    scaled = penalty * unit * unit + sum(
-        x * x for x in (r * unit - t * unit for r, t in pairs))
+    scaled = sum(x * x for x in (r * unit - t * unit for r, t in pairs))
     tol = 1e-4 * (unit * unit + sum((t * unit) * (t * unit) for t in target.coeffs))
     # the sum is dominated by the highest moment, so each order is also held
     # to its own scale
     misfits = tuple(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
     misfit = max(misfits)
     if not math.isfinite(scaled) or scaled > tol or misfit > 1e-4:
-        raise RecoveryFailedError(
-            f"best residual {final_residual:.3e} (worst relative misfit "
-            f"{misfit:.3e}) exceeds tolerance; {not_spn}",
-            residual=final_residual,
-        )
-    return RecoveryReport(
-        sigma_sq_hat=s_best,
-        atom_moments=maa,
-        atoms=atoms,
-        residual=final_residual,
-        search_trace=tuple(trace),
-        misfits=misfits,
-        sigma_sq_exact=exact_roots.get(s_best),
-    )
+        raise RecoveryFailedError(f"best residual {final_residual:.3e} (worst relative "
+                                  f"misfit {misfit:.3e}) exceeds tolerance; {not_spn}",
+                                  residual=final_residual)
+    return RecoveryReport(s_best, maa, atoms, final_residual, tuple(trace), misfits,
+                          s_exact)
 
 
 def verify_identifiability(

@@ -385,9 +385,13 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
         (recover("cw-recover", -2, 2), None, {}, None, 1, "dimension-mismatch"),
         (recover("spn-recover", 9, 3), None, INF_SEED, None, 1, "recovery-failed"),
         (recover("spn-recover", 1, 1), None, INF_FIT, None, 1, "recovery-failed"),
+        # p_2 < p_1^2 / d: no real spectrum has these power sums
         (recover("cw-recover", 2, 1), None, {"order": 2, "coeffs": [1e300, 0]},
-         None, 1, "domain"),
+         None, 1, "nonreal-roots"),
         (recover("cw-recover", 2, 1), None, {"order": 2, "coeffs": ["1e400", 0]},
+         None, 1, "nonreal-roots"),
+        # a real eigenvalue of 10^400 leaves the float range
+        (recover("cw-recover", 1, 1), None, {"order": 1, "coeffs": ["1e400"]},
          None, 1, "domain"),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
@@ -400,7 +404,7 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
          "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
          "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative",
          "recover-seed-overflow", "recover-fit-overflow", "cw-recover-overflow",
-         "cw-recover-beyond-float"],
+         "cw-recover-beyond-float", "cw-recover-atom-beyond-float"],
 )
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, series,
                                  env, status, code):
@@ -627,11 +631,12 @@ def convolve_runs(draw):
 
 @st.composite
 def recover_runs(draw, command):
-    # valid series come from the forward map of a model with distinct values
+    # valid series come from the forward map of a model; compound Wishart
+    # values may repeat, signal-plus-noise values are distinct
     kind = draw(KIND)
     if command == "cw-recover":
         p, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        values = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p, unique=True))
+        values = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
         order = p + draw(st.integers(0, 2))
         series = cw_r_transform(CwModel(p, d, tuple(values)), order, kind)
     else:

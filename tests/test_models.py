@@ -22,7 +22,6 @@ from freedeconv.models import (
     _gcd_roots,
     _homogeneous,
     _int_gcd,
-    _noise_level_candidates,
     _Poly,
     _pseudo_divide,
     _recurrence_gaps,
@@ -218,6 +217,63 @@ def test_cw_recovery_errors():
     bad = MomentSeries((0.0, -1.0), FLOAT)
     with pytest.raises(NonrealRootsError):
         cw_recover_eigenvalues(bad, 2, 1)
+    # the cube roots of unity: p1 = p2 = 0, so beta_1 = 0, yet p3 = 3.  The
+    # exact reader sees the moment that one atom at 0 misses; on float input
+    # the fit does
+    with pytest.raises(NonrealRootsError):
+        cw_recover_eigenvalues(MomentSeries((0, 0, 3)), 3, 1)
+    with pytest.raises(RecoveryFailedError):
+        cw_recover_eigenvalues(MomentSeries((0.0, 0.0, 3.0), FLOAT), 3, 1)
+
+
+def cw_sweep():
+    """Criterion 4's distribution under random.Random(0): p and d in 1..8,
+    eigenvalues from U(-5, 5)."""
+    rng = random.Random(0)
+    for _ in range(300):
+        p, d = rng.randint(1, 8), rng.randint(1, 8)
+        yield CwModel(p, d, tuple(rng.uniform(-5, 5) for _ in range(p)))
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT])
+def test_cw_recovery_sweep(kind):
+    # companion roots, merged within a clustering radius, once missed 1e-8
+    # on 4 of these 300 on both backends
+    worst = 0.0
+    for model in cw_sweep():
+        r = cw_r_transform(model, model.p, kind)
+        got = cw_recover_eigenvalues(r, model.p, model.d)
+        worst = max(worst, float(np.max(np.abs(got - np.array(model.eigenvalues)))))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT])
+@pytest.mark.parametrize(
+    "values",
+    [(1,) * 8, (2,) * 6, (Fraction(1, 10**6), Fraction(2, 10**6), Fraction(3, 10**6)),
+     (1, Fraction(2001, 2000), 3)],
+    ids=["identity-8", "twice-identity-6", "micro", "near-double"],
+)
+def test_cw_recovery_repeated_and_near_repeated(values, kind):
+    # once NonrealRootsError on the first two, even on exact input, the third
+    # as 2e-6 three times and the fourth off by 2.5e-4; the series runs two
+    # orders above p, so the fit is checked too
+    model = CwModel(len(values), 3, values)
+    got = cw_recover_eigenvalues(cw_r_transform(model, model.p + 2, kind), model.p, 3)
+    want = [float(v) for v in model.eigenvalues]
+    assert got.shape == (model.p,)
+    assert np.allclose(got, want, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT])
+def test_cw_recovery_checks_cumulants_above_order_p(kind):
+    # r_4 = -100 in place of 49 was once ignored, and (1, 2, 3) came back
+    r = list(cw_r_transform(CwModel(3, 2, (1, 2, 3)), 6).coeffs)
+    assert np.allclose(cw_recover_eigenvalues(MomentSeries(tuple(r), kind), 3, 2),
+                       (1, 2, 3))
+    r[3] = -100
+    with pytest.raises(RecoveryFailedError):
+        cw_recover_eigenvalues(MomentSeries(tuple(r), kind), 3, 2)
 
 
 @pytest.mark.parametrize("p, d", [(0, 2), (3, 0), (-2, 2)])
@@ -445,6 +501,7 @@ def test_integer_basis_evaluates_exactly(polys, s):
                    for poly in polys]
     assert [Fraction(v, q) / Fraction(b) ** (degree - 1) for v in slopes] == derivatives
     assert _evaluate((rows, q), s) == [float(v) for v in exact]
+    assert _evaluate((rows, Fraction(q)), s) == exact
 
 
 MINUS_S = _Poly((0, -1))
@@ -462,12 +519,19 @@ def signed_sum_gaps(psums, d):
             for k in range(d + 1, len(psums) + 1)]
 
 
+FRACTION_CANDIDATES = {}
+
+
 def fraction_candidates(m, p, d):
     """The candidate moment and gap polynomials in s over Fraction, as the
     recovery once built them: ``_spn_map`` at -s, s a polynomial variable,
-    then the signed-sum gaps.  The reference for ``_candidate_rows``."""
-    moments = _spn_map(MomentSeries(m.coeffs, RATIONAL), Fraction(d, p), MINUS_S)
-    return moments, signed_sum_gaps([d * c for c in moments], d)
+    then the signed-sum gaps.  The reference for ``_candidate_rows``, built
+    once per series and shared by the tests that use it."""
+    key = (m.coeffs, m.scalar_kind, p, d)
+    if key not in FRACTION_CANDIDATES:
+        moments = _spn_map(MomentSeries(m.coeffs, RATIONAL), Fraction(d, p), MINUS_S)
+        FRACTION_CANDIDATES[key] = moments, signed_sum_gaps([d * c for c in moments], d)
+    return FRACTION_CANDIDATES[key]
 
 
 def strip(m, lam):
@@ -565,7 +629,10 @@ def test_candidate_polynomials_equal_interpolated():
         assert padded(polys, order + 1) == moments
         assert padded(gap_polys, order + 1) == gaps
         if model is README_MODEL:
-            assert as_rationals(_noise_level_candidates(m, p, d)[1]) == moments
+            # the recovery's candidate moments at its exact noise level
+            report = spn_recover(m, p, d)
+            assert report.atom_moments.coeffs == tuple(
+                float(fraction_horner(poly, report.sigma_sq_exact)) for poly in moments)
 
 
 def assert_int_rows_equal_reference(m, p, d):
@@ -666,12 +733,11 @@ def test_float_spn_moments_match_exact():
     assert worst <= 1e-13
 
 
-# sigma_sq_hat, atoms and search_trace as float.hex, from the recovery as it
-# was before the noise-level search ran on integers, with float input from
-# the four-transform reference; the trace lists each distinct s once.  Every
-# bit must stay but the traces of exact input (the README model's float
-# moments are exact too), where the gaps' exact common root ends the search
-# with one entry of score 0.
+# sigma_sq_hat, atoms and search_trace as float.hex, with float input from
+# the four-transform reference; the trace lists each distinct s once, as
+# (s, D).  Exact input (the README model's float moments are exact too) ends
+# the search at the gaps' exact common root, with one entry of D = 0.  The
+# atoms are the eigenvalues of the Jacobi matrix of ``_atoms``.
 README_MODEL = SpnModel(4, 2, (1, 2), Fraction(1, 2))
 README_PIN = (
     "0x1.0000000000000p-2",
@@ -683,27 +749,27 @@ RECOVERY_PINS = {
     "readme-float-8": (README_MODEL, 8, FLOAT, README_PIN),
     "draw16-exact-8": (16, 8, RATIONAL, (
         "0x1.e2a9ff805935ap+1",
-        ("0x1.5b7f4b88b124cp-4", "0x1.21fed831e303fp-2", "0x1.d1da09add6213p-2",
+        ("0x1.5b7f4b88b1268p-4", "0x1.21fed831e3034p-2", "0x1.d1da09add6234p-2",
          "0x1.1b41a79102a96p+0"),
         (("0x1.e2a9ff805935ap+1", "0x0.0p+0"),)
     )),
     "draw16-float-8": (16, 8, FLOAT, (
         "0x1.e2a9ff72f215cp+1",
-        ("0x1.5b7f4a260bfe4p-4", "0x1.21fedb4c94ccfp-2", "0x1.d1da0912430edp-2",
-         "0x1.1b41a81373cbcp+0"),
+        ("0x1.5b7f4a260bfddp-4", "0x1.21fedb4c94cdap-2", "0x1.d1da0912430e8p-2",
+         "0x1.1b41a81373cc2p+0"),
         (("0x1.e2a9ff72f215cp+1", "0x1.faf0191cef6bap-98"),
-         ("0x1.fb5c63bd3902bp+1", "0x1.e8f3f82b30b5bp-3"))
+         ("0x1.fb5c63bd3902bp+1", "0x1.ceb31d3c8afe6p-56"))
     )),
     "draw31-exact-6": (31, 6, RATIONAL, (
         "0x1.a82f68ec47522p+1",
-        ("0x1.064f4979ba85ap-9", "0x1.f81261ae73e6cp-8"),
+        ("0x1.064f4979ba888p-9", "0x1.f81261ae73eb8p-8"),
         (("0x1.a82f68ec47522p+1", "0x0.0p+0"),)
     )),
     "draw31-float-8": (31, 8, FLOAT, (
         "0x1.a82f68ee9756bp+1",
-        ("0x1.064f3d7ab573fp-9", "0x1.f8124bedc0060p-8"),
+        ("0x1.064f3d7ab573dp-9", "0x1.f8124bedc0062p-8"),
         (("0x1.a82f68ee9756bp+1", "0x1.21ff6466fcde8p-97"),
-         ("0x1.a864586cd0439p+1", "0x1.1d2beb3533b61p-22"))
+         ("0x1.a864586cd0439p+1", "0x1.b31d39b934db7p-75"))
     )),
 }
 
@@ -736,13 +802,14 @@ def test_spn_recover_pinned_bits_scaled(e, order):
 # The model above with sigma = 2^e / 3, from float moments, whose gcd is 1:
 # they pass 1e154 at order 6, where a float weight 1/(1 + (d m_k)^2) would
 # underflow to 0 and the fit's sum of squares overflows.  The polish's s
-# scale by 2^(2e); its D is scale-free, as the weights are 1/(d m_k)^2 to 53
-# bits from e = 40 on, and the penalty of the complex atoms scales by 2^(4e).
+# scale by 2^(2e); both entries' D are scale-free, as the weights are
+# 1/(d m_k)^2 to 53 bits from e = 40 on.  The second entry, whose atoms are
+# complex, is no longer scored with a penalty scaling by 2^(4e): it is D alone.
 SCALED_TRACE = {
     6: (("0x1.c71c71c71c722p-4", "0x1.0b97df59165ffp-105"),
-        ("0x1.a6f6682ab6aeap+0", "0x1.0b61e3a577c00p+1")),
+        ("0x1.a6f6682ab6aeap+0", "0x1.38010700e1d93p-11")),
     7: (("0x1.c71c71c71c728p-4", "0x1.7abbbba90b8b3p-105"),
-        ("0x1.743d37555468cp+0", "0x1.c8d8bf559089ap+0")),
+        ("0x1.743d37555468cp+0", "0x1.5ccad65466839p-11")),
 }
 
 
@@ -757,9 +824,9 @@ def test_spn_recover_large_float_moments(e, order):
     assert report.sigma_sq_hat == pytest.approx(float(model.sigma) ** 2, rel=1e-14)
     assert report.atoms == pytest.approx((4.0**e, 4.0 ** (e + 1)), rel=1e-14)
     assert report.sigma_sq_exact is None
-    (s1, d1), (s2, p2) = (map(float.fromhex, entry) for entry in SCALED_TRACE[order])
+    (s1, d1), (s2, d2) = (map(float.fromhex, entry) for entry in SCALED_TRACE[order])
     assert report.search_trace == (
-        (math.ldexp(s1, 2 * e), d1), (math.ldexp(s2, 2 * e), math.ldexp(p2, 4 * e)))
+        (math.ldexp(s1, 2 * e), d1), (math.ldexp(s2, 2 * e), d2))
     if order == 7:
         assert report.residual == math.inf
 
@@ -853,6 +920,58 @@ def test_int_gcd_recovers_a_planted_factor(factor, cofactors, a, b):
 def test_spn_recover_near_collision_exact():
     model = SpnModel(6, 2, (1, Fraction(1001, 1000)), Fraction(1, 2))
     assert_recovers(model, spn_moments(model, 6))
+
+
+def test_spn_recover_exact_triple_atom():
+    # the exact root 49/16 once scored 6.5e-11, the penalty of companion
+    # roots that split the triple atom into a complex pair, and a polished
+    # float s won with atoms off by 5.7e-4
+    model = SpnModel(9, 3, (1, 1, 1), Fraction(7, 4))
+    report = spn_recover(spn_moments(model, 5), 9, 3)
+    assert report.sigma_sq_exact == Fraction(49, 16)
+    assert report.atoms == (1.0, 1.0, 1.0)
+
+
+def repeated_atom_sweep():
+    """200 exact models with an atom repeated 2 to d times, d in 2..4."""
+    rng = random.Random(3)
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        p = rng.randint(d, 3 * d)
+        values = [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(d)]
+        k = rng.randint(1, d - 1)
+        values[:k + 1] = [values[0]] * (k + 1)
+        sigma = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        yield SpnModel(p, d, tuple(values), sigma)
+
+
+def test_spn_recover_repeated_atoms_exact():
+    # on exact input at order d + 2, 84 of these 200 once missed 1e-6
+    for model in repeated_atom_sweep():
+        report = spn_recover(spn_moments(model, model.d + 2), model.p, model.d)
+        assert report.sigma_sq_exact == Fraction(model.sigma) ** 2
+        expect = sorted(float(v) ** 2 for v in model.singular_values)
+        assert report.atoms == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_spn_recover_float_double_atom():
+    # once off by 1.5e-8: the double atom read as a split pair
+    model = SpnModel(2, 2, (1, 1), Fraction(1, 100))
+    report = spn_recover(spn_moments(model, 6, FLOAT), 2, 2)
+    assert report.sigma_sq_hat == pytest.approx(1e-4, abs=1e-12)
+    assert report.atoms == pytest.approx((1.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_spn_recover_growing_d_exact(d):
+    # a_k = k/4 at exact order d + 2: sigma^2 was exact, but companion
+    # roots missed the atoms by 2.3e-13, 5.4e-11 and 6.7e-9
+    model = SpnModel(d + 2, d, tuple(Fraction(k, 4) for k in range(1, d + 1)),
+                     Fraction(1, 2))
+    report = spn_recover(spn_moments(model, d + 2), d + 2, d)
+    assert report.sigma_sq_exact == Fraction(1, 4)
+    expect = [(k / 4) ** 2 for k in range(1, d + 1)]
+    assert report.atoms == pytest.approx(expect, abs=1e-12)
 
 
 def test_spn_recover_errors():
