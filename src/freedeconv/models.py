@@ -44,6 +44,7 @@ from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
+    _Powers,
     _cumulants,
     _moments,
     format_rational,
@@ -168,7 +169,8 @@ class RecoveryReport:
     fit's sum of squares in the input's units, which reads inf where it passes
     the float range.  ``search_trace`` lists the candidates (s, D(s)), D = 0
     at the gaps' exact roots; ``sigma_sq_exact`` is the winner as a
-    ``Fraction`` when it is such a root, else None.
+    ``Fraction`` when it is such a root, else None; ``multiplicities`` are
+    those of the distinct atoms, as ``_atoms`` read them at the winner.
     """
 
     sigma_sq_hat: float
@@ -178,12 +180,14 @@ class RecoveryReport:
     search_trace: tuple
     misfits: tuple
     sigma_sq_exact: Fraction | None
+    multiplicities: tuple
 
     def to_dict(self) -> dict:
         return {
             "sigma_sq_hat": self.sigma_sq_hat,
             "sigma_sq_exact": _scalar_to_json(self.sigma_sq_exact),
             "atoms": list(self.atoms),
+            "multiplicities": list(self.multiplicities),
             "residual": self.residual,
             "misfits": list(self.misfits),
             "atom_moments": self.atom_moments.to_dict(),
@@ -504,17 +508,18 @@ def _homogeneous(rows: Sequence, n: int, b: int) -> tuple:
     return values, slopes
 
 
-def _recurrence_gaps(psums: Sequence, d: int) -> list:
+def _recurrence_gaps(psums: Sequence, d: int, first: int = 0) -> list:
     # Power sums of d atoms obey the degree-d Newton recurrence set by the
     # first d; gap k = sum_{j=0..d} (-1)^j e_j p_{k-j} is how far p_k misses
-    # it.  This gives d! g_k from E_k = k! e_k, which Newton's identities give
-    # without division: E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_{k-i} p_i.
+    # it.  This gives d! g_k, k = first..N (d+1..N by default), from E_k =
+    # k! e_k, which Newton's identities give without division:
+    # E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_{k-i} p_i.
     e = [1]
     for k in range(1, d + 1):
         e.append(sum((-1) ** (i - 1) * math.perm(k - 1, i - 1) * e[k - i]
                      * psums[i - 1] for i in range(1, k + 1)))
     return [sum((-1) ** j * math.perm(d, d - j) * e[j] * psums[k - j - 1]
-                for j in range(d + 1)) for k in range(d + 1, len(psums) + 1)]
+                for j in range(d + 1)) for k in range(first or d + 1, len(psums) + 1)]
 
 
 def _rows_in_s(polys: Sequence, big_q: int, d: int, scale: int = 1) -> tuple:
@@ -537,19 +542,25 @@ def _rescaled(exact: Sequence) -> tuple:
                    for n, c in enumerate(exact, start=1)]
 
 
-def _candidate_rows(exact: Sequence, p: int, d: int) -> tuple:
-    """((moment_rows, mq), (gap_rows, q)): the candidate moments at -s and
-    their gaps as int rows in s.  With M_n = Q^n m_n ints, so are R = rho(M)
-    and, in u = Q s / d, the candidate cumulants Q^n c_n(s), the polynomials
-    T_{-d u}(R)_n + (p - d) d^(n-1) (-u)^n; their moments are Q^n cand_n(s).
-    """
+def _candidate_rows(exact: Sequence, p: int, d: int):
+    """With M_n = Q^n m_n ints, so are R = rho(M) and, in u = Q s / d, the
+    candidate cumulants at -s, Q^n c_n(s) = T_{-d u}(R)_n + (p - d) d^(n-1)
+    (-u)^n: coefficient i is C(n, i) (-d)^i R_(n-i), plus (p - d) d^(n-1)
+    (-1)^n at i = n.  Their moments are Q^n cand_n(s).  Yields (Q, the
+    cumulant rows, the int gap rows in s of orders d+1 and d+2), then, when
+    resumed from order d+3, ((moment_rows, mq), (gap_rows, q)) to order N."""
     big_q, scaled = _rescaled(exact)
-    translated = _translate(_cumulants(scaled), _Poly((0, -d)))
-    cumulants = [x + _Poly((0,) * n + ((p - d) * d ** (n - 1) * (-1) ** n,))
-                 for n, x in enumerate(translated, start=1)]
-    moments = _moments(cumulants)
-    gaps = _recurrence_gaps([d * c for c in moments], d)
-    return _rows_in_s(moments, big_q, d), _rows_in_s(gaps, big_q, d, math.factorial(d))
+    r = (1,) + _cumulants(scaled)
+    cumulants = [_Poly([math.comb(n, i) * (-d) ** i * r[n - i] for i in range(n)]
+                       + [p * (-1) ** n * d ** (n - 1)]) for n in range(1, len(r))]
+    powers = _Powers(d + 2, [1])
+    psums = [d * c for c in _moments(cumulants[:d + 2], powers)]
+    gaps = _recurrence_gaps(psums, d)
+    yield big_q, cumulants, _rows_in_s(gaps, big_q, d)[0]
+    moments = _moments(cumulants, powers)
+    psums += [d * c for c in moments[d + 2:]]
+    gaps += _recurrence_gaps(psums, d, d + 3)
+    yield _rows_in_s(moments, big_q, d), _rows_in_s(gaps, big_q, d, math.factorial(d))
 
 
 def _trimmed(a: Sequence[int]) -> list:
@@ -637,8 +648,9 @@ def _gcd_roots(rows: Sequence) -> list:
             return []
     if not g:
         return []
-    derivative = [i * c for i, c in enumerate(g)][1:]
-    h = _primitive(_pseudo_divide(g, _int_gcd(g, derivative))[0])
+    # a gcd of degree 1 is already square-free
+    h = g if len(g) == 2 else _primitive(
+        _pseudo_divide(g, _int_gcd(g, [i * c for i, c in enumerate(g)][1:]))[0])
     if len(h) == 2:
         roots = [Fraction(-h[0], h[1])]
     else:
@@ -665,29 +677,39 @@ def _evaluate(basis: tuple, s: float) -> list:
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
-    """(trace, winner): the candidates (s, D(s)), one per distinct s, on the
-    int rows of ``_candidate_rows``, and the winner (s, its candidate moments,
-    their ``_atoms`` reading, s if exact), or None; see ``spn_recover``."""
+    """(trace, winner): the candidates (s, D(s)), one per distinct s, and the
+    winner (s, its candidate moments, their ``_atoms`` reading, s if exact),
+    or None; see ``spn_recover``.  The exact roots need only the first stage
+    of ``_candidate_rows``, and the polish its second."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
-    (moment_rows, mq), (gap_rows, q) = _candidate_rows(exact, p, d)
+    stages = _candidate_rows(exact, p, d)
+    big_q, cumulants, lean_rows = next(stages)
 
-    def first_real(candidates, exactly: bool):
-        for s in candidates:
-            psums = [d * c for c in _evaluate((moment_rows[:d], Fraction(mq)), s)]
-            try:
-                reading = _atoms(psums, d, exactly)
-            except NonrealRootsError:
-                continue
-            if reading[2] or not exactly:
-                moments = _evaluate((moment_rows, mq), s)
-                return float(s), moments, reading, s if exactly else None
+    def reading(moments, exactly: bool):
+        # the ``_atoms`` reading of the first d moments if it is real and, on
+        # exact input, has no negative atom
+        try:
+            atoms = _atoms([d * c for c in moments[:d]], d, exactly)
+        except NonrealRootsError:
+            return None
+        return atoms if atoms[2] or not exactly else None
 
-    # every gap vanishes at an exact root, so D = 0 there; the first whose
-    # exact reading has no negative atom wins outright
-    roots = _gcd_roots(gap_rows)
-    scores, winner = {float(r): 0.0 for r in roots}, first_real(roots, True)
-    if winner:
-        return list(scores.items()), winner
+    # a root stands if every gap vanishes there, so D = 0: at u = Q r / d =
+    # n/b the cumulant rows give the ints b^k Q^k c_k, and the scalar
+    # recursions (bQ)^k times the moments and (bQ)^k d! times the gaps
+    roots = []
+    for r in _gcd_roots(lean_rows):
+        n, b = (big_q * r / d).as_integer_ratio()
+        moments = _moments(_homogeneous(cumulants, n, b)[0])
+        if not any(_recurrence_gaps([d * c for c in moments], d)):
+            roots.append((r, [Fraction(x, (b * big_q) ** k)
+                              for k, x in enumerate(moments, start=1)]))
+    scores = {float(r): 0.0 for r, _ in roots}
+    # the first whose exact reading has no negative atom wins outright
+    for r, moments in roots:
+        if atoms := reading(moments, True):
+            return list(scores.items()), (float(r), moments, atoms, r)
+    (moment_rows, mq), (gap_rows, q) = next(stages)
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
     degree = len(gap_rows[0]) - 1
     weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
@@ -729,7 +751,10 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         if s not in scores:
             scores[s] = polished[s] = value
     # the least D whose reading is real wins
-    return list(scores.items()), first_real(sorted(polished, key=polished.get), False)
+    for s in sorted(polished, key=polished.get):
+        if atoms := reading(_evaluate((moment_rows[:d], Fraction(mq)), s), False):
+            return list(scores.items()), (s, _evaluate((moment_rows, mq), s), atoms, None)
+    return list(scores.items()), None
 
 
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
@@ -738,24 +763,28 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     The map of ``spn_moments`` with the opposite shift, mu(lambda^-1 T_{-s}(y))
     on y = lambda rho(m), gives a candidate M[A*A] whose coefficient n is a
     polynomial of degree n in the noise level s, and the Newton recurrence on
-    it the gaps g_k, k = d+1..N, as int rows in s (``_candidate_rows``).  They
-    vanish together at the true s, so on exact input it is a root of their gcd
-    over Z.  Each rational root s >= 0 (``_gcd_roots``) is a candidate with
-    D(s) = 0, read exactly by ``_atoms``: the first whose atoms are real and
-    none negative wins outright, and ``sigma_sq_exact`` reports it.  Otherwise
-    s = 0 and the roots of the lowest nonzero gap, clipped to [0, lambda*m_1],
-    seed a Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k =
-    1/(1 + (d m_k)^2) rounded once to 53 bits, evaluated exactly at each float
-    iterate and stepped only downhill.  In order of D, each polished s is read
-    by ``_atoms`` under its rank rule; the first with real atoms wins, its
-    negative atoms clipped to 0.  ``search_trace`` lists each distinct
-    candidate once, as (s, D), the exact roots first.  The fit is the same map
-    at the winning s, forward, on lambda rho of the atoms' moments.
-    RecoveryFailedError signals that no candidate reads as real atoms, that
-    the fit misses orders d+1..N by more than 1e-4*(1+|m|^2) in sum of squares
-    (decided in units of a power of two at least max|m_k|, so that it does
-    not overflow) or order k by more than 1e-4*(1+|m_k|), or that the
-    candidates leave the float range: m is not a signal-plus-noise series.
+    it the gaps g_k, k = d+1..N (``_candidate_rows``).  They vanish together
+    at the true s, so on exact input it is a root of the gcd over Z of g_(d+1)
+    and g_(d+2); order d+1 alone does not identify: the square-free part of
+    g_5 of SpnModel(5, 4, (5/4, 5/4, 1/2, 1), 9/4) has a second root s ~
+    5.055243 with real, nonnegative atoms.  Each rational root s >= 0
+    (``_gcd_roots``) at which every gap is 0 is a candidate with D(s) = 0,
+    read exactly by ``_atoms``: the first whose atoms are real and none
+    negative wins outright, and ``sigma_sq_exact`` reports it.  Otherwise the
+    rows resume to order N, and s = 0 and the roots of the lowest nonzero gap,
+    clipped to [0, lambda*m_1], seed a Gauss-Newton polish of D(s) =
+    sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2) rounded once to 53 bits,
+    evaluated exactly at each float iterate and stepped only downhill.  In
+    order of D, each polished s is read by ``_atoms`` under its rank rule; the
+    first with real atoms wins, its negative atoms clipped to 0.
+    ``search_trace`` lists each distinct candidate once, as (s, D), the exact
+    roots first.  The fit is the same map at the winning s, forward, on lambda
+    rho of the atoms' moments.  RecoveryFailedError signals that no candidate
+    reads as real atoms, that the fit misses orders d+1..N by more than
+    1e-4*(1+|m|^2) in sum of squares (decided in units of a power of two at
+    least max|m_k|, so that it does not overflow) or order k by more than
+    1e-4*(1+|m_k|), or that the candidates leave the float range: m is not a
+    signal-plus-noise series.
     """
     _check_dimensions(p, d)
     if p < d:
@@ -792,7 +821,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
                                   f"misfit {misfit:.3e}) exceeds tolerance; {not_spn}",
                                   residual=final_residual)
     return RecoveryReport(s_best, maa, atoms, final_residual, tuple(trace), misfits,
-                          s_exact)
+                          s_exact, tuple(mults.tolist()))
 
 
 def verify_identifiability(

@@ -131,6 +131,7 @@ def test_spn_pipeline_moments_recover(tmp_path, spn_model_file, capsys):
     # the float moments of this model are exact, so sigma^2 comes out exact
     assert report["sigma_sq_exact"] == "1/4"
     assert report["atoms"] == pytest.approx([1.0, 4.0], abs=1e-6)
+    assert report["multiplicities"] == [1, 1]
     assert len(report["misfits"]) == 6 - 2  # orders d+1..N
     assert max(report["misfits"]) < 1e-10
 

@@ -17,11 +17,13 @@ from freedeconv.errors import (
 from freedeconv.models import (
     CwModel,
     SpnModel,
+    _atoms,
     _candidate_rows,
     _evaluate,
     _gcd_roots,
     _homogeneous,
     _int_gcd,
+    _noise_level_candidates,
     _Poly,
     _pseudo_divide,
     _recurrence_gaps,
@@ -48,6 +50,7 @@ from freedeconv.series import (
     MomentSeries,
     _cumulants,
     _moments,
+    _Powers,
     boxed_conv,
     format_rational,
     free_add_conv,
@@ -637,7 +640,7 @@ def test_candidate_polynomials_equal_interpolated():
 
 def assert_int_rows_equal_reference(m, p, d):
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
-    moment_basis, gap_basis = _candidate_rows(exact, p, d)
+    *_, (moment_basis, gap_basis) = _candidate_rows(exact, p, d)
     moments, gaps = fraction_candidates(m, p, d)
     for (rows, q), polys in ((moment_basis, moments), (gap_basis, gaps)):
         assert all(type(c) is int for row in rows for c in row) and type(q) is int
@@ -705,6 +708,44 @@ def test_series_recursion_commutes_with_evaluation(polys, t, data):
     assert [fraction_horner(g, t) for g in gaps] == _recurrence_gaps(at_t, d)
     assert _recurrence_gaps(at_t, d) == [
         math.factorial(d) * g for g in signed_sum_gaps(at_t, d)]
+
+
+RING = {
+    "int": st.integers(-10**6, 10**6),
+    "fraction": SMALL_COEFF,
+    "float": st.floats(-1e3, 1e3, allow_nan=False),
+    "poly": st.lists(SMALL_COEFF, min_size=1, max_size=3).map(_Poly),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ring=st.sampled_from(sorted(RING)), data=st.data())
+def test_moments_resumed_equal_recomputed(ring, data):
+    # _moments continued from prefixes, through the _Powers of the first
+    # call, gives the same coefficients, bit for bit, as one call on the
+    # whole list
+    r = data.draw(st.lists(RING[ring], min_size=1, max_size=9))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(r)), min_size=1, max_size=2)))
+    powers = _Powers(cuts[0], [1])
+    for k in cuts:
+        assert _moments(r[:k], powers) == _moments(r[:k])
+    assert _moments(r, powers) == _moments(r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(SERIES_COEFF, min_size=3, max_size=8), data=st.data())
+def test_direct_cumulant_rows_equal_translation(coeffs, data):
+    # the candidate cumulants, built coefficient by coefficient, are the
+    # translation T_(-d u) of R = rho(M) by polynomial products, plus the
+    # noise term (p - d) d^(n-1) (-u)^n
+    d = data.draw(st.integers(1, len(coeffs) - 2))
+    p = data.draw(st.integers(d, 3 * d))
+    big_q, cumulants, _ = next(_candidate_rows(coeffs, p, d))
+    assert big_q == _rescaled(coeffs)[0]
+    translated = _translate(_cumulants(_rescaled(coeffs)[1]), _Poly((0, -d)))
+    assert cumulants == [x + _Poly((0,) * n + ((p - d) * d ** (n - 1) * (-1) ** n,))
+                         for n, x in enumerate(translated, start=1)]
+    assert all(type(c) is int for row in cumulants for c in row)
 
 
 def float_sweep():
@@ -915,6 +956,9 @@ def test_int_gcd_recovers_a_planted_factor(factor, cofactors, a, b):
     assert _pseudo_divide(g, trimmed(planted))[1] == []
     if a >= 0:
         assert Fraction(a, b) in _gcd_roots(rows)
+    if len(g) == 2:
+        # a linear gcd is its own square-free part: its root if >= 0, else none
+        assert _gcd_roots(rows) == ([Fraction(a, b)] if a >= 0 else [])
 
 
 def test_spn_recover_near_collision_exact():
@@ -930,6 +974,9 @@ def test_spn_recover_exact_triple_atom():
     report = spn_recover(spn_moments(model, 5), 9, 3)
     assert report.sigma_sq_exact == Fraction(49, 16)
     assert report.atoms == (1.0, 1.0, 1.0)
+    # the reader's multiplicities, in the report and its JSON
+    assert report.multiplicities == (3,)
+    assert report.to_dict()["multiplicities"] == [3]
 
 
 def repeated_atom_sweep():
@@ -952,6 +999,70 @@ def test_spn_recover_repeated_atoms_exact():
         assert report.sigma_sq_exact == Fraction(model.sigma) ** 2
         expect = sorted(float(v) ** 2 for v in model.singular_values)
         assert report.atoms == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_lean_stage_finds_the_full_gcd_roots():
+    # the exact candidates are the rational roots of the gcd of the gaps of
+    # orders d+1 and d+2 at which every gap vanishes: the rational roots of
+    # the gcd of every gap.  With the top moment of an exact series at order
+    # d+3 raised by 0.1%, the lean gcd keeps sigma^2 and the check drops it.
+    draws = [criterion5_draw(n) for n in range(1, 33)]
+    cases = [(spn_moments(model, model.d + extra, kind), model.p, model.d)
+             for model in draws for extra in (2, 4) for kind in (RATIONAL, FLOAT)]
+    cases += [(spn_moments(README_MODEL, n, kind), 4, 2)
+              for n in (8, 12, 16) for kind in (RATIONAL, FLOAT)]
+    cases += [(spn_moments(model, model.d + 4), model.p, model.d)
+              for model in repeated_atom_sweep()]
+    cases = [(m, p, d, False) for m, p, d in cases]
+    for model in draws[:8] + [README_MODEL]:
+        m = spn_moments(model, model.d + 3).coeffs
+        m = MomentSeries(m[:-1] + (m[-1] * Fraction(1001, 1000),))
+        cases.append((m, model.p, model.d, True))
+    for m, p, d, perturbed in cases:
+        stages = _candidate_rows(MomentSeries(m.coeffs, RATIONAL).coeffs, p, d)
+        lean = _gcd_roots(next(stages)[2])
+        *_, (gap_rows, _) = next(stages)
+        trace, _ = _noise_level_candidates(m, p, d)
+        roots = [float(r) for r in _gcd_roots(gap_rows)]
+        assert [s for s, defect in trace if defect == 0] == roots
+        if perturbed:
+            assert lean and not roots
+
+
+def test_order_d_plus_1_does_not_identify():
+    # At order d+1 = 5 the square-free part of g_5 has two nonnegative real
+    # roots whose float readings are real, nonnegative atoms: sigma^2 = 81/16
+    # and a twin near 5.055243.  At order d+2 the gcd is linear, with the
+    # root 81/16 alone.
+    model = SpnModel(5, 4, (Fraction(5, 4), Fraction(5, 4), Fraction(1, 2), 1),
+                     Fraction(9, 4))
+    *_, ((moment_rows, mq), (gap_rows, _)) = _candidate_rows(
+        spn_moments(model, 5).coeffs, 5, 4)
+    g = _int_gcd([], gap_rows[0])
+    h = _pseudo_divide(g, _int_gcd(g, [i * c for i, c in enumerate(g)][1:]))[0]
+    scale = max(abs(c) for c in h)
+    admissible = []
+    for x in np.roots([c / scale for c in reversed(h)]):
+        if abs(x.imag) > 1e-9 or x.real < 0:
+            continue
+        psums = [4 * c for c in _evaluate((moment_rows[:4], Fraction(mq)), float(x.real))]
+        try:
+            values, _, nonnegative = _atoms(psums, 4, False)
+        except NonrealRootsError:
+            continue
+        if nonnegative:
+            assert min(values) > 0
+            admissible.append(float(x.real))
+    assert sorted(admissible) == pytest.approx([5.055243, 81 / 16], abs=1e-6)
+    with pytest.raises(OrderTooSmallError):
+        spn_recover(spn_moments(model, 5), 5, 4)
+    m = spn_moments(model, 6)
+    *_, (_, (gap_rows, _)) = _candidate_rows(m.coeffs, 5, 4)
+    g = []
+    for row in gap_rows:
+        g = _int_gcd(g, row)
+    assert len(g) == 2 and _gcd_roots(gap_rows) == [Fraction(81, 16)]
+    assert spn_recover(m, 5, 4).sigma_sq_exact == Fraction(81, 16)
 
 
 def test_spn_recover_float_double_atom():
