@@ -522,15 +522,15 @@ def _recurrence_gaps(psums: Sequence, d: int, first: int = 0) -> list:
                 for j in range(d + 1)) for k in range(first or d + 1, len(psums) + 1)]
 
 
-def _rows_in_s(polys: Sequence, big_q: int, d: int, scale: int = 1) -> tuple:
-    """(rows, q): int polynomials X_k(u) = Q^k scale x_k(s), u = Q s / d, of
+def _rows_in_s(polys: Sequence, big_q: int, d: int) -> tuple:
+    """(rows, q): int polynomials X_k(u) = Q^k x_k(s), u = Q s / d, of
     consecutive weights k ending at the last's degree W, as the rows of x_k
-    in s over q = scale Q^W d^W: coefficient i is X_i Q^(i + W - k) d^(W - i)."""
+    in s over q = Q^W d^W: coefficient i is X_i Q^(i + W - k) d^(W - i)."""
     top = len(polys[-1]) - 1
     rows = [[c * big_q ** (i + lift) * d ** (top - i) for i, c in enumerate(poly)]
             + [0] * (top + 1 - len(poly))
             for lift, poly in enumerate(reversed(polys))]
-    return rows[::-1], scale * (big_q * d) ** top
+    return rows[::-1], (big_q * d) ** top
 
 
 def _rescaled(exact: Sequence) -> tuple:
@@ -546,9 +546,10 @@ def _candidate_rows(exact: Sequence, p: int, d: int):
     """With M_n = Q^n m_n ints, so are R = rho(M) and, in u = Q s / d, the
     candidate cumulants at -s, Q^n c_n(s) = T_{-d u}(R)_n + (p - d) d^(n-1)
     (-u)^n: coefficient i is C(n, i) (-d)^i R_(n-i), plus (p - d) d^(n-1)
-    (-1)^n at i = n.  Their moments are Q^n cand_n(s).  Yields (Q, the
-    cumulant rows, the int gap rows in s of orders d+1 and d+2), then, when
-    resumed from order d+3, ((moment_rows, mq), (gap_rows, q)) to order N."""
+    (-1)^n at i = n.  Their moments are Q^n cand_n(s), and d! times their
+    gaps are ``_recurrence_gaps``.  Yields (Q, the cumulant rows, the int gap
+    rows in s of orders d+1 and d+2), then, when resumed from order d+3,
+    (gap_rows, q): the gaps d! g_k of orders d+1..N, as rows over q."""
     big_q, scaled = _rescaled(exact)
     r = (1,) + _cumulants(scaled)
     cumulants = [_Poly([math.comb(n, i) * (-d) ** i * r[n - i] for i in range(n)]
@@ -557,10 +558,9 @@ def _candidate_rows(exact: Sequence, p: int, d: int):
     psums = [d * c for c in _moments(cumulants[:d + 2], powers)]
     gaps = _recurrence_gaps(psums, d)
     yield big_q, cumulants, _rows_in_s(gaps, big_q, d)[0]
-    moments = _moments(cumulants, powers)
-    psums += [d * c for c in moments[d + 2:]]
+    psums += [d * c for c in _moments(cumulants, powers)[d + 2:]]
     gaps += _recurrence_gaps(psums, d, d + 3)
-    yield _rows_in_s(moments, big_q, d), _rows_in_s(gaps, big_q, d, math.factorial(d))
+    yield _rows_in_s(gaps, big_q, d)
 
 
 def _trimmed(a: Sequence[int]) -> list:
@@ -667,20 +667,24 @@ def _round53(w: Fraction) -> Fraction:
     return Fraction(float(w * scale)) / scale
 
 
-def _evaluate(basis: tuple, s: float) -> list:
-    # exact evaluation of an integer basis at a float or a Fraction, rounded
-    # once: int / int is correctly rounded, and int / Fraction exact
-    rows, q = basis
-    n, b = s.as_integer_ratio()
-    scale = q * b ** (len(rows[0]) - 1)
-    return [v / scale for v in _homogeneous(rows, n, b)[0]]
+def _candidate(cumulants: Sequence, big_q: int, d: int, s) -> tuple:
+    """(moments, fits): the candidate moments at the noise level s, a
+    ``Fraction`` or a float, exactly, and whether every gap vanishes there.
+    At u = Q s / d = n/b the cumulant rows of ``_candidate_rows`` give the
+    ints b^k Q^k c_k, and the scalar recursions (bQ)^k times the moments and
+    (bQ)^k d! times the gaps."""
+    n, b = (big_q * Fraction(s) / d).as_integer_ratio()
+    moments = _moments(_homogeneous(cumulants, n, b)[0])
+    fits = not any(_recurrence_gaps([d * c for c in moments], d))
+    return [Fraction(x, (b * big_q) ** k) for k, x in enumerate(moments, start=1)], fits
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     """(trace, winner): the candidates (s, D(s)), one per distinct s, and the
     winner (s, its candidate moments, their ``_atoms`` reading, s if exact),
-    or None; see ``spn_recover``.  The exact roots need only the first stage
-    of ``_candidate_rows``, and the polish its second."""
+    or None; see ``spn_recover``.  ``_candidate`` reads every s; the exact
+    roots need only the first stage of ``_candidate_rows``, and the polish
+    its second."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
     stages = _candidate_rows(exact, p, d)
     big_q, cumulants, lean_rows = next(stages)
@@ -694,23 +698,21 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
             return None
         return atoms if atoms[2] or not exactly else None
 
-    # a root stands if every gap vanishes there, so D = 0: at u = Q r / d =
-    # n/b the cumulant rows give the ints b^k Q^k c_k, and the scalar
-    # recursions (bQ)^k times the moments and (bQ)^k d! times the gaps
-    roots = []
+    # a root stands if every gap vanishes there, so D = 0; the first whose
+    # exact reading has no negative atom wins outright
+    trace, winner = {}, None
     for r in _gcd_roots(lean_rows):
-        n, b = (big_q * r / d).as_integer_ratio()
-        moments = _moments(_homogeneous(cumulants, n, b)[0])
-        if not any(_recurrence_gaps([d * c for c in moments], d)):
-            roots.append((r, [Fraction(x, (b * big_q) ** k)
-                              for k, x in enumerate(moments, start=1)]))
-    scores = {float(r): 0.0 for r, _ in roots}
-    # the first whose exact reading has no negative atom wins outright
-    for r, moments in roots:
-        if atoms := reading(moments, True):
-            return list(scores.items()), (float(r), moments, atoms, r)
-    (moment_rows, mq), (gap_rows, q) = next(stages)
+        moments, fits = _candidate(cumulants, big_q, d, r)
+        if fits:
+            trace[float(r)] = 0.0
+            if winner is None and (atoms := reading(moments, True)):
+                winner = float(r), moments, atoms, r
+    if winner:
+        return list(trace.items()), winner
+    roots = len(trace)
     # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
+    gap_rows, q = next(stages)
+    q *= math.factorial(d)  # the rows are d! g_k
     degree = len(gap_rows[0]) - 1
     weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
     wq = max(w.denominator for w in weights)  # powers of two
@@ -745,16 +747,14 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     scale = max(abs(c) for c in lowest)
     seeds = _roots([c / scale for c in reversed(lowest)]).real
     s_hi = max(Fraction(d, p) * exact[0], 0)
-    polished = {}
     for seed in dict.fromkeys([0.0] + [float(min(max(r, 0.0), s_hi)) for r in seeds]):
-        s, value = polish(seed)
-        if s not in scores:
-            scores[s] = polished[s] = value
-    # the least D whose reading is real wins
-    for s in sorted(polished, key=polished.get):
-        if atoms := reading(_evaluate((moment_rows[:d], Fraction(mq)), s), False):
-            return list(scores.items()), (s, _evaluate((moment_rows, mq), s), atoms, None)
-    return list(scores.items()), None
+        trace.setdefault(*polish(seed))
+    # the least D among the polished whose reading is real wins
+    for s in sorted(list(trace)[roots:], key=trace.get):
+        moments = _candidate(cumulants, big_q, d, s)[0]
+        if atoms := reading(moments, False):
+            return list(trace.items()), (s, moments, atoms, None)
+    return list(trace.items()), None
 
 
 def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
@@ -767,24 +767,26 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     at the true s, so on exact input it is a root of the gcd over Z of g_(d+1)
     and g_(d+2); order d+1 alone does not identify: the square-free part of
     g_5 of SpnModel(5, 4, (5/4, 5/4, 1/2, 1), 9/4) has a second root s ~
-    5.055243 with real, nonnegative atoms.  Each rational root s >= 0
-    (``_gcd_roots``) at which every gap is 0 is a candidate with D(s) = 0,
-    read exactly by ``_atoms``: the first whose atoms are real and none
-    negative wins outright, and ``sigma_sq_exact`` reports it.  Otherwise the
-    rows resume to order N, and s = 0 and the roots of the lowest nonzero gap,
-    clipped to [0, lambda*m_1], seed a Gauss-Newton polish of D(s) =
-    sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2) rounded once to 53 bits,
-    evaluated exactly at each float iterate and stepped only downhill.  In
-    order of D, each polished s is read by ``_atoms`` under its rank rule; the
-    first with real atoms wins, its negative atoms clipped to 0.
-    ``search_trace`` lists each distinct candidate once, as (s, D), the exact
-    roots first.  The fit is the same map at the winning s, forward, on lambda
-    rho of the atoms' moments.  RecoveryFailedError signals that no candidate
-    reads as real atoms, that the fit misses orders d+1..N by more than
-    1e-4*(1+|m|^2) in sum of squares (decided in units of a power of two at
-    least max|m_k|, so that it does not overflow) or order k by more than
-    1e-4*(1+|m_k|), or that the candidates leave the float range: m is not a
-    signal-plus-noise series.
+    5.055243 with real, nonnegative atoms.  ``_candidate`` reads any s, a
+    root or a float, exactly: the candidate moments, and whether every gap is
+    0.  Each rational root s >= 0 (``_gcd_roots``) at which every gap is 0 is
+    a candidate with D(s) = 0, read exactly by ``_atoms``: the first whose
+    atoms are real and none negative wins outright, and ``sigma_sq_exact``
+    reports it.  Otherwise the gap rows resume to order N, and s = 0 and the
+    roots of the lowest nonzero gap, clipped to [0, lambda*m_1], seed a
+    Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2)
+    rounded once to 53 bits, evaluated exactly at each float iterate and
+    stepped only downhill.  In order of D, each polished s is read by
+    ``_atoms`` under its rank rule; the first with real atoms wins, its
+    negative atoms clipped to 0.  ``search_trace`` lists each distinct
+    candidate once, as (s, D), the exact roots first.  The fit is the same
+    map at the winning s, forward, on lambda rho of the atoms' moments.
+    RecoveryFailedError signals that no candidate reads as real atoms, that
+    the fit misses an order k = d+1..N by more than 1e-4*(1+|m_k|), or that
+    the candidates leave the float range: m is not a signal-plus-noise
+    series.  The misfit rule is the only one: with P = N - d <= 5000 orders
+    it implies sum_k (r_k - m_k)^2 <= 2e-8*(P + sum_k m_k^2) <=
+    1e-4*(1 + |m|^2), so no sum-of-squares test could decide more.
     """
     _check_dimensions(p, d)
     if p < d:
@@ -806,17 +808,10 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     reconstructed = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)
     pairs = list(zip(reconstructed[d:], target.coeffs[d:]))
     final_residual = sum((r - t) * (r - t) for r, t in pairs)
-    # the sum of squares is decided in units of c, a power of two at least
-    # max|t_k| and 1: the scaling is exact, so no decision moves, but no
-    # square of a valid input's moments overflows
-    unit = 2.0 ** -max(math.frexp(max(abs(t) for t in target.coeffs))[1], 0)
-    scaled = sum(x * x for x in (r * unit - t * unit for r, t in pairs))
-    tol = 1e-4 * (unit * unit + sum((t * unit) * (t * unit) for t in target.coeffs))
-    # the sum is dominated by the highest moment, so each order is also held
-    # to its own scale
     misfits = tuple(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
     misfit = max(misfits)
-    if not math.isfinite(scaled) or scaled > tol or misfit > 1e-4:
+    # a nan misfit fails the comparison, where max() can pass over it
+    if not all(x <= 1e-4 for x in misfits):
         raise RecoveryFailedError(f"best residual {final_residual:.3e} (worst relative "
                                   f"misfit {misfit:.3e}) exceeds tolerance; {not_spn}",
                                   residual=final_residual)

@@ -15,9 +15,9 @@ instead, and the enumeration here serves the ``nc`` command and tests.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,9 +30,6 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 14
 _MAX_ORDER_ENV = "FREEDECONV_MAX_NC_ORDER"
-
-_cache_lock = threading.Lock()
-_nc_cache: dict[int, tuple["NcPartition", ...]] = {}
 
 
 def catalan(n: int) -> int:
@@ -178,16 +175,12 @@ def enumerate_nc(n: int) -> tuple[NcPartition, ...]:
         raise MalformedPartitionError("order must be >= 1")
     if n > limit:
         raise OrderTooLargeError(f"NC({n}) exceeds the configured maximum order {limit}")
-    cached = _nc_cache.get(n)
-    if cached is not None:
-        return cached
-    with _cache_lock:
-        cached = _nc_cache.get(n)
-        if cached is not None:
-            return cached
-        parts = tuple(NcPartition._trusted(n, b) for b in sorted(_nc_blocks(1, n + 1)))
-        _nc_cache[n] = parts
-    return parts
+    return _partitions(n)
+
+
+@functools.cache
+def _partitions(n: int) -> tuple[NcPartition, ...]:
+    return tuple(NcPartition._trusted(n, b) for b in sorted(_nc_blocks(1, n + 1)))
 
 
 def kreweras(part: NcPartition) -> NcPartition:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freedeconv import models
 from freedeconv.errors import (
     DimensionMismatchError,
     DomainError,
@@ -18,8 +19,8 @@ from freedeconv.models import (
     CwModel,
     SpnModel,
     _atoms,
+    _candidate,
     _candidate_rows,
-    _evaluate,
     _gcd_roots,
     _homogeneous,
     _int_gcd,
@@ -503,8 +504,6 @@ def test_integer_basis_evaluates_exactly(polys, s):
     derivatives = [fraction_horner([i * c for i, c in enumerate(poly)][1:], Fraction(s))
                    for poly in polys]
     assert [Fraction(v, q) / Fraction(b) ** (degree - 1) for v in slopes] == derivatives
-    assert _evaluate((rows, q), s) == [float(v) for v in exact]
-    assert _evaluate((rows, Fraction(q)), s) == exact
 
 
 MINUS_S = _Poly((0, -1))
@@ -639,12 +638,18 @@ def test_candidate_polynomials_equal_interpolated():
 
 
 def assert_int_rows_equal_reference(m, p, d):
+    # the gap rows over q are d! g_k; _candidate reads the moments exactly at
+    # an int, a Fraction and a float
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
-    *_, (moment_basis, gap_basis) = _candidate_rows(exact, p, d)
+    stages = _candidate_rows(exact, p, d)
+    big_q, cumulants, _ = next(stages)
+    rows, q = next(stages)
     moments, gaps = fraction_candidates(m, p, d)
-    for (rows, q), polys in ((moment_basis, moments), (gap_basis, gaps)):
-        assert all(type(c) is int for row in rows for c in row) and type(q) is int
-        assert as_rationals((rows, q)) == padded(polys, m.order + 1)
+    assert all(type(c) is int for row in rows for c in row) and type(q) is int
+    assert as_rationals((rows, q * math.factorial(d))) == padded(gaps, m.order + 1)
+    for s in (0, Fraction(1, 3), 2.5):
+        assert _candidate(cumulants, big_q, d, s)[0] == [
+            fraction_horner(poly, Fraction(s)) for poly in moments]
 
 
 def test_int_candidate_rows_equal_fraction_reference():
@@ -1021,7 +1026,7 @@ def test_lean_stage_finds_the_full_gcd_roots():
     for m, p, d, perturbed in cases:
         stages = _candidate_rows(MomentSeries(m.coeffs, RATIONAL).coeffs, p, d)
         lean = _gcd_roots(next(stages)[2])
-        *_, (gap_rows, _) = next(stages)
+        gap_rows, _ = next(stages)
         trace, _ = _noise_level_candidates(m, p, d)
         roots = [float(r) for r in _gcd_roots(gap_rows)]
         assert [s for s, defect in trace if defect == 0] == roots
@@ -1032,37 +1037,58 @@ def test_lean_stage_finds_the_full_gcd_roots():
 def test_order_d_plus_1_does_not_identify():
     # At order d+1 = 5 the square-free part of g_5 has two nonnegative real
     # roots whose float readings are real, nonnegative atoms: sigma^2 = 81/16
-    # and a twin near 5.055243.  At order d+2 the gcd is linear, with the
-    # root 81/16 alone.
+    # and a twin near 5.055243, whose moments agree with the model's to
+    # rounding through order 5 and split at order 6.  At order d+2 the gcd is
+    # linear, with the root 81/16 alone.
     model = SpnModel(5, 4, (Fraction(5, 4), Fraction(5, 4), Fraction(1, 2), 1),
                      Fraction(9, 4))
-    *_, ((moment_rows, mq), (gap_rows, _)) = _candidate_rows(
-        spn_moments(model, 5).coeffs, 5, 4)
-    g = _int_gcd([], gap_rows[0])
+    big_q, cumulants, (g5,) = next(_candidate_rows(spn_moments(model, 5).coeffs, 5, 4))
+    g = _int_gcd([], g5)
     h = _pseudo_divide(g, _int_gcd(g, [i * c for i, c in enumerate(g)][1:]))[0]
     scale = max(abs(c) for c in h)
-    admissible = []
+    admissible = {}
     for x in np.roots([c / scale for c in reversed(h)]):
         if abs(x.imag) > 1e-9 or x.real < 0:
             continue
-        psums = [4 * c for c in _evaluate((moment_rows[:4], Fraction(mq)), float(x.real))]
+        moments = _candidate(cumulants, big_q, 4, float(x.real))[0]
         try:
-            values, _, nonnegative = _atoms(psums, 4, False)
+            values, mults, nonnegative = _atoms([4 * c for c in moments[:4]], 4, False)
         except NonrealRootsError:
             continue
         if nonnegative:
             assert min(values) > 0
-            admissible.append(float(x.real))
+            admissible[float(x.real)] = np.repeat(values, mults)
     assert sorted(admissible) == pytest.approx([5.055243, 81 / 16], abs=1e-6)
+    s = min(admissible)
+    twin = SpnModel(5, 4, tuple(np.sqrt(admissible[s])), math.sqrt(s))
+    ours, theirs = (spn_moments(x, 7, FLOAT).coeffs for x in (model, twin))
+    split = [abs(a - b) / abs(a) for a, b in zip(ours, theirs)]
+    assert max(split[:5]) <= 1e-15 and min(split[5:]) > 1e-11
     with pytest.raises(OrderTooSmallError):
         spn_recover(spn_moments(model, 5), 5, 4)
     m = spn_moments(model, 6)
-    *_, (_, (gap_rows, _)) = _candidate_rows(m.coeffs, 5, 4)
+    *_, (gap_rows, _) = _candidate_rows(m.coeffs, 5, 4)
     g = []
     for row in gap_rows:
         g = _int_gcd(g, row)
     assert len(g) == 2 and _gcd_roots(gap_rows) == [Fraction(81, 16)]
     assert spn_recover(m, 5, 4).sigma_sq_exact == Fraction(81, 16)
+
+
+def test_spn_recover_rejects_a_nan_misfit(monkeypatch):
+    # a fit that predicts nan at order d+2, with order d+1 exact: max() of the
+    # misfits passes over the nan, and the acceptance rule must not
+    m = spn_moments(README_MODEL, 6, FLOAT)
+    spn_map = models._spn_map
+
+    def nan_at_d_plus_2(*args):
+        fit = list(spn_map(*args))
+        fit[3] = math.nan
+        return tuple(fit)
+
+    monkeypatch.setattr(models, "_spn_map", nan_at_d_plus_2)
+    with pytest.raises(RecoveryFailedError):
+        spn_recover(m, 4, 2)
 
 
 def test_spn_recover_float_double_atom():
