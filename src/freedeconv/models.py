@@ -27,7 +27,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -44,7 +43,6 @@ from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
-    _Powers,
     _cumulants,
     _moments,
     format_rational,
@@ -413,28 +411,6 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     return values
 
 
-class _Poly(tuple):
-    """An exact polynomial, coefficients lowest power first, with the ring
-    operations of the series recursion.  Trailing zeros stay: the length is
-    the degree bound plus one."""
-
-    def __add__(self, other):
-        other = other if isinstance(other, _Poly) else (other,)
-        return _Poly(a + b for a, b in zip_longest(self, other, fillvalue=0))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = other if isinstance(other, _Poly) else (other,)
-        out = [0] * (len(self) + len(other) - 1)
-        for i, a in enumerate(self):
-            for j, b in enumerate(other):
-                out[i + j] += a * b
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-
 def _translate(m: Sequence, shift) -> tuple:
     """Moments of the measure with moments ``m`` translated by ``shift``:
     coefficient n is sum_k C(n, k) shift^(n-k) m_k, with m_0 = 1.  As a
@@ -508,18 +484,45 @@ def _homogeneous(rows: Sequence, n: int, b: int) -> tuple:
     return values, slopes
 
 
-def _recurrence_gaps(psums: Sequence, d: int, first: int = 0) -> list:
+def _recurrence_gaps(psums: Sequence, d: int) -> list:
     # Power sums of d atoms obey the degree-d Newton recurrence set by the
     # first d; gap k = sum_{j=0..d} (-1)^j e_j p_{k-j} is how far p_k misses
-    # it.  This gives d! g_k, k = first..N (d+1..N by default), from E_k =
-    # k! e_k, which Newton's identities give without division:
+    # it.  This gives d! g_k, k = d+1..N, from E_k = k! e_k, which Newton's
+    # identities give without division:
     # E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_{k-i} p_i.
     e = [1]
     for k in range(1, d + 1):
         e.append(sum((-1) ** (i - 1) * math.perm(k - 1, i - 1) * e[k - i]
                      * psums[i - 1] for i in range(1, k + 1)))
     return [sum((-1) ** j * math.perm(d, d - j) * e[j] * psums[k - j - 1]
-                for j in range(d + 1)) for k in range(first or d + 1, len(psums) + 1)]
+                for j in range(d + 1)) for k in range(d + 1, len(psums) + 1)]
+
+
+def _gap_polys(cumulants: Sequence, d: int, order: int) -> list:
+    """The int polynomials d! g_k(u), k = d+1..order, of the cumulant rows of
+    ``_candidate_rows``, coefficients lowest power first, k + 1 of them: one
+    evaluation at u = 2^B (Kronecker substitution; von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4).  The scalar ``_moments`` and
+    ``_recurrence_gaps`` on the rows' values give d! g_k(2^B), whose balanced
+    base-2^B digits are the coefficients while each is below 2^(B-1) in size.
+    ``_moments``, which only adds and multiplies, on the rows' l1 norms bounds
+    ||M_n||_1; ``_recurrence_gaps`` on the power sums (-1)^(i-1) d ||M_i||_1
+    gives every term of Newton's identities one sign, so its results bound
+    ||d! g_k||_1, and B is one bit more than their largest size needs."""
+    rows = cumulants[:order]
+    norms = _moments([sum(map(abs, row)) for row in rows])
+    bound = _recurrence_gaps([(-1) ** i * d * x for i, x in enumerate(norms)], d)
+    bits = max(map(abs, bound), default=0).bit_length() + 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    values = _moments([sum(c << bits * i for i, c in enumerate(row)) for row in rows])
+    polys = []
+    for k, x in enumerate(_recurrence_gaps([d * c for c in values], d), start=d + 1):
+        digits = []
+        while x:
+            digits.append(((x + half) & mask) - half)
+            x = (x - digits[-1]) >> bits
+        polys.append(digits + [0] * (k + 1 - len(digits)))
+    return polys
 
 
 def _rows_in_s(polys: Sequence, big_q: int, d: int) -> tuple:
@@ -547,20 +550,15 @@ def _candidate_rows(exact: Sequence, p: int, d: int):
     candidate cumulants at -s, Q^n c_n(s) = T_{-d u}(R)_n + (p - d) d^(n-1)
     (-u)^n: coefficient i is C(n, i) (-d)^i R_(n-i), plus (p - d) d^(n-1)
     (-1)^n at i = n.  Their moments are Q^n cand_n(s), and d! times their
-    gaps are ``_recurrence_gaps``.  Yields (Q, the cumulant rows, the int gap
-    rows in s of orders d+1 and d+2), then, when resumed from order d+3,
-    (gap_rows, q): the gaps d! g_k of orders d+1..N, as rows over q."""
+    gaps are ``_recurrence_gaps``.  Yields (Q, the cumulant rows, the
+    ``_gap_polys`` in u of orders d+1 and d+2), then (gap_rows, q): those of
+    orders d+1..N, from one evaluation at order N, as rows in s over q."""
     big_q, scaled = _rescaled(exact)
     r = (1,) + _cumulants(scaled)
-    cumulants = [_Poly([math.comb(n, i) * (-d) ** i * r[n - i] for i in range(n)]
-                       + [p * (-1) ** n * d ** (n - 1)]) for n in range(1, len(r))]
-    powers = _Powers(d + 2, [1])
-    psums = [d * c for c in _moments(cumulants[:d + 2], powers)]
-    gaps = _recurrence_gaps(psums, d)
-    yield big_q, cumulants, _rows_in_s(gaps, big_q, d)[0]
-    psums += [d * c for c in _moments(cumulants, powers)[d + 2:]]
-    gaps += _recurrence_gaps(psums, d, d + 3)
-    yield _rows_in_s(gaps, big_q, d)
+    cumulants = [[math.comb(n, i) * (-d) ** i * r[n - i] for i in range(n)]
+                 + [p * (-1) ** n * d ** (n - 1)] for n in range(1, len(r))]
+    yield big_q, cumulants, _gap_polys(cumulants, d, d + 2)
+    yield _rows_in_s(_gap_polys(cumulants, d, len(cumulants)), big_q, d)
 
 
 def _trimmed(a: Sequence[int]) -> list:
@@ -637,7 +635,8 @@ def _rational_root(h: list, x: float) -> Fraction | None:
 
 def _gcd_roots(rows: Sequence) -> list:
     """The distinct rational roots r >= 0 of the primitive gcd g over Z of
-    the int polynomials ``rows``: those of its square-free part
+    the int polynomials ``rows``, in recovery the gap polynomials in u of
+    ``_candidate_rows``: those of its square-free part
     h = g / gcd(g, g'), exactly -h_0 / h_1 when h has degree 1, and
     otherwise by ``_rational_root`` from each float root of h.  There are
     none when every row is 0 or g has degree 0."""
@@ -667,27 +666,29 @@ def _round53(w: Fraction) -> Fraction:
     return Fraction(float(w * scale)) / scale
 
 
-def _candidate(cumulants: Sequence, big_q: int, d: int, s) -> tuple:
-    """(moments, fits): the candidate moments at the noise level s, a
-    ``Fraction`` or a float, exactly, and whether every gap vanishes there.
-    At u = Q s / d = n/b the cumulant rows of ``_candidate_rows`` give the
-    ints b^k Q^k c_k, and the scalar recursions (bQ)^k times the moments and
+def _candidate(cumulants: Sequence, big_q: int, d: int, s, root: bool = False):
+    """The candidate moments at the noise level s, a ``Fraction`` or a float,
+    exactly; at a ``root``, None unless every gap vanishes there.  At
+    u = Q s / d = n/b the cumulant rows of ``_candidate_rows`` give the ints
+    b^k Q^k c_k, and the scalar recursions (bQ)^k times the moments and
     (bQ)^k d! times the gaps."""
     n, b = (big_q * Fraction(s) / d).as_integer_ratio()
     moments = _moments(_homogeneous(cumulants, n, b)[0])
-    fits = not any(_recurrence_gaps([d * c for c in moments], d))
-    return [Fraction(x, (b * big_q) ** k) for k, x in enumerate(moments, start=1)], fits
+    if root and any(_recurrence_gaps([d * c for c in moments], d)):
+        return None
+    return [Fraction(x, (b * big_q) ** k) for k, x in enumerate(moments, start=1)]
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     """(trace, winner): the candidates (s, D(s)), one per distinct s, and the
     winner (s, its candidate moments, their ``_atoms`` reading, s if exact),
     or None; see ``spn_recover``.  ``_candidate`` reads every s; the exact
-    roots need only the first stage of ``_candidate_rows``, and the polish
-    its second."""
+    roots, s = d r / Q for the roots r in u of the gap polynomials of orders
+    d+1 and d+2, need only the first stage of ``_candidate_rows``, and the
+    polish its second."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
     stages = _candidate_rows(exact, p, d)
-    big_q, cumulants, lean_rows = next(stages)
+    big_q, cumulants, lean = next(stages)
 
     def reading(moments, exactly: bool):
         # the ``_atoms`` reading of the first d moments if it is real and, on
@@ -701,12 +702,12 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     # a root stands if every gap vanishes there, so D = 0; the first whose
     # exact reading has no negative atom wins outright
     trace, winner = {}, None
-    for r in _gcd_roots(lean_rows):
-        moments, fits = _candidate(cumulants, big_q, d, r)
-        if fits:
-            trace[float(r)] = 0.0
+    for r in _gcd_roots(lean):
+        s = d * r / big_q
+        if (moments := _candidate(cumulants, big_q, d, s, root=True)) is not None:
+            trace[float(s)] = 0.0
             if winner is None and (atoms := reading(moments, True)):
-                winner = float(r), moments, atoms, r
+                winner = float(s), moments, atoms, s
     if winner:
         return list(trace.items()), winner
     roots = len(trace)
@@ -751,7 +752,7 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         trace.setdefault(*polish(seed))
     # the least D among the polished whose reading is real wins
     for s in sorted(list(trace)[roots:], key=trace.get):
-        moments = _candidate(cumulants, big_q, d, s)[0]
+        moments = _candidate(cumulants, big_q, d, s)
         if atoms := reading(moments, False):
             return list(trace.items()), (s, moments, atoms, None)
     return list(trace.items()), None
@@ -763,16 +764,19 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     The map of ``spn_moments`` with the opposite shift, mu(lambda^-1 T_{-s}(y))
     on y = lambda rho(m), gives a candidate M[A*A] whose coefficient n is a
     polynomial of degree n in the noise level s, and the Newton recurrence on
-    it the gaps g_k, k = d+1..N (``_candidate_rows``).  They vanish together
-    at the true s, so on exact input it is a root of the gcd over Z of g_(d+1)
-    and g_(d+2); order d+1 alone does not identify: the square-free part of
-    g_5 of SpnModel(5, 4, (5/4, 5/4, 1/2, 1), 9/4) has a second root s ~
-    5.055243 with real, nonnegative atoms.  ``_candidate`` reads any s, a
-    root or a float, exactly: the candidate moments, and whether every gap is
-    0.  Each rational root s >= 0 (``_gcd_roots``) at which every gap is 0 is
-    a candidate with D(s) = 0, read exactly by ``_atoms``: the first whose
-    atoms are real and none negative wins outright, and ``sigma_sq_exact``
-    reports it.  Otherwise the gap rows resume to order N, and s = 0 and the
+    it the gaps g_k, k = d+1..N (``_candidate_rows``): int polynomials in
+    u = Q s / d, read from one integer evaluation at u = 2^B (``_gap_polys``).
+    They vanish together at the true s, so on exact input it is d r / Q for a
+    root r of the gcd over Z of g_(d+1) and g_(d+2) in u; order d+1 alone
+    does not identify: the square-free part of g_5 of
+    SpnModel(5, 4, (5/4, 5/4, 1/2, 1), 9/4) has a second root s ~ 5.055243
+    with real, nonnegative atoms.  ``_candidate`` reads any s, a root or a
+    float, exactly: the candidate moments, and at a root whether every gap is
+    0.  Each rational root r >= 0 (``_gcd_roots``) at which every gap is 0
+    gives a candidate s with D(s) = 0, read exactly by ``_atoms``: the first
+    whose atoms are real and none negative wins outright, and
+    ``sigma_sq_exact`` reports it.  Otherwise the gap polynomials to order N,
+    from one evaluation, become int rows in s, and s = 0 and the
     roots of the lowest nonzero gap, clipped to [0, lambda*m_1], seed a
     Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2)
     rounded once to 53 bits, evaluated exactly at each float iterate and

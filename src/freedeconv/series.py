@@ -28,6 +28,7 @@ import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BackendMismatchError,
@@ -173,8 +174,9 @@ def _invertible_first(f: MomentSeries):
 
 
 def _at(x, y, j):
-    """Coefficient j of the product of two series given constant term first."""
-    return sum(x[i] * y[j - i] for i in range(j + 1))
+    """Coefficient j of the product of two series given constant term first,
+    each to at least coefficient j."""
+    return sum(map(mul, x[:j + 1], y[j::-1]))
 
 
 class _Powers:
@@ -184,19 +186,10 @@ class _Powers:
     Fraction, float, or polynomials over them."""
 
     def __init__(self, count: int, w=()):
-        self.count, self.w, self.rows = 0, [], [[1]]
-        self.grow(count)
+        self.count, self.w = count, []
+        self.rows = [[1] + [0] * count] + [[] for _ in range(count)]
         for c in w:
             self.push(c)
-
-    def grow(self, count: int) -> None:
-        """Raise the count, filling in the entries it adds from the w so far."""
-        old, self.count = self.count, count
-        self.rows[0] += [0] * (count - old)
-        self.rows += [[] for _ in range(count - old)]
-        for i in range(len(self.w)):
-            for k in range(max(old - i, 0) + 1, count - i + 1):
-                self.rows[k].append(_at(self.w, self.rows[k - 1], i))
 
     def push(self, c) -> None:
         self.w.append(c)
@@ -300,13 +293,11 @@ def _cumulants(m) -> tuple:
     return tuple(h[1:])
 
 
-def _moments(r, w=None) -> tuple:
+def _moments(r) -> tuple:
     """Moments from free cumulants r_1..r_N over any ring of ``_Powers``, from
-    M(z) = R(z(1 + M(z))) coefficient by coefficient: M_m needs M below m.
-    ``w``, the ``_Powers`` of 1 + M of a call on a prefix of r, resumes it."""
-    w, h = w or _Powers(len(r), [1]), (0,) + tuple(r)
-    w.grow(len(r))
-    for m in range(len(w.w), len(r) + 1):
+    M(z) = R(z(1 + M(z))) coefficient by coefficient: M_m needs M below m."""
+    w, h = _Powers(len(r), [1]), (0,) + tuple(r)
+    for m in range(1, len(r) + 1):
         w.push(w.compose(h, m))
     return tuple(w.w[1:])
 

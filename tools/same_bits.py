@@ -1,0 +1,119 @@
+"""One SHA-256 per layer over everything the recovery and density layers return.
+
+    cd TREE && python3 /path/to/tools/same_bits.py
+
+The package is imported from ./src of the working directory, so one copy of
+this script hashes any source tree; two trees that print the same lines
+return the same bits.  ``spn_recover`` hashes ``repr`` of every
+``RecoveryReport``, or of the error's type, code, module, message and
+residual, over: the 32 criterion-5 draws of the ``recover`` workload at
+orders d+2 and d+4 on both backends; a seeded sweep of exact models, float
+models (some perturbed, some scaled by powers of two), garbage series, and
+the README model at scales 2^-500 to 2^250.
+``spn_density`` hashes every ``DensityCurve`` field of the ``density``
+workload's models at its two offsets, arrays as lists of floats.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SWEEP_SEED = 19
+SWEEP_SIZE = 500
+
+
+def recovery_inputs(models, workloads):
+    """(series, p, d): the criterion-5 draws, then the seeded sweep."""
+    from freedeconv.series import FLOAT, RATIONAL, MomentSeries
+
+    for _, p, d, a, sigma in workloads.criterion5_draws(32):
+        model = models.SpnModel(p, d, a, sigma)
+        for order in (d + 2, d + 4):
+            for kind in (RATIONAL, FLOAT):
+                yield models.spn_moments(model, order, kind), p, d
+    rng = random.Random(SWEEP_SEED)
+    for i in range(SWEEP_SIZE):
+        d = rng.randint(1, 5)
+        p = rng.randint(d, 3 * d)
+        order = d + rng.randint(2, 5)
+        kind = i % 3
+        if kind == 0:
+            a = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(d)]
+            sigma = Fraction(rng.randint(0, 8), rng.randint(1, 3))
+            yield models.spn_moments(models.SpnModel(p, d, a, sigma), order), p, d
+        elif kind == 1:
+            scale = 2.0 ** rng.randint(-40, 40)
+            a = [rng.uniform(0.0, 2.5) * scale for _ in range(d)]
+            sigma = rng.uniform(0.0, 2.0) * scale
+            m = models.spn_moments(models.SpnModel(p, d, a, sigma), order, FLOAT).coeffs
+            if rng.random() < 0.3:
+                m = [c * (1 + rng.uniform(-1e-6, 1e-6)) for c in m]
+            yield MomentSeries(tuple(m), FLOAT), p, d
+        else:
+            m = [rng.choice((1, -1, 1, 1)) * 10.0 ** rng.uniform(-3, 3) for _ in range(order)]
+            yield MomentSeries(tuple(m), rng.choice((FLOAT, RATIONAL))), p, d
+    for e in (-500, -250, -80, 80, 250):
+        scale = Fraction(2) ** e
+        model = models.SpnModel(4, 2, (scale, 2 * scale), scale / 2)
+        kinds = (RATIONAL, FLOAT) if e < 250 else (RATIONAL,)
+        yield from ((models.spn_moments(model, 6, kind), 4, 2) for kind in kinds)
+
+
+def density_inputs(workloads):
+    """(model, grid, epsilon): the ``density`` workload's models at 2 eps and eps."""
+    bench = workloads.Density(0)
+    bench.build()
+    for _, model, grid, _ in bench.cases:
+        for epsilon in (2 * workloads.DENSITY_EPSILON, workloads.DENSITY_EPSILON):
+            yield model, grid, epsilon
+
+
+def outcome(run) -> str:
+    """``repr`` of what run() returns, or of the error it raises."""
+    from freedeconv.errors import FreeDeconvError
+
+    try:
+        return repr(run())
+    except FreeDeconvError as exc:
+        return repr((type(exc).__name__, exc.code, exc.module, str(exc),
+                     getattr(exc, "residual", None)))
+
+
+def curve_fields(curve) -> list:
+    return [(f.name, getattr(curve, f.name)) for f in dataclasses.fields(curve)
+            if f.name not in ("grid", "values")] + [curve.grid.tolist(), curve.values.tolist()]
+
+
+def main() -> int:
+    src = Path(os.getcwd()) / "src"
+    if not (src / "freedeconv" / "__init__.py").is_file():
+        print("same_bits: ./src/freedeconv not found; run from the root of a "
+              "freedeconv source tree", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(BENCH)]
+    import workloads
+    from freedeconv import models, subordination
+
+    max_iter = workloads.DENSITY_MAX_ITER
+    layers = {
+        "spn_recover": [outcome(lambda: models.spn_recover(m, p, d))
+                        for m, p, d in recovery_inputs(models, workloads)],
+        "spn_density": [outcome(lambda: curve_fields(subordination.spn_density(
+                            model, grid, epsilon=epsilon, max_iter=max_iter)))
+                        for model, grid, epsilon in density_inputs(workloads)],
+    }
+    for name, outcomes in layers.items():
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        print(f"{name} {len(outcomes)} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
