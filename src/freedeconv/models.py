@@ -57,6 +57,8 @@ from .series import (
 RANK_TOL = 1e-10
 # Gauss-Newton steps spent polishing each noise-level candidate.
 POLISH_MAX_STEPS = 30
+# The acceptance rule of both recoveries: every ``_misfits`` is at most this.
+MISFIT_TOL = 1e-4
 
 __all__ = [
     "CwModel",
@@ -332,20 +334,22 @@ def _roots(poly: Sequence[float]) -> np.ndarray:
     return np.roots(poly)
 
 
-def _atoms(psums: Sequence, count: int, exact: bool) -> tuple:
+def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
     """(distinct atoms ascending, multiplicities, no atom < 0) of n = ``count``
-    atoms of equal weight from their power sums p_1..p_n, ``Fraction``s.  On
-    atoms scaled to give ints, Newton's identities give e_k and the moments
-    mu_0..mu_(2n-1), the Chebyshev algorithm (Gautschi, 2004, 2.1.7) on the
-    ints tau_k,l = D_k sigma_k,l (D_k the k-th Hankel determinant) the Jacobi
-    coefficients.  The first beta_k = D_(k+1) D_(k-1) / D_k^2 that is 0 (on
-    float input, at most RANK_TOL mu_2/mu_0) gives the atoms: the eigenvalues
-    of the Jacobi matrix, of multiplicities n v_0^2 (Golub and Welsch, 1969).
-    NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
+    atoms of equal weight from the ints ``scaled`` Q^k p_k, p_1..p_n their
+    power sums.  On the atoms times n! Q, Newton's identities give the int
+    e_k and moments mu_0..mu_(2n-1), the Chebyshev algorithm (Gautschi, 2004,
+    2.1.7) on the ints tau_k,l = D_k sigma_k,l (D_k the k-th Hankel
+    determinant) the Jacobi coefficients.  The first beta_k = D_(k+1) D_(k-1)
+    / D_k^2 that is 0 (on float input, at most RANK_TOL mu_2/mu_0) gives the
+    atoms: the eigenvalues of the Jacobi matrix, of multiplicities n v_0^2
+    (Golub and Welsch, 1969).  Any Q gives the same bits: each alpha_k and
+    beta_k is an int / int quotient, and each side of the rank test a term of
+    the same weight.  NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
     or multiplicities that do not add up to n."""
     import numpy as np
 
-    n, (big_q, scaled), e = count, _rescaled(psums), [1]
+    n, e = count, [1]
     c = math.factorial(n) * big_q
     mu = [n] + [math.factorial(n) ** k * x for k, x in enumerate(scaled, 1)]
     for k in range(1, n + 1):
@@ -383,14 +387,22 @@ def _atoms(psums: Sequence, count: int, exact: bool) -> tuple:
     return values[mults > 0], mults[mults > 0], all(x >= 0 for x in e)
 
 
+def _misfits(rebuilt: Sequence[float], target: Sequence[float]) -> tuple:
+    """(misfits, fits): |r_k - t_k| / (1 + |t_k|) for each pair, and whether
+    every one is at most MISFIT_TOL; a nan fails, where max() passes over it."""
+    misfits = tuple(abs(r - t) / (1.0 + abs(t)) for r, t in zip(rebuilt, target))
+    return misfits, all(x <= MISFIT_TOL for x in misfits)
+
+
 def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     """Recover the spectrum of D from the compound Wishart cumulant series.
 
-    The cumulants times d are the power sums of the spectrum: ``_atoms``
-    reads it from the first p, converted exactly, with its repeats, ascending.
-    The series must fit: on rational input every gap above order p
-    (``_recurrence_gaps``) is 0; on float input each rebuilt cumulant meets
-    |r_k - t_k| <= 1e-4 (1 + |t_k|), the rule of ``spn_recover``.  Otherwise
+    The cumulants times d are the power sums of the spectrum: converted
+    exactly and rescaled once to ints (``_rescaled``), ``_atoms`` reads it
+    from the first p, with its repeats, ascending.  The series must fit: on
+    rational input every gap above order p (``_recurrence_gaps``, homogeneous
+    in the scale) is 0; on float input each rebuilt cumulant passes
+    ``_misfits``, the rule of ``spn_recover``.  Otherwise
     NonrealRootsError, RecoveryFailedError or DomainError signal that ``r`` is
     not a compound Wishart cumulant series for (p, d).
     """
@@ -399,13 +411,11 @@ def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
     _check_dimensions(p, d)
     if r.order < p:
         raise OrderTooSmallError(f"need at least {p} cumulants, got {r.order}")
-    psums = [d * c for c in MomentSeries(r.coeffs, RATIONAL).coeffs]
-    values = np.repeat(*_atoms(psums[:p], p, r.scalar_kind == RATIONAL)[:2])
-    if r.scalar_kind == RATIONAL:
-        fits = not any(_recurrence_gaps(psums, p))
-    else:
-        rebuilt = _power_means(values, d, r.order, FLOAT).coeffs
-        fits = all(abs(x - t) <= 1e-4 * (1 + abs(t)) for x, t in zip(rebuilt, r.coeffs))
+    big_q, scaled = _rescaled(MomentSeries(r.coeffs, RATIONAL).coeffs)
+    psums, exact = [d * x for x in scaled], r.scalar_kind == RATIONAL
+    values = np.repeat(*_atoms(psums[:p], big_q, p, exact)[:2])
+    fits = (not any(_recurrence_gaps(psums, p)) if exact
+            else _misfits(_power_means(values, d, r.order, FLOAT).coeffs, r.coeffs)[1])
     if not fits:
         raise RecoveryFailedError(f"not a compound Wishart series for (p={p}, d={d})")
     return values
@@ -525,17 +535,6 @@ def _gap_polys(cumulants: Sequence, d: int, order: int) -> list:
     return polys
 
 
-def _rows_in_s(polys: Sequence, big_q: int, d: int) -> tuple:
-    """(rows, q): int polynomials X_k(u) = Q^k x_k(s), u = Q s / d, of
-    consecutive weights k ending at the last's degree W, as the rows of x_k
-    in s over q = Q^W d^W: coefficient i is X_i Q^(i + W - k) d^(W - i)."""
-    top = len(polys[-1]) - 1
-    rows = [[c * big_q ** (i + lift) * d ** (top - i) for i, c in enumerate(poly)]
-            + [0] * (top + 1 - len(poly))
-            for lift, poly in enumerate(reversed(polys))]
-    return rows[::-1], (big_q * d) ** top
-
-
 def _rescaled(exact: Sequence) -> tuple:
     """(Q, M) with every M_n = Q^n m_n an int: Q <- Q den(Q^n m_n), n = 1..N."""
     big_q = 1
@@ -545,20 +544,17 @@ def _rescaled(exact: Sequence) -> tuple:
                    for n, c in enumerate(exact, start=1)]
 
 
-def _candidate_rows(exact: Sequence, p: int, d: int):
-    """With M_n = Q^n m_n ints, so are R = rho(M) and, in u = Q s / d, the
-    candidate cumulants at -s, Q^n c_n(s) = T_{-d u}(R)_n + (p - d) d^(n-1)
-    (-u)^n: coefficient i is C(n, i) (-d)^i R_(n-i), plus (p - d) d^(n-1)
-    (-1)^n at i = n.  Their moments are Q^n cand_n(s), and d! times their
-    gaps are ``_recurrence_gaps``.  Yields (Q, the cumulant rows, the
-    ``_gap_polys`` in u of orders d+1 and d+2), then (gap_rows, q): those of
-    orders d+1..N, from one evaluation at order N, as rows in s over q."""
+def _candidate_rows(exact: Sequence, p: int, d: int) -> tuple:
+    """(Q, rows): with M_n = Q^n m_n ints (``_rescaled``), so are R = rho(M)
+    and, in u = Q s / d, the candidate cumulants at -s, the int polynomials
+    Q^n c_n(s) = T_{-d u}(R)_n + (p - d) d^(n-1) (-u)^n: coefficient i is
+    C(n, i) (-d)^i R_(n-i), plus (p - d) d^(n-1) (-1)^n at i = n.  Their
+    moments are Q^n cand_n(s), and d! times their gaps, ``_gap_polys``, are
+    Q^k d! g_k(s)."""
     big_q, scaled = _rescaled(exact)
     r = (1,) + _cumulants(scaled)
-    cumulants = [[math.comb(n, i) * (-d) ** i * r[n - i] for i in range(n)]
-                 + [p * (-1) ** n * d ** (n - 1)] for n in range(1, len(r))]
-    yield big_q, cumulants, _gap_polys(cumulants, d, d + 2)
-    yield _rows_in_s(_gap_polys(cumulants, d, len(cumulants)), big_q, d)
+    return big_q, [[math.comb(n, i) * (-d) ** i * r[n - i] for i in range(n)]
+                   + [p * (-1) ** n * d ** (n - 1)] for n in range(1, len(r))]
 
 
 def _trimmed(a: Sequence[int]) -> list:
@@ -666,35 +662,35 @@ def _round53(w: Fraction) -> Fraction:
     return Fraction(float(w * scale)) / scale
 
 
-def _candidate(cumulants: Sequence, big_q: int, d: int, s, root: bool = False):
-    """The candidate moments at the noise level s, a ``Fraction`` or a float,
-    exactly; at a ``root``, None unless every gap vanishes there.  At
-    u = Q s / d = n/b the cumulant rows of ``_candidate_rows`` give the ints
-    b^k Q^k c_k, and the scalar recursions (bQ)^k times the moments and
-    (bQ)^k d! times the gaps."""
-    n, b = (big_q * Fraction(s) / d).as_integer_ratio()
+def _candidate(cumulants: Sequence, big_q: int, d: int, u: Fraction, root: bool = False):
+    """(M, t): the candidate moments at the noise level s = d u / Q as the
+    ints M_k = t^k cand_k(s) and their scale t; at a ``root``, None unless
+    every gap vanishes there.  At u = n/b the cumulant rows of
+    ``_candidate_rows`` give the ints b^k Q^k c_k, and the scalar recursions
+    t^k times the moments and t^k d! times the gaps, t = b Q."""
+    n, b = u.as_integer_ratio()
     moments = _moments(_homogeneous(cumulants, n, b)[0])
     if root and any(_recurrence_gaps([d * c for c in moments], d)):
         return None
-    return [Fraction(x, (b * big_q) ** k) for k, x in enumerate(moments, start=1)]
+    return moments, b * big_q
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     """(trace, winner): the candidates (s, D(s)), one per distinct s, and the
-    winner (s, its candidate moments, their ``_atoms`` reading, s if exact),
-    or None; see ``spn_recover``.  ``_candidate`` reads every s; the exact
-    roots, s = d r / Q for the roots r in u of the gap polynomials of orders
-    d+1 and d+2, need only the first stage of ``_candidate_rows``, and the
-    polish its second."""
+    winner (s, its ``_candidate`` ints and scale, their ``_atoms`` reading, s
+    if exact), or None; see ``spn_recover``.  ``_candidate`` reads every s at
+    u = Q s / d.  The exact roots, s = d r / Q for the roots r in u of the
+    gap polynomials of orders d+1 and d+2, need ``_gap_polys`` to order d+2;
+    only when none wins does the polish read them to order N."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
-    stages = _candidate_rows(exact, p, d)
-    big_q, cumulants, lean = next(stages)
+    big_q, cumulants = _candidate_rows(exact, p, d)
 
-    def reading(moments, exactly: bool):
+    def reading(candidate, exactly: bool):
         # the ``_atoms`` reading of the first d moments if it is real and, on
         # exact input, has no negative atom
+        moments, scale = candidate
         try:
-            atoms = _atoms([d * c for c in moments[:d]], d, exactly)
+            atoms = _atoms([d * x for x in moments[:d]], scale, d, exactly)
         except NonrealRootsError:
             return None
         return atoms if atoms[2] or not exactly else None
@@ -702,33 +698,36 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     # a root stands if every gap vanishes there, so D = 0; the first whose
     # exact reading has no negative atom wins outright
     trace, winner = {}, None
-    for r in _gcd_roots(lean):
-        s = d * r / big_q
-        if (moments := _candidate(cumulants, big_q, d, s, root=True)) is not None:
+    for r in _gcd_roots(_gap_polys(cumulants, d, d + 2)):
+        if (candidate := _candidate(cumulants, big_q, d, r, root=True)) is not None:
+            s = d * r / big_q
             trace[float(s)] = 0.0
-            if winner is None and (atoms := reading(moments, True)):
-                winner = float(s), moments, atoms, s
+            if winner is None and (atoms := reading(candidate, True)):
+                winner = float(s), candidate, atoms, s
     if winner:
         return list(trace.items()), winner
     roots = len(trace)
-    # at s = n/b the gaps are G_k / (q b^D) and their slopes T_k / (q b^(D-1))
-    gap_rows, q = next(stages)
-    q *= math.factorial(d)  # the rows are d! g_k
-    degree = len(gap_rows[0]) - 1
+    # padded to degree N, the gap polynomial of order k at u = Q n / (d b)
+    # reads (d b)^N Q^k d! g_k(n/b) and its slope (d b)^N Q^(k-1) d! g_k'(n/b)
+    # / b; the weights w_k Q^(2(N-k)) put every order over one denominator
+    order = len(cumulants)
+    polys = [poly + [0] * (order + 1 - len(poly)) for poly in _gap_polys(cumulants, d, order)]
     weights = [_round53(1 / (1 + (d * c) ** 2)) for c in exact[d:]]
     wq = max(w.denominator for w in weights)  # powers of two
-    weights = [w.numerator * (wq // w.denominator) for w in weights]
+    weights = [w.numerator * (wq // w.denominator) * big_q ** (2 * (order - k))
+               for k, w in enumerate(weights, start=d + 1)]
+    q = math.factorial(d) * (big_q * d) ** order
 
     def defect(s: float) -> tuple:
         # D(s) exactly, as (numerator, denominator), and the Gauss-Newton
         # iterate from s, rounded once
         n, b = s.as_integer_ratio()
-        gaps, slopes = _homogeneous(gap_rows, n, b)
-        value = sum(w * g * g for w, g in zip(weights, gaps)), wq * (q * b**degree) ** 2
+        gaps, slopes = _homogeneous(polys, big_q * n, d * b)
+        value = sum(w * g * g for w, g in zip(weights, gaps)), wq * (q * b**order) ** 2
         curvature = sum(w * t * t for w, t in zip(weights, slopes))
         pull = sum(w * g * t for w, g, t in zip(weights, gaps, slopes))
-        # s - pull / (b curvature) over one denominator
-        trial = (n * curvature - pull) / (b * curvature) if curvature else s
+        # s - pull / (b Q curvature) over one denominator
+        trial = (n * big_q * curvature - pull) / (b * big_q * curvature) if curvature else s
         return value, max(trial, 0.0)
 
     def polish(s: float) -> tuple:
@@ -742,9 +741,11 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
             s, value, trial = trial, trial_value, next_trial
         return s, value[0] / value[1]
 
-    # seeds: s = 0 and the roots of the lowest nonzero gap, scaled exactly
-    # to coefficients of at most 1 before rounding
-    lowest = next((row for row in gap_rows if any(row)), [1])
+    # seeds: s = 0 and the roots of the lowest nonzero gap, in s the
+    # polynomial with coefficients c_i Q^i d^(N-i), scaled exactly to
+    # coefficients of at most 1 before rounding
+    lowest = next((poly for poly in polys if any(poly)), [1])
+    lowest = [c * big_q**i * d ** (order - i) for i, c in enumerate(lowest)]
     scale = max(abs(c) for c in lowest)
     seeds = _roots([c / scale for c in reversed(lowest)]).real
     s_hi = max(Fraction(d, p) * exact[0], 0)
@@ -752,9 +753,9 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         trace.setdefault(*polish(seed))
     # the least D among the polished whose reading is real wins
     for s in sorted(list(trace)[roots:], key=trace.get):
-        moments = _candidate(cumulants, big_q, d, s)
-        if atoms := reading(moments, False):
-            return list(trace.items()), (s, moments, atoms, None)
+        candidate = _candidate(cumulants, big_q, d, Fraction(s) * big_q / d)
+        if atoms := reading(candidate, False):
+            return list(trace.items()), (s, candidate, atoms, None)
     return list(trace.items()), None
 
 
@@ -772,23 +773,23 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     SpnModel(5, 4, (5/4, 5/4, 1/2, 1), 9/4) has a second root s ~ 5.055243
     with real, nonnegative atoms.  ``_candidate`` reads any s, a root or a
     float, exactly: the candidate moments, and at a root whether every gap is
-    0.  Each rational root r >= 0 (``_gcd_roots``) at which every gap is 0
-    gives a candidate s with D(s) = 0, read exactly by ``_atoms``: the first
-    whose atoms are real and none negative wins outright, and
-    ``sigma_sq_exact`` reports it.  Otherwise the gap polynomials to order N,
-    from one evaluation, become int rows in s, and s = 0 and the
-    roots of the lowest nonzero gap, clipped to [0, lambda*m_1], seed a
-    Gauss-Newton polish of D(s) = sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2)
-    rounded once to 53 bits, evaluated exactly at each float iterate and
-    stepped only downhill.  In order of D, each polished s is read by
-    ``_atoms`` under its rank rule; the first with real atoms wins, its
-    negative atoms clipped to 0.  ``search_trace`` lists each distinct
+    0, as ints over one scale that ``_atoms`` reads as they are.  Each
+    rational root r >= 0 (``_gcd_roots``) at which every gap is 0 gives a
+    candidate s with D(s) = 0, read exactly by ``_atoms``: the first whose
+    atoms are real and none negative wins outright, and ``sigma_sq_exact``
+    reports it.  Otherwise the gap polynomials in u to order N, from one
+    evaluation, give D(s) = sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2)
+    rounded once to 53 bits, exactly at each float s: s = 0 and the roots of
+    the lowest nonzero gap, clipped to [0, lambda*m_1], seed a Gauss-Newton
+    polish of D, stepped only downhill.  In order of D, each polished s is
+    read by ``_atoms`` under its rank rule; the first with real atoms wins,
+    its negative atoms clipped to 0.  ``search_trace`` lists each distinct
     candidate once, as (s, D), the exact roots first.  The fit is the same
     map at the winning s, forward, on lambda rho of the atoms' moments.
     RecoveryFailedError signals that no candidate reads as real atoms, that
-    the fit misses an order k = d+1..N by more than 1e-4*(1+|m_k|), or that
-    the candidates leave the float range: m is not a signal-plus-noise
-    series.  The misfit rule is the only one: with P = N - d <= 5000 orders
+    the fit misses an order k = d+1..N by more than MISFIT_TOL
+    (``_misfits``), or that the candidates leave the float range: m is not a
+    signal-plus-noise series.  The misfit rule is the only one: with P = N - d <= 5000 orders
     it implies sum_k (r_k - m_k)^2 <= 2e-8*(P + sum_k m_k^2) <=
     1e-4*(1 + |m|^2), so no sum-of-squares test could decide more.
     """
@@ -803,21 +804,19 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
         trace, winner = _noise_level_candidates(m, p, d)
         if winner is None:
             raise RecoveryFailedError(f"no real candidate; {not_spn}", residual=math.inf)
-        s_best, moments, (values, mults, _), s_exact = winner
-        maa = MomentSeries(tuple(moments), FLOAT)
+        s_best, (moments, scale), (values, mults, _), s_exact = winner
+        # int / int is correctly rounded, and raises past the float range
+        maa = MomentSeries(tuple(x / scale**k for k, x in enumerate(moments, start=1)), FLOAT)
     except (OverflowError, DomainError):
         raise RecoveryFailedError(f"candidates leave the float range; {not_spn}",
                                   residual=math.inf) from None
     atoms = tuple(max(0.0, float(a)) for a, k in zip(values, mults) for _ in range(k))
-    reconstructed = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)
-    pairs = list(zip(reconstructed[d:], target.coeffs[d:]))
-    final_residual = sum((r - t) * (r - t) for r, t in pairs)
-    misfits = tuple(abs(r - t) / (1.0 + abs(t)) for r, t in pairs)
-    misfit = max(misfits)
-    # a nan misfit fails the comparison, where max() can pass over it
-    if not all(x <= 1e-4 for x in misfits):
+    rebuilt = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)[d:]
+    final_residual = sum((r - t) * (r - t) for r, t in zip(rebuilt, target.coeffs[d:]))
+    misfits, fits = _misfits(rebuilt, target.coeffs[d:])
+    if not fits:
         raise RecoveryFailedError(f"best residual {final_residual:.3e} (worst relative "
-                                  f"misfit {misfit:.3e}) exceeds tolerance; {not_spn}",
+                                  f"misfit {max(misfits):.3e}) exceeds tolerance; {not_spn}",
                                   residual=final_residual)
     return RecoveryReport(s_best, maa, atoms, final_residual, tuple(trace), misfits,
                           s_exact, tuple(mults.tolist()))

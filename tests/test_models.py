@@ -6,7 +6,7 @@ from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freedeconv import models
 from freedeconv.errors import (
@@ -31,7 +31,6 @@ from freedeconv.models import (
     _recurrence_gaps,
     _rescaled,
     _round53,
-    _rows_in_s,
     _spn_map,
     _times,
     _translate,
@@ -310,6 +309,35 @@ def test_cw_recovery_rejects_impossible_dimensions(p, d):
         cw_recover_eigenvalues(MomentSeries((1.0, 2.0, 3.0), FLOAT), p, d)
 
 
+def atoms_outcome(scaled, big_q, count, exact):
+    """``_atoms``' values as bytes, its multiplicities and sign flag, or the
+    error it raises."""
+    try:
+        values, mults, nonnegative = _atoms(scaled, big_q, count, exact)
+    except NonrealRootsError:
+        return NonrealRootsError
+    return values.tobytes(), mults.tolist(), nonnegative
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(atoms=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+       bump=st.integers(-2, 2), big_q=st.integers(1, 40), t=st.integers(2, 10**6),
+       exact=st.booleans())
+@example(atoms=[0, 0], bump=-2, big_q=1, t=3, exact=True)
+@example(atoms=[0, 0], bump=-2, big_q=1, t=3, exact=False)
+def test_atoms_read_the_same_bits_at_any_scale(atoms, bump, big_q, t, exact):
+    # the power sums P_k of the atoms x / Q, the last raised by ``bump`` so
+    # that some are of no real atoms (the examples: p = (0, -2), atoms +-i),
+    # read the same on (t^k P_k, t Q) as on (P_k, Q) under either rank rule
+    psums = [sum(x**k for x in atoms) for k in range(1, len(atoms) + 1)]
+    psums[-1] += bump
+    outcome = atoms_outcome(psums, big_q, len(atoms), exact)
+    if (atoms, bump) == ([0, 0], -2):
+        assert outcome is NonrealRootsError
+    scaled = [t**k * x for k, x in enumerate(psums, start=1)]
+    assert atoms_outcome(scaled, t * big_q, len(atoms), exact) == outcome
+
+
 # ------------------------------------------------------------------------ SPN
 
 def test_spn_moments_sigma_zero_is_atomic():
@@ -509,11 +537,6 @@ def integer_basis(polys):
     return [row + [0] * (length - len(row)) for row in rows], q
 
 
-def as_rationals(basis):
-    rows, q = basis
-    return [[Fraction(c, q) for c in row] for row in rows]
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(polys=st.lists(POLY, min_size=1, max_size=4), s=EVAL_POINT)
 def test_integer_basis_evaluates_exactly(polys, s):
@@ -609,39 +632,10 @@ def test_translated_nodes_equal_restore(model, order):
         assert spn_moments(model, n) == reference_spn_moments(model, n)
 
 
-def interpolate(values):
-    """Coefficients, lowest power first, of the polynomial through (k, values[k]),
-    by Newton divided differences."""
-    dd = list(values)
-    for j in range(1, len(dd)):
-        for i in range(len(dd) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j
-    poly = [dd[-1]]
-    for i in range(len(dd) - 2, -1, -1):
-        # poly <- poly * (s - i) + dd[i]
-        poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
-        poly[0] += dd[i]
-    return poly
-
-
-def interpolated_candidates(m, p, d):
-    """The candidate moment and gap polynomials of ``spn_recover`` through
-    the map at the N + 1 nodes s = 0..N and interpolation: the reference for
-    the one map over polynomials in s."""
-    exact = MomentSeries(m.coeffs, RATIONAL)
-    nodes = [_spn_map(exact, Fraction(d, p), -s) for s in range(m.order + 1)]
-    gaps = [signed_sum_gaps([d * c for c in node], d) for node in nodes]
-    return ([interpolate(col) for col in zip(*nodes)],
-            [interpolate(col) for col in zip(*gaps)])
-
-
-def padded(polys, length):
-    return [list(poly) + [0] * (length - len(poly)) for poly in polys]
-
-
-def test_candidate_polynomials_equal_interpolated():
+def test_candidate_polynomials_shape_and_readme_moments():
     # the 32 criterion-5 draws at orders d+2 and d+4 on both backends, and
-    # the README model at orders 8, 12 and 16
+    # the README model at orders 8, 12 and 16: candidate moment n has degree
+    # n in s, and the recovery reports those at its exact noise level
     draws = [criterion5_draw(n) for n in range(1, 33)]
     cases = [(model, model.d + extra, kind) for model in draws
              for extra in (2, 4) for kind in (RATIONAL, FLOAT)]
@@ -649,30 +643,34 @@ def test_candidate_polynomials_equal_interpolated():
     for model, order, kind in cases + readme:
         p, d = model.p, model.d
         m = spn_moments(model, order, kind)
-        moments, gaps = interpolated_candidates(m, p, d)
-        polys, gap_polys = fraction_candidates(m, p, d)
+        polys, _ = fraction_candidates(m, p, d)
         assert [len(poly) for poly in polys] == list(range(2, order + 2))
-        assert padded(polys, order + 1) == moments
-        assert padded(gap_polys, order + 1) == gaps
         if model is README_MODEL:
-            # the recovery's candidate moments at its exact noise level
             report = spn_recover(m, p, d)
             assert report.atom_moments.coeffs == tuple(
-                float(fraction_horner(poly, report.sigma_sq_exact)) for poly in moments)
+                float(fraction_horner(poly, report.sigma_sq_exact)) for poly in polys)
+
+
+def in_u(gaps, big_q, d):
+    """The gap polynomials g_k in s as Q^k d! g_k(d u / Q) in u = Q s / d:
+    coefficient i is Q^(k-i) d^i d! times that of s^i."""
+    return [[big_q ** (k - i) * d**i * math.factorial(d) * c for i, c in enumerate(g)]
+            for k, g in enumerate(gaps, start=d + 1)]
 
 
 def assert_int_rows_equal_reference(m, p, d):
-    # the gap rows over q are d! g_k; _candidate reads the moments exactly at
-    # an int, a Fraction and a float
+    # the gap polynomials in u are the reference's in s; _candidate reads the
+    # moments exactly at an int, a Fraction and a float, as ints over its scale
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
-    stages = _candidate_rows(exact, p, d)
-    big_q, cumulants, _ = next(stages)
-    rows, q = next(stages)
+    big_q, cumulants = _candidate_rows(exact, p, d)
+    polys = _gap_polys(cumulants, d, m.order)
     moments, gaps = fraction_candidates(m, p, d)
-    assert all(type(c) is int for row in rows for c in row) and type(q) is int
-    assert as_rationals((rows, q * math.factorial(d))) == padded(gaps, m.order + 1)
+    assert all(type(c) is int for poly in polys for c in poly) and type(big_q) is int
+    assert polys == in_u(gaps, big_q, d)
     for s in (0, Fraction(1, 3), 2.5):
-        assert _candidate(cumulants, big_q, d, s) == [
+        ints, scale = _candidate(cumulants, big_q, d, Fraction(s) * big_q / d)
+        assert all(type(x) is int for x in ints) and type(scale) is int
+        assert [Fraction(x, scale**k) for k, x in enumerate(ints, start=1)] == [
             fraction_horner(poly, Fraction(s)) for poly in moments]
 
 
@@ -705,14 +703,20 @@ SERIES_COEFF = st.just(Fraction(0)) | st.builds(
 def test_rescaled_int_rows_and_ring_contract(coeffs, data):
     # Q^n m_n is an int for each n, the int rows are the Fraction reference's
     # rationals, and the series recursions keep the scalar type: int on int
-    # input (no division by the unit W_0 = 1), Fraction and float on those
+    # input (no division by the unit W_0 = 1), Fraction and float on those.
+    # The reference, the map at the polynomial shift -s, evaluated at s = t
+    # is the map at the shift -t.
     big_q, scaled = _rescaled(coeffs)
     assert all(type(c) is int for c in scaled)
     assert [Fraction(c) for c in scaled] == [
         big_q**n * c for n, c in enumerate(coeffs, start=1)]
     d = data.draw(st.integers(1, len(coeffs) - 2))
     p = data.draw(st.integers(d, 3 * d))
-    assert_int_rows_equal_reference(MomentSeries(tuple(coeffs)), p, d)
+    series = MomentSeries(tuple(coeffs))
+    assert_int_rows_equal_reference(series, p, d)
+    t = data.draw(SMALL_COEFF)
+    assert [fraction_horner(c, t) for c in fraction_candidates(series, p, d)[0]] == list(
+        _spn_map(series, Fraction(d, p), -t))
     floats = [float(c) for c in coeffs]
     for values, scalar in ((scaled, int), (coeffs, Fraction), (floats, float)):
         for transform in (_cumulants, _moments):
@@ -747,7 +751,7 @@ def test_direct_cumulant_rows_equal_translation(coeffs, data):
     # noise term (p - d) d^(n-1) (-u)^n
     d = data.draw(st.integers(1, len(coeffs) - 2))
     p = data.draw(st.integers(d, 3 * d))
-    big_q, cumulants, _ = next(_candidate_rows(coeffs, p, d))
+    big_q, cumulants = _candidate_rows(coeffs, p, d)
     assert big_q == _rescaled(coeffs)[0]
     translated = _translate(_cumulants(_rescaled(coeffs)[1]), Poly((0, -d)))
     assert cumulants == [list(x + Poly((0,) * n + ((p - d) * d ** (n - 1) * (-1) ** n,)))
@@ -789,12 +793,18 @@ def test_gap_polys_equal_the_polynomial_ring(shape, data):
     assert _gap_polys(rows, d, order - 1) == polys[:-1]
 
 
+def gcd_roots_in_s(m, p, d, order):
+    """``_gcd_roots`` of the Fraction reference's gaps in s of orders d+1..order,
+    as int rows over one denominator."""
+    return _gcd_roots(integer_basis(fraction_candidates(m, p, d)[1][:order - d])[0])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_gcd_roots_in_u_map_to_those_in_s(data):
     # the roots r of the gcd in u = Q s / d, mapped by s = d r / Q, are those
-    # of the rows in s, on exact model series (sigma^2 a root), the same with
-    # the top moment perturbed, and unrelated series
+    # of the Fraction reference's gaps in s, on exact model series (sigma^2 a
+    # root), the same with the top moment perturbed, and unrelated series
     d = data.draw(st.integers(1, 4))
     p = data.draw(st.integers(d, 3 * d))
     order = d + data.draw(st.integers(2, 4))
@@ -806,9 +816,9 @@ def test_gcd_roots_in_u_map_to_those_in_s(data):
         coeffs = list(spn_moments(SpnModel(p, d, a, data.draw(SMALL_COEFF)), order).coeffs)
         if kind == "perturbed":
             coeffs[-1] *= Fraction(1001, 1000)
-    big_q, _, lean = next(_candidate_rows(coeffs, p, d))
-    in_s = _gcd_roots(_rows_in_s(lean, big_q, d)[0])
-    assert [d * r / big_q for r in _gcd_roots(lean)] == in_s
+    big_q, cumulants = _candidate_rows(coeffs, p, d)
+    in_s = gcd_roots_in_s(MomentSeries(tuple(coeffs)), p, d, d + 2)
+    assert [d * r / big_q for r in _gcd_roots(_gap_polys(cumulants, d, d + 2))] == in_s
     if kind == "model":
         assert in_s
 
@@ -1084,13 +1094,11 @@ def test_lean_stage_finds_the_full_gcd_roots():
         m = MomentSeries(m[:-1] + (m[-1] * Fraction(1001, 1000),))
         cases.append((m, model.p, model.d, True))
     for m, p, d, perturbed in cases:
-        stages = _candidate_rows(MomentSeries(m.coeffs, RATIONAL).coeffs, p, d)
-        big_q, _, lean_polys = next(stages)
-        lean = _gcd_roots(lean_polys)
-        assert [d * r / big_q for r in lean] == _gcd_roots(_rows_in_s(lean_polys, big_q, d)[0])
-        gap_rows, _ = next(stages)
+        big_q, cumulants = _candidate_rows(MomentSeries(m.coeffs, RATIONAL).coeffs, p, d)
+        lean = _gcd_roots(_gap_polys(cumulants, d, d + 2))
+        assert [d * r / big_q for r in lean] == gcd_roots_in_s(m, p, d, d + 2)
         trace, _ = _noise_level_candidates(m, p, d)
-        roots = [float(r) for r in _gcd_roots(gap_rows)]
+        roots = [float(r) for r in gcd_roots_in_s(m, p, d, m.order)]
         assert [s for s, defect in trace if defect == 0] == roots
         if perturbed:
             assert lean and not roots
@@ -1104,7 +1112,8 @@ def test_order_d_plus_1_does_not_identify():
     # order 6.  At order d+2 the gcd is linear, with the root 81/16 alone.
     model = SpnModel(5, 4, (Fraction(5, 4), Fraction(5, 4), Fraction(1, 2), 1),
                      Fraction(9, 4))
-    big_q, cumulants, (g5,) = next(_candidate_rows(spn_moments(model, 5).coeffs, 5, 4))
+    big_q, cumulants = _candidate_rows(spn_moments(model, 5).coeffs, 5, 4)
+    (g5,) = _gap_polys(cumulants, 4, 5)
     g = _int_gcd([], g5)
     h = _pseudo_divide(g, _int_gcd(g, [i * c for i, c in enumerate(g)][1:]))[0]
     scale = max(abs(c) for c in h)
@@ -1113,9 +1122,9 @@ def test_order_d_plus_1_does_not_identify():
         x = 4 * u / big_q
         if abs(x.imag) > 1e-9 or x.real < 0:
             continue
-        moments = _candidate(cumulants, big_q, 4, float(x.real))
+        moments, t = _candidate(cumulants, big_q, 4, Fraction(float(x.real)) * big_q / 4)
         try:
-            values, mults, nonnegative = _atoms([4 * c for c in moments[:4]], 4, False)
+            values, mults, nonnegative = _atoms([4 * c for c in moments[:4]], t, 4, False)
         except NonrealRootsError:
             continue
         if nonnegative:
@@ -1130,7 +1139,7 @@ def test_order_d_plus_1_does_not_identify():
     with pytest.raises(OrderTooSmallError):
         spn_recover(spn_moments(model, 5), 5, 4)
     m = spn_moments(model, 6)
-    *_, (gap_rows, _) = _candidate_rows(m.coeffs, 5, 4)
+    gap_rows = integer_basis(fraction_candidates(m, 5, 4)[1])[0]
     g = []
     for row in gap_rows:
         g = _int_gcd(g, row)

@@ -10,6 +10,11 @@ residual, over: the 32 criterion-5 draws of the ``recover`` workload at
 orders d+2 and d+4 on both backends; a seeded sweep of exact models, float
 models (some perturbed, some scaled by powers of two), garbage series, and
 the README model at scales 2^-500 to 2^250.
+``cw_recover`` hashes what ``cw_recover_eigenvalues`` returns, as a list of
+floats, over a seeded sweep of compound Wishart cumulant series on both
+backends: p and d in 1..8, spectra of exact rationals or of floats repeated
+from a U(-5, 5) pool, orders p to p+3, a quarter with one cumulant
+perturbed by a relative 1e-6, 1e-4 or 1e-3.
 ``spn_density`` hashes every ``DensityCurve`` field of the ``density``
 workload's models at its two offsets, arrays as lists of floats.
 """
@@ -27,6 +32,8 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SWEEP_SEED = 19
 SWEEP_SIZE = 500
+CW_SEED = 7
+CW_SIZE = 600
 
 
 def recovery_inputs(models, workloads):
@@ -64,6 +71,28 @@ def recovery_inputs(models, workloads):
         model = models.SpnModel(4, 2, (scale, 2 * scale), scale / 2)
         kinds = (RATIONAL, FLOAT) if e < 250 else (RATIONAL,)
         yield from ((models.spn_moments(model, 6, kind), 4, 2) for kind in kinds)
+
+
+def cw_inputs(models):
+    """(series, p, d): each seeded spectrum's cumulants on both backends."""
+    from freedeconv.series import FLOAT, RATIONAL, MomentSeries
+
+    rng = random.Random(CW_SEED)
+    for i in range(CW_SIZE):
+        p, d = rng.randint(1, 8), rng.randint(1, 8)
+        if i % 2:
+            pool = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, p))]
+            values = [rng.choice(pool) for _ in range(p)]
+        else:
+            values = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(p)]
+        order = p + rng.randint(0, 3)
+        perturbed = rng.randrange(order) if rng.random() < 0.25 else None
+        factor = 1 + rng.choice((1e-6, 1e-4, 1e-3))
+        for kind in (RATIONAL, FLOAT):
+            r = list(models.cw_r_transform(models.CwModel(p, d, values), order, kind).coeffs)
+            if perturbed is not None:
+                r[perturbed] *= Fraction(factor) if kind == RATIONAL else factor
+            yield MomentSeries(tuple(r), kind), p, d
 
 
 def density_inputs(workloads):
@@ -105,6 +134,8 @@ def main() -> int:
     layers = {
         "spn_recover": [outcome(lambda: models.spn_recover(m, p, d))
                         for m, p, d in recovery_inputs(models, workloads)],
+        "cw_recover": [outcome(lambda: models.cw_recover_eigenvalues(r, p, d).tolist())
+                       for r, p, d in cw_inputs(models)],
         "spn_density": [outcome(lambda: curve_fields(subordination.spn_density(
                             model, grid, epsilon=epsilon, max_iter=max_iter)))
                         for model, grid, epsilon in density_inputs(workloads)],
