@@ -458,12 +458,7 @@ def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeri
     a = [_as_kind(v, kind) for v in model.singular_values]
     maa = atomic_moments([v * v for v in a], order, kind)
     sigma = _as_kind(model.sigma, kind)
-    m = MomentSeries(_spn_map(maa, lam, sigma * sigma), kind)
-    if kind == FLOAT and not all(math.isfinite(c) for c in m.coeffs):
-        raise DomainError(
-            "moments overflow the float backend; use the rational backend"
-        )
-    return m
+    return MomentSeries(_spn_map(maa, lam, sigma * sigma), kind)
 
 
 def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
@@ -807,11 +802,11 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
         s_best, (moments, scale), (values, mults, _), s_exact = winner
         # int / int is correctly rounded, and raises past the float range
         maa = MomentSeries(tuple(x / scale**k for k, x in enumerate(moments, start=1)), FLOAT)
+        atoms = tuple(max(0.0, float(a)) for a, k in zip(values, mults) for _ in range(k))
+        rebuilt = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)[d:]
     except (OverflowError, DomainError):
         raise RecoveryFailedError(f"candidates leave the float range; {not_spn}",
                                   residual=math.inf) from None
-    atoms = tuple(max(0.0, float(a)) for a, k in zip(values, mults) for _ in range(k))
-    rebuilt = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)[d:]
     final_residual = sum((r - t) * (r - t) for r, t in zip(rebuilt, target.coeffs[d:]))
     misfits, fits = _misfits(rebuilt, target.coeffs[d:])
     if not fits:

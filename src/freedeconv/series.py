@@ -56,11 +56,12 @@ def _coerce(value, kind):
         raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
     if kind == FLOAT:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
-            raise DomainError(
-                "a coefficient is out of the float range", module="series"
-            ) from None
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError("a coefficient is out of the float range", module="series")
+        return value
     raise ValueError(f"unknown scalar backend {kind!r}")
 
 

@@ -21,16 +21,18 @@ and G = G_A(w1, w2) are closed forms in omega.  The solver is Newton's
 method on z(omega) = Z, vectorised over points, walking Im Z down the rungs
 10 E, E, E/10, ... of the spectrum's scale E = (max|a| + |sigma|(1 + sqrt(p/d)))^2
 from omega = Z; a step that would leave the upper half-plane, and with it
-the physical branch, is halved.  A rung above the target only has to start
-the next one inside its basin: at height h it stops once every point has
-|z(omega) - Z| <= h / 10, the next rung's height.  Only the target tests
-the fixed-point defect of G against the tolerance.  Stieltjes inversion
-along z1 = z2 = sqrt(x + i eps) gives the density of
+the physical branch, is halved.  One Newton loop runs every rung, and a
+point leaves a rung as soon as its own test passes.  A rung above the
+target only has to start the next one inside its basin: at height h a point
+leaves once |z(omega) - Z| <= h / 10, the next rung's height.  Only the
+target tests the fixed-point defect of G against the tolerance.  Stieltjes
+inversion along z1 = z2 = sqrt(x + i eps) gives the density of
 (A + sigma C)*(A + sigma C).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -146,6 +148,17 @@ def _problem(model: SpnModel):
     return (atoms, counts, model.p, model.d, sigma * sigma), float(scale)
 
 
+def _check_solver(tol, max_iter) -> None:
+    """Raises DomainError unless ``tol`` is positive and finite and
+    ``max_iter`` an int of at least 1; a bool is neither."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
+        raise DomainError(f"tol must be positive and finite, got {tol}", module="subordination")
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral)
+                                          and max_iter >= 1):
+        raise DomainError(f"max_iter must be an int of at least 1, got {max_iter!r}",
+                          module="subordination")
+
+
 def _defect_tol(tol: float, scale: float) -> float:
     """The target's defect bound, in units of g below scale 1.  With z of
     size sqrt(E), g has size 1 / sqrt(E), and so has the rounding floor of
@@ -178,132 +191,110 @@ def _newton(terms, omega, big_z):
     return f, step, gap, weighted, s, u
 
 
-def _advance(omega, step, rejected):
-    """omega - step, halving each step that ``rejected`` flags until it is
-    not; and the number of steps halved."""
-    new = omega - step
-    off = rejected(new)
-    halved = int(np.count_nonzero(off))
-    while off.any():
-        step[off] /= 2.0
-        new[off] = omega[off] - step[off]
-        off = rejected(new)
-    return new, halved
+def _rung(terms, z1, z2, omega, height, tol, max_iter):
+    """Newton's method on z(omega) = Z from ``omega``: the loop of every rung.
 
-
-def _below(new):
-    # off the physical branch: omega must stay in the upper half-plane
-    return ~(new.imag > 0)
-
-
-def _unconverged(its, residual):
-    return NoConvergenceError(
-        f"subordination Newton iteration stopped unconverged after {its} "
-        f"iterations (residual {residual:.3e})",
-        residual=float(residual),
-        iterations=its,
-    )
-
-
-def _continue(terms, x, height, omega, max_iter):
-    """Newton's method on z(omega) = x + i height from ``omega``, at every
-    point until each has |z(omega) - Z| <= height / 10, the next rung's
-    height: a continuation step only has to start the next rung inside its
-    basin.  Returns omega, the iteration count and the number of halved
-    steps."""
-    big_z = x + 1j * height
-    its = halved = 0
-    with np.errstate(all="ignore"):
-        while True:
-            its += 1
-            f, step, *_ = _newton(terms, omega, big_z)
-            miss = np.abs(f).max()
-            if miss <= height / 10:
-                return omega, its, halved
-            if its >= max_iter or not np.isfinite(step).all():
-                raise _unconverged(its, miss)
-            omega, h = _advance(omega, step, _below)
-            halved += h
-
-
-def _rung(terms, z1, z2, omega, tol, max_iter):
-    """Newton's method on z(omega) = z1 z2 from ``omega``, pointwise.
-
-    Every iteration retires the points whose g has a fixed-point defect of
-    at most ``tol`` and steps the rest, halving any step that would leave
-    the upper half-plane.  When every target Z = z1 z2 is real (and so
-    negative), the physical omega is real and left of the smallest atom,
-    where halving would slow every step that reaches the axis: a step that
-    lands left of that atom is projected onto the closed upper half-plane
-    instead.  Between atoms z(omega) = Z has real roots off the physical
-    branch, so a step that lands there is still halved.  The closed-form w
-    solves w = z - sigma^2 eta(g) exactly, so the defect |G_A(w) - g| is
-    max(|w2|, (d/p)|w1|) times |s(w1 w2) - s(omega)|; as w1 w2 = omega - e,
-    e = (z(omega) - Z) / u^2 with u = 1 + sigma^2 s, that difference is
-    |e sum_k c_k / (d (omega - a_k^2)(omega - e - a_k^2))|, free of
-    cancellation.  Returns omega, g, w, the largest defect, the iteration
-    count and the number of halved steps.
+    Each iteration retires the points whose own test passes and steps the
+    rest.  On a rung above the target, Z = Re(z1 z2) + i ``height`` and a
+    point is done once |z(omega) - Z| <= height / 10, the next rung's
+    height: it only has to start the next rung inside its basin.  At the
+    target (``height`` None), Z = z1 z2 and a point is done once its g has a
+    fixed-point defect of at most ``tol``; its g and w are recorded then.
+    The closed-form w solves w = z - sigma^2 eta(g) exactly, so the defect
+    |G_A(w) - g| is max(|w2|, (d/p)|w1|) times |s(w1 w2) - s(omega)|; as
+    w1 w2 = omega - e, e = (z(omega) - Z) / u^2 with u = 1 + sigma^2 s, that
+    difference is |e sum_k c_k / (d (omega - a_k^2)(omega - e - a_k^2))|,
+    free of cancellation.  A step that would leave the upper half-plane is
+    halved.  When every target Z is real (and so negative), the physical
+    omega is real and left of the smallest atom, where halving would slow
+    every step that reaches the axis: a step that lands left of that atom
+    is projected onto the closed upper half-plane instead.  Between atoms
+    z(omega) = Z has real roots off the physical branch, so a step that
+    lands there is still halved.  Raises NoConvergenceError when a point is
+    still on the rung after ``max_iter`` iterations or its step is not
+    finite.  Returns omega, g and w (None above the target), the largest
+    defect (0 above the target), the iterations and the halved steps.
     """
     atoms, _, p, d, sigma_sq = terms
     shift = sigma_sq * (p / d - 1)
-    big_z = z1 * z2
-    omega = omega.copy()
-    g1, g2, w1, w2 = (np.empty_like(omega) for _ in range(4))
-    residual = np.zeros(omega.shape)
-    active = np.arange(omega.size)
-    its = halved = 0
-    real_target = not np.any(big_z.imag)
-    if real_target:
+    target = height is None
+    big_z = z1 * z2 if target else (z1 * z2).real + 1j * height
+    project = target and not np.any(big_z.imag)
+    if project:
         def rejected(new):
             return ~((new.imag > 0) | (new.real < atoms[0]))
     else:
-        rejected = _below
+        def rejected(new):
+            return ~(new.imag > 0)
+    omega = omega.copy()
+    g1, g2, w1, w2 = (np.empty_like(omega) if target else None for _ in range(4))
+    active, om, zs, a1, a2 = np.arange(omega.size), omega, big_z, z1, z2
+    its = halved = 0
+    worst = 0.0
     with np.errstate(all="ignore"):
-        while active.size:
+        while True:
             its += 1
-            om, a1, a2 = omega[active], z1[active], z2[active]
-            f, step, gap, weighted, s, u = _newton(terms, om, big_z[active])
-            e = f / (u * u)
-            v2 = a2 / u
-            v1 = (a1 - shift / v2) / u
-            res = np.maximum(np.abs(v2), (d / p) * np.abs(v1)) * np.abs(
-                e * (weighted / (gap - e[None, :])).sum(axis=0) / d
-            )
-            done = res <= tol
-            idx = active[done]
-            g1[idx] = v2[done] * s[done]
-            g2[idx] = (d / p) * v1[done] * s[done] + (1 - d / p) / v2[done]
-            w1[idx], w2[idx], residual[idx] = v1[done], v2[done], res[done]
-            keep = ~done
-            active, om, step = active[keep], om[keep], step[keep]
-            if active.size and (its >= max_iter or not np.isfinite(step).all()):
-                raise _unconverged(its, res.max())
-            new, h = _advance(om, step, rejected)
-            halved += h
-            if real_target:
+            f, step, gap, weighted, s, u = _newton(terms, om, zs)
+            if target:
+                e = f / (u * u)
+                v2 = a2 / u
+                v1 = (a1 - shift / v2) / u
+                res = np.maximum(np.abs(v2), (d / p) * np.abs(v1)) * np.abs(
+                    e * (weighted / (gap - e[None, :])).sum(axis=0) / d
+                )
+                done = res <= tol
+            else:
+                res = np.abs(f)
+                done = res <= height / 10
+            retired = np.count_nonzero(done)
+            if retired:
+                idx = active[done]
+                omega[idx] = om[done]
+                if target:
+                    worst = max(worst, float(res[done].max()))
+                    g1[idx] = v2[done] * s[done]
+                    g2[idx] = (d / p) * v1[done] * s[done] + (1 - d / p) / v2[done]
+                    w1[idx], w2[idx] = v1[done], v2[done]
+                if retired == done.size:
+                    return omega, (g1, g2), (w1, w2), worst, its, halved
+                keep = ~done
+                active, om, zs, step = active[keep], om[keep], zs[keep], step[keep]
+                if target:
+                    a1, a2 = a1[keep], a2[keep]
+            if its >= max_iter or not np.isfinite(step).all():
+                raise NoConvergenceError(
+                    f"subordination Newton iteration stopped unconverged after {its} "
+                    f"iterations (residual {res.max():.3e})",
+                    residual=float(res.max()), iterations=its,
+                )
+            new = om - step
+            off = rejected(new)
+            halved += int(np.count_nonzero(off))
+            while off.any():
+                step[off] /= 2.0
+                new[off] = om[off] - step[off]
+                off = rejected(new)
+            if project:
                 new.imag = np.maximum(new.imag, 0.0)
-            omega[active] = new
-    return omega, (g1, g2), (w1, w2), float(residual.max()), its, halved
+            om = new
 
 
 def _walk(terms, z1, z2, rungs, tol, max_iter):
     """Solve at the points (z1, z2), walking Im Z down ``rungs`` first.
 
-    Rung eta is the continuation (``_continue``) at Z = Re(z1 z2) + i eta,
-    each from the last; the first starts from omega = Z.  Only the target
-    runs ``_rung`` and its defect test.  Returns g, w, the largest defect,
-    the iterations on each rung with the target's last, and the halved
-    steps summed over rungs.
+    Each rung runs ``_rung`` from the omega the last one left, the first
+    from omega = Re(z1 z2) + i rungs[0], and a point leaves a rung when its
+    own test passes.  Returns g, w, the largest defect, the iterations on
+    each rung with the target's last, and the halved steps summed over rungs.
     """
     x = (z1 * z2).real
     omega = x + 1j * (rungs[0] if rungs else (z1 * z2).imag)
     rung_its, halved = [], 0
-    for height in rungs:
-        omega, its, h = _continue(terms, x, height, omega, max_iter)
+    for height in (*rungs, None):
+        omega, g, w, res, its, h = _rung(terms, z1, z2, omega, height, tol, max_iter)
         rung_its.append(its)
         halved += h
-    _, g, w, res, its, h = _rung(terms, z1, z2, omega, tol, max_iter)
-    return g, w, res, (*rung_its, its), halved + h
+    return g, w, res, tuple(rung_its), halved
 
 
 def solve_subordination(
@@ -319,11 +310,13 @@ def solve_subordination(
     solves at the conjugate point, as z(omega) has real coefficients.  With
     sigma = 0 the signal transform is returned after a single evaluation.
     Raises NoConvergenceError if some rung takes more than ``max_iter``
-    iterations: to come within its next rung's height of its Z, or, at the
+    iterations: to come within a tenth of its height of its Z, or, at the
     target, to reach a defect of ``tol`` (``tol / sqrt(E)`` when E < 1, as
-    g has size 1 / sqrt(E)).
+    g has size 1 / sqrt(E)).  Raises DomainError unless ``tol`` is positive
+    and finite and ``max_iter`` an int of at least 1.
     """
     _require_upper(z)
+    _check_solver(tol, max_iter)
     terms, scale = _problem(model)
     if model.sigma == 0:
         g = g_lambda_atoms(model.singular_values, model.p, model.d, z)
@@ -356,13 +349,15 @@ def spn_density(
 
     Solves at z1 = z2 = sqrt(x + i eps), through the rungs above ``epsilon``,
     and reads the density off by Stieltjes inversion,
-    rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  Raises NoConvergenceError if
-    some rung takes more than ``max_iter`` iterations: to come within its
-    next rung's height of its Z at every point, or, at the target, to reach
-    a defect of ``tol`` at every point (``tol / sqrt(E)`` when the scale
-    E < 1, as g has size 1 / sqrt(E)).  Only the absolutely continuous
-    regime sigma != 0 is supported; for sigma = 0 the spectrum is atomic and
-    covered by the moment route.
+    rho(x) = -Im[G_1 / sqrt(x + i eps)] / pi.  Each point leaves a rung
+    once its own test passes.  Raises NoConvergenceError if some point
+    stays on a rung for more than ``max_iter`` iterations: to come within a
+    tenth of the rung's height of its Z, or, at the target, to reach a
+    defect of ``tol`` (``tol / sqrt(E)`` when the scale E < 1, as g has size
+    1 / sqrt(E)).  Raises DomainError unless ``epsilon`` and ``tol`` are
+    positive and finite and ``max_iter`` an int of at least 1.  Only the
+    absolutely continuous regime sigma != 0 is supported; for sigma = 0 the
+    spectrum is atomic and covered by the moment route.
     """
     if model.sigma == 0:
         raise SigmaZeroError(
@@ -375,10 +370,10 @@ def spn_density(
     if not (np.all(x > 0) and np.all(np.diff(x) > 0)):
         raise DomainError("grid must be positive and strictly ascending",
                           module="subordination")
-    for name, value in (("epsilon", epsilon), ("tol", tol)):
-        if not (np.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}",
-                              module="subordination")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}",
+                          module="subordination")
+    _check_solver(tol, max_iter)
 
     terms, scale = _problem(model)
     zeta = np.sqrt(x + 1j * epsilon)

@@ -340,6 +340,11 @@ def float_series(*coeffs):
     return {"order": len(coeffs), "coeffs": list(coeffs), "scalar": "float"}
 
 
+# in argv, the path of the series file the case writes
+SERIES_FILE = "<series>"
+HUGE_FLOAT_SERIES = {"order": 2, "coeffs": [1e300, 1e300], "scalar": "float"}
+
+
 # a seed polynomial whose companion matrix overflows, and a fit whose
 # moments overflow
 INF_SEED = float_series(-2.490706403362065e+155, 3.5960155560722736e+66,
@@ -372,6 +377,15 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
         (["spn-moments", "--backend", "float"], HUGE, None, None, 1, "domain"),
         (["spn-moments", "--backend", "float"], {"sigma": 1e100}, None, None, 1,
          "domain"),
+        # float results past the float range: m_2 = 1e400 and inf - inf
+        (["cw-moments", "--backend", "float"],
+         {"p": 1, "d": 1, "eigenvalues": [1e200], "singular_values": None,
+          "sigma": None}, None, None, 1, "domain"),
+        (["convolve", "boxplus", "--g", SERIES_FILE, "--f"], None, HUGE_FLOAT_SERIES,
+         None, 1, "domain"),
+        (["convolve", "boxed", "--g", SERIES_FILE, "--f"], None, HUGE_FLOAT_SERIES,
+         None, 1, "domain"),
+        (RTRANSFORM, None, HUGE_FLOAT_SERIES, None, 1, "domain"),
         (RTRANSFORM, None, {"scalar": None}, None, 1, "domain"),
         (RTRANSFORM, None, {"coeffs": ["1/0", "2/1", "5/1"]}, None, 1, "domain"),
         (RTRANSFORM, None, {"scalar": "bogus"}, None, 1, "domain"),
@@ -401,6 +415,8 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
          "density-negative-points", "epsilon-negative-exponent",
          "epsilon-negative-inf", "tol-negative-exponent", "xmin-negative-exponent",
          "huge-value-rational", "huge-value-float", "huge-sigma-float",
+         "cw-moments-overflow", "boxplus-overflow", "boxed-overflow",
+         "rtransform-overflow",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
          "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
          "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative",
@@ -417,7 +433,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, ser
         argv = argv + ["--model", write_json(tmp_path / "model.json", data)]
     if series is not None:
         data = {k: v for k, v in {**SERIES, **series}.items() if v is not None}
-        argv = argv + [write_json(tmp_path / "series.json", data)]
+        path = write_json(tmp_path / "series.json", data)
+        argv = [path if a == SERIES_FILE else a for a in argv] + [path]
     assert _exit_status(argv) == status
     err = capsys.readouterr().err
     assert "Traceback" not in err

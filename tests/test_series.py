@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -115,6 +116,14 @@ def test_json_rational_strings():
     for bad in ("nan", "inf", "1/0", "1/", "abc", "1/2/3"):
         with pytest.raises(DomainError):
             MomentSeries.from_dict({"coeffs": [bad], "scalar": "rational"})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, "nan", 10**400],
+                         ids=["inf", "minus-inf", "nan", "huge-int"])
+def test_float_series_rejects_non_finite_coefficients(value):
+    with pytest.raises(DomainError) as info:
+        MomentSeries((1.0, value), FLOAT)
+    assert info.value.module == "series"
 
 
 def test_json_order_mismatch():

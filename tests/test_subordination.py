@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from freedeconv import subordination
-from freedeconv.errors import DomainError, SigmaZeroError
+from freedeconv.errors import DomainError, NoConvergenceError, SigmaZeroError
 from freedeconv.models import SpnModel, spn_moments
 from freedeconv.subordination import (
     CPoint2,
-    _continue,
     _g_atoms,
     _ladder,
     _problem,
@@ -358,8 +357,8 @@ def test_branch_rule_halves_on_a_continuation_rung(model):
     grid = _edge_grid(model, 600)
     terms, zeta, (full, _, _, _, _) = _solve_grid(model, grid, 1e-3)
     x = (zeta * zeta).real
-    omega, _, _ = _continue(terms, x, 1.0, x + 1j, 100)
-    omega, _, halved = _continue(terms, x, 2e-3, omega, 100)
+    omega, *_ = _rung(terms, zeta, zeta, x + 1j, 1.0, 1e-12, 100)
+    omega, _, _, _, _, halved = _rung(terms, zeta, zeta, omega, 2e-3, 1e-12, 100)
     assert halved > 0 and np.all(omega.imag > 0)
     _, _, (jump, _, res, _, _) = _solve_grid(model, grid, 1e-3, rungs=[1.0, 2e-3])
     assert res <= 1e-12
@@ -393,6 +392,23 @@ def test_density_and_fixed_point_scale_below_scale_one():
         g_small = solve_subordination(small, CPoint2(1e-3 * z, 1e-3 * z)).g
         for a, b in zip(g_small, g):
             assert abs(1e-3 * a - b) <= 1e-8 * abs(b)
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergenceError, reason=(
+    "the defect bound tol / sqrt(min(1, E)) is scale-free only for E <= 1: "
+    "at E = 2.9e-6 the target stalls at its rounding floor, 6.2e-10 against "
+    "a bound of 5.9e-10"))
+def test_density_scales_below_scale_one_at_small_sigma():
+    # sigma / scale = 0.02 and eps = 1e-4 E; the same model scaled by 10^3,
+    # so W by 10^6, converges on the scaled grid
+    unit = SpnModel(4, 2, (1.5372, 1.658), 0.02)
+    small = SpnModel(4, 2, (1.5372e-3, 1.658e-3), 2e-5)
+    scale = (1.658 + 0.02 * (1 + np.sqrt(2))) ** 2
+    grid = np.linspace(1e-3 * scale, 1.2 * scale, 500)
+    curve = spn_density(unit, grid, epsilon=1e-4 * scale)
+    assert curve.max_residual <= 1e-12
+    scaled = spn_density(small, 1e-6 * grid, epsilon=1e-10 * scale)
+    assert np.max(np.abs(1e-6 * scaled.values - curve.values)) <= 1e-8 * curve.values.max()
 
 
 @pytest.mark.parametrize(
@@ -436,10 +452,10 @@ def converged_walk(terms, z1, z2, rungs, tol, max_iter):
     rung_its, halved = [], 0
     for height in rungs:
         zeta = np.sqrt(x + 1j * height)
-        omega, _, _, _, its, h = _rung(terms, zeta, zeta, omega, tol, max_iter)
+        omega, _, _, _, its, h = _rung(terms, zeta, zeta, omega, None, tol, max_iter)
         rung_its.append(its)
         halved += h
-    _, g, w, res, its, h = _rung(terms, z1, z2, omega, tol, max_iter)
+    _, g, w, res, its, h = _rung(terms, z1, z2, omega, None, tol, max_iter)
     return g, w, res, (*rung_its, its), halved + h
 
 
@@ -501,8 +517,9 @@ def test_continuation_agrees_with_converged_ladder_pointwise(monkeypatch):
     ids=["reference", "noise", "draw1", "draw2", "draw3", "draw4"],
 )
 def test_intermediate_rungs_reach_the_next_rung_height(model):
-    # each continuation rung ends within eta/10 of its Z at every point, in
-    # the upper half-plane, and the walk is those rungs and then the target
+    # each rung above the target ends with every point within eta/10 of its
+    # Z, in the upper half-plane, and the walk is those rungs and then the
+    # target
     terms, scale = _problem(model)
     rungs = _ladder(scale, 1e-3)
     zeta = np.sqrt(_edge_grid(model, 2000) + 1j * 1e-3)
@@ -510,12 +527,67 @@ def test_intermediate_rungs_reach_the_next_rung_height(model):
     omega = x + 1j * rungs[0]
     counts = []
     for height in rungs:
-        omega, its, _ = _continue(terms, x, height, omega, 100)
+        omega, _, _, _, its, _ = _rung(terms, zeta, zeta, omega, height, 1e-12, 100)
         counts.append(its)
         assert np.all(omega.imag > 0)
         miss = np.abs(z_of_omega(terms, omega) - (x + 1j * height))
         assert np.max(miss) <= height / 10
-    _, g, _, _, its, _ = _rung(terms, zeta, zeta, omega, 1e-12, 100)
+    _, g, _, _, its, _ = _rung(terms, zeta, zeta, omega, None, 1e-12, 100)
     walked = _walk(terms, zeta, zeta, rungs, 1e-12, 100)
     assert walked[3] == (*counts, its)
     assert np.array_equal(walked[0][0], g[0]) and np.array_equal(walked[0][1], g[1])
+
+
+# ------------------------------------------------ solver arguments and stops
+
+SOLVER_POINT = complex(np.sqrt(3 + 1e-3j))
+ENTRY_POINTS = {
+    "density": lambda **kw: spn_density(REFERENCE, np.linspace(1e-3, 12.0, 200), **kw),
+    "point": lambda **kw: solve_subordination(
+        REFERENCE, CPoint2(SOLVER_POINT, SOLVER_POINT), **kw),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad",
+    [{"tol": float("nan")}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")},
+     {"tol": True}, {"tol": None}, {"max_iter": 0}, {"max_iter": -3},
+     {"max_iter": 2.5}, {"max_iter": None}, {"max_iter": True}],
+    ids=["tol-nan", "tol-zero", "tol-negative", "tol-inf", "tol-bool", "tol-none",
+         "max-iter-zero", "max-iter-negative", "max-iter-float", "max-iter-none",
+         "max-iter-bool"],
+)
+def test_solver_arguments_are_checked_at_both_entry_points(entry, bad):
+    with pytest.raises(DomainError) as info:
+        ENTRY_POINTS[entry](**bad)
+    assert info.value.module == "subordination"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
+def test_solver_accepts_large_and_numpy_iteration_caps(entry):
+    # the benchmark's cap, and a numpy integer
+    for max_iter in (100000, np.int64(100)):
+        result = ENTRY_POINTS[entry](max_iter=max_iter)
+        assert (result.max_residual if entry == "density" else result.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
+def test_no_convergence_on_a_rung_above_the_target(entry):
+    # rung 10E needs one iteration, rung E two: after one, omega still
+    # solves the rung above, about 9E from this rung's Z
+    _, scale = _problem(REFERENCE)
+    with pytest.raises(NoConvergenceError) as info:
+        ENTRY_POINTS[entry](max_iter=1)
+    assert info.value.iterations == 1
+    assert np.isfinite(info.value.residual) and info.value.residual > scale / 10
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
+def test_no_convergence_at_the_target(entry):
+    # every rung above the target takes at most 4 iterations; no defect
+    # reaches 1e-300, so the target stops at the cap near the rounding floor
+    with pytest.raises(NoConvergenceError) as info:
+        ENTRY_POINTS[entry](tol=1e-300, max_iter=20)
+    assert info.value.iterations == 20
+    assert np.isfinite(info.value.residual) and 0 < info.value.residual <= 1e-12

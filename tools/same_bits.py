@@ -17,6 +17,15 @@ from a U(-5, 5) pool, orders p to p+3, a quarter with one cumulant
 perturbed by a relative 1e-6, 1e-4 or 1e-3.
 ``spn_density`` hashes every ``DensityCurve`` field of the ``density``
 workload's models at its two offsets, arrays as lists of floats.
+``solve_subordination`` hashes ``repr`` of every ``SubordinationResult``
+over seeded points on models with d in 1..6: generic points of H+(C^2),
+points with Im z1 z2 < 0, real negative targets z1 = ia, z2 = ib, and models
+with sigma = 0.  ``density_sweep`` hashes every ``DensityCurve`` field over
+seeded models with d in 1..40, p in d..3d, singular values U(0, 2) times a
+scale of 1e-3, 1 or 1e3, and sigma / scale 0.02 or U(0.3, 1.5): 500 points
+on [1e-3 E, 1.2 E] at eps = 1e-4 E, with E = (max|a| + sigma(1 + sqrt(p/d)))^2,
+at the default tolerance and iteration cap; its line ends with the number
+of ``NoConvergenceError`` outcomes.  Errors hash as outcomes on every layer.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ SWEEP_SEED = 19
 SWEEP_SIZE = 500
 CW_SEED = 7
 CW_SIZE = 600
+POINT_SEED = 22
+POINT_SIZE = 400
+SWEEP_MODELS_SEED = 23
+SWEEP_MODELS = 120
 
 
 def recovery_inputs(models, workloads):
@@ -104,6 +117,42 @@ def density_inputs(workloads):
             yield model, grid, epsilon
 
 
+def point_inputs(models, subordination):
+    """(model, z): generic, Im Z < 0, real negative Z, and sigma = 0 in turn."""
+    rng = random.Random(POINT_SEED)
+    for i in range(POINT_SIZE):
+        d = rng.randint(1, 6)
+        p = rng.randint(d, 3 * d)
+        a = tuple(rng.uniform(0.0, 2.5) for _ in range(d))
+        sigma = 0.0 if i % 4 == 3 else rng.uniform(0.05, 1.5)
+        if i % 4 == 2:
+            z = subordination.CPoint2(1j * 10 ** rng.uniform(-3, 1),
+                                      1j * 10 ** rng.uniform(-3, 1))
+        else:
+            while True:
+                z1, z2 = (complex(rng.uniform(-6, 6), rng.uniform(0.01, 3)) for _ in range(2))
+                if (i % 4 == 1) == ((z1 * z2).imag < 0):
+                    break
+            z = subordination.CPoint2(z1, z2)
+        yield models.SpnModel(p, d, a, sigma), z
+
+
+def sweep_inputs(models):
+    """(model, grid, epsilon) at three scales, half of them with small sigma."""
+    import numpy as np
+
+    rng = random.Random(SWEEP_MODELS_SEED)
+    for i in range(SWEEP_MODELS):
+        d = rng.randint(1, 40)
+        p = rng.randint(d, 3 * d)
+        scale = (1e-3, 1.0, 1e3)[i % 3]
+        a = tuple(scale * rng.uniform(0.0, 2.0) for _ in range(d))
+        sigma = scale * (0.02 if i // 3 % 2 else rng.uniform(0.3, 1.5))
+        edge = (max(a) + sigma * (1 + (p / d) ** 0.5)) ** 2
+        grid = np.linspace(1e-3 * edge, 1.2 * edge, 500)
+        yield models.SpnModel(p, d, a, sigma), grid, 1e-4 * edge
+
+
 def outcome(run) -> str:
     """``repr`` of what run() returns, or of the error it raises."""
     from freedeconv.errors import FreeDeconvError
@@ -139,10 +188,17 @@ def main() -> int:
         "spn_density": [outcome(lambda: curve_fields(subordination.spn_density(
                             model, grid, epsilon=epsilon, max_iter=max_iter)))
                         for model, grid, epsilon in density_inputs(workloads)],
+        "solve_subordination": [outcome(lambda: subordination.solve_subordination(model, z))
+                                for model, z in point_inputs(models, subordination)],
+        "density_sweep": [outcome(lambda: curve_fields(subordination.spn_density(
+                              model, grid, epsilon=epsilon)))
+                          for model, grid, epsilon in sweep_inputs(models)],
     }
     for name, outcomes in layers.items():
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-        print(f"{name} {len(outcomes)} {digest}")
+        failed = sum("'NoConvergenceError'" in line for line in outcomes)
+        count = f" no-convergence {failed}" if name == "density_sweep" else ""
+        print(f"{name} {len(outcomes)} {digest}{count}")
     return 0
 
 
