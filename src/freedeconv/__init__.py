@@ -30,50 +30,52 @@ from .errors import (
     RecoveryFailedError,
     SigmaZeroError,
 )
-from .ncpart import (
-    NcPartition,
-    catalan,
-    coef_product,
-    enumerate_nc,
-    is_noncrossing,
-    kreweras,
-)
-from .series import (
-    FLOAT,
-    RATIONAL,
-    MomentSeries,
-    boxed_conv,
-    boxed_inverse,
-    delta_series,
-    free_add_conv,
-    free_mult_deconv,
-    moment_from_r,
-    r_transform,
-    scale_argument,
-    zeta_series,
-)
-from .models import (
-    CwModel,
-    IdentifiabilityReport,
-    RecoveryReport,
-    SpnModel,
-    atomic_moments,
-    cw_moments,
-    cw_r_transform,
-    cw_recover_eigenvalues,
-    delta_moments,
-    f_lambda,
-    free_poisson_r,
-    spn_decompose,
-    spn_moments,
-    spn_recover,
-    verify_identifiability,
-)
 __version__ = "0.1.0"
 
-# The analytic and Monte Carlo layers compute with numpy; they are imported
-# on first use, so the exact algebra above starts without it.
+# Every layer is imported on first use of one of its names: ``import
+# freedeconv`` loads only the errors, the exact algebra loads without the
+# numpy-based ``subordination`` and ``randmat``, and only ``nc`` needs the
+# non-crossing partitions of ``ncpart``.
 _LAZY = {
+    "ncpart": (
+        "NcPartition",
+        "catalan",
+        "coef_product",
+        "enumerate_nc",
+        "is_noncrossing",
+        "kreweras",
+    ),
+    "series": (
+        "FLOAT",
+        "RATIONAL",
+        "MomentSeries",
+        "boxed_conv",
+        "boxed_inverse",
+        "delta_series",
+        "free_add_conv",
+        "free_mult_deconv",
+        "moment_from_r",
+        "r_transform",
+        "scale_argument",
+        "zeta_series",
+    ),
+    "models": (
+        "CwModel",
+        "IdentifiabilityReport",
+        "RecoveryReport",
+        "SpnModel",
+        "atomic_moments",
+        "cw_moments",
+        "cw_r_transform",
+        "cw_recover_eigenvalues",
+        "delta_moments",
+        "f_lambda",
+        "free_poisson_r",
+        "spn_decompose",
+        "spn_moments",
+        "spn_recover",
+        "verify_identifiability",
+    ),
     "subordination": (
         "CPoint2",
         "DensityCurve",
@@ -101,6 +103,12 @@ _LAZY = {
     ),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+# what ``from freedeconv import *`` binds: the errors and the exact layers
+__all__ = [
+    *(name for name in globals() if name.endswith("Error")),
+    "errors", "ncpart", "series", "models",
+    *_LAZY["ncpart"], *_LAZY["series"], *_LAZY["models"],
+]
 
 
 def __getattr__(name):

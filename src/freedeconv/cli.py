@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .models import (
     spn_recover,
     verify_identifiability,
 )
-from .ncpart import enumerate_nc, kreweras
 from .series import (
     FLOAT,
     RATIONAL,
@@ -36,8 +36,10 @@ from .series import (
     r_transform,
 )
 
-# numpy and the analytic and Monte Carlo layers load inside the commands
-# that compute with them, so the exact commands start without numpy.
+# The non-crossing partitions, numpy and the analytic and Monte Carlo layers
+# load inside the commands that use them, so the exact commands start
+# without numpy.  ``series`` and ``models`` load with this module:
+# perfbench/cli_child.py wraps their functions once it has imported it.
 
 
 def _int_at_least(low: int):
@@ -152,6 +154,8 @@ def _require_files(*paths: Path | None) -> None:
 
 
 def _cmd_nc(args) -> int:
+    from .ncpart import enumerate_nc, kreweras
+
     parts = enumerate_nc(args.n)
     if args.kreweras:
         payload = [
@@ -173,10 +177,6 @@ def _cmd_convolve(args) -> int:
     if args.verb == "rtransform":
         result = r_transform(f)
     else:
-        if args.g is None:
-            raise FreeDeconvError(
-                f"verb {args.verb!r} needs --g", module="cli"
-            )
         g = MomentSeries.from_dict(_read_json(args.g))
         op = {"boxed": boxed_conv, "boxplus": free_add_conv, "deconv": free_mult_deconv}
         result = op[args.verb](f, g)
@@ -194,8 +194,7 @@ def _cmd_cw_moments(args) -> int:
 def _cmd_cw_recover(args) -> int:
     _require_files(args.r)
     r = MomentSeries.from_dict(_read_json(args.r))
-    values = cw_recover_eigenvalues(r, args.p, args.d)
-    _emit({"eigenvalues": [float(v) for v in values]}, args.out)
+    _emit({"eigenvalues": list(cw_recover_eigenvalues(r, args.p, args.d))}, args.out)
     return 0
 
 
@@ -359,7 +358,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(
         _glue_negative_numbers(sys.argv[1:] if argv is None else list(argv))
     )
-    return run(args)
+    if args.subcommand == "convolve" and args.verb != "rtransform" and args.g is None:
+        parser.error(f"convolve {args.verb} needs --g")
+    try:
+        status = run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # flush at exit cannot raise again (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

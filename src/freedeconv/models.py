@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
+from ._record import Record
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -79,22 +80,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CwModel:
+class CwModel(Record):
     """Compound Wishart parameters: dimensions (p, d) and the spectrum of D."""
 
-    p: int
-    d: int
-    eigenvalues: tuple
+    __slots__ = ("p", "d", "eigenvalues")
 
-    def __post_init__(self):
-        _check_dimensions(self.p, self.d)
-        vals = _parse_values(self.eigenvalues, "eigenvalues")
-        if len(vals) != self.p:
-            raise DimensionMismatchError(
-                f"expected {self.p} eigenvalues, got {len(vals)}"
-            )
-        object.__setattr__(self, "eigenvalues", vals)
+    def __init__(self, p: int, d: int, eigenvalues: tuple):
+        _check_dimensions(p, d)
+        vals = _parse_values(eigenvalues, "eigenvalues")
+        if len(vals) != p:
+            raise DimensionMismatchError(f"expected {p} eigenvalues, got {len(vals)}")
+        self._init(p, d, vals)
 
     def to_dict(self) -> dict:
         return {
@@ -109,30 +105,23 @@ class CwModel:
         return cls(data["p"], data["d"], _from_json(data["eigenvalues"]))
 
 
-@dataclass(frozen=True)
-class SpnModel:
+class SpnModel(Record):
     """Signal-plus-noise parameters: dimensions (p >= d), the d singular
     values of the signal A, and the noise scale sigma (only sigma^2 enters
     the spectrum, so the sign is immaterial)."""
 
-    p: int
-    d: int
-    singular_values: tuple
-    sigma: object = 0.0
+    __slots__ = ("p", "d", "singular_values", "sigma")
 
-    def __post_init__(self):
-        _check_dimensions(self.p, self.d)
-        if self.p < self.d:
-            raise DimensionMismatchError(f"p >= d required, got p={self.p} < d={self.d}")
-        vals = _parse_values(self.singular_values, "singular_values")
-        if len(vals) != self.d:
-            raise DimensionMismatchError(
-                f"expected {self.d} singular values, got {len(vals)}"
-            )
+    def __init__(self, p: int, d: int, singular_values: tuple, sigma: object = 0.0):
+        _check_dimensions(p, d)
+        if p < d:
+            raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
+        vals = _parse_values(singular_values, "singular_values")
+        if len(vals) != d:
+            raise DimensionMismatchError(f"expected {d} singular values, got {len(vals)}")
         if any(v < 0 for v in vals):
             raise DomainError("singular values must be nonnegative")
-        object.__setattr__(self, "singular_values", vals)
-        object.__setattr__(self, "sigma", _real(self.sigma))
+        self._init(p, d, vals, _real(sigma))
 
     @property
     def aspect_ratio(self) -> Fraction:
@@ -158,8 +147,7 @@ class SpnModel:
         )
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(Record):
     """Result of signal-plus-noise parameter recovery from a moment series.
 
     ``atoms`` is the spectrum of A*A, ascending, with its repeats; ``misfits``
@@ -173,14 +161,14 @@ class RecoveryReport:
     those of the distinct atoms, as ``_atoms`` read them at the winner.
     """
 
-    sigma_sq_hat: float
-    atom_moments: MomentSeries
-    atoms: tuple
-    residual: float
-    search_trace: tuple
-    misfits: tuple
-    sigma_sq_exact: Fraction | None
-    multiplicities: tuple
+    __slots__ = ("sigma_sq_hat", "atom_moments", "atoms", "residual", "search_trace",
+                 "misfits", "sigma_sq_exact", "multiplicities")
+
+    def __init__(self, sigma_sq_hat: float, atom_moments: MomentSeries, atoms: tuple,
+                 residual: float, search_trace: tuple, misfits: tuple,
+                 sigma_sq_exact: Fraction | None, multiplicities: tuple):
+        self._init(sigma_sq_hat, atom_moments, atoms, residual, search_trace, misfits,
+                   sigma_sq_exact, multiplicities)
 
     def to_dict(self) -> dict:
         return {
@@ -195,14 +183,14 @@ class RecoveryReport:
         }
 
 
-@dataclass(frozen=True)
-class IdentifiabilityReport:
+class IdentifiabilityReport(Record):
     """Coefficientwise comparison of two signal-plus-noise moment series."""
 
-    identical: bool
-    first_divergent_order: int | None
-    coefficient_a: object = None
-    coefficient_b: object = None
+    __slots__ = ("identical", "first_divergent_order", "coefficient_a", "coefficient_b")
+
+    def __init__(self, identical: bool, first_divergent_order: int | None,
+                 coefficient_a: object = None, coefficient_b: object = None):
+        self._init(identical, first_divergent_order, coefficient_a, coefficient_b)
 
     def __bool__(self) -> bool:
         return self.identical
@@ -334,21 +322,196 @@ def _roots(poly: Sequence[float]) -> np.ndarray:
     return np.roots(poly)
 
 
+# Floats ordered as numbers have ordinals in the same order, and the floats
+# of ordinals o and o + 1 are neighbours; +inf has this one.
+_INF = 0x7FF0000000000000
+
+
+def _ordinal(x: float) -> int:
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits + (1 << 63))
+
+
+def _from_ordinal(o: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", o if o >= 0 else -o - (1 << 63)))[0]
+
+
+def _midpoint(o: int) -> tuple:
+    """(a, b), b a power of two: a / b is the midpoint of the floats of
+    ordinals o and o + 1, where past the largest float 2^1024 comes next."""
+    sign = 1
+    if o < 0:
+        o, sign = -o - 1, -1
+    e, m = divmod(o, 1 << 52)
+    a, shift = sign * (2 * (m + ((e > 0) << 52)) + 1), max(e, 1) - 1076
+    return (a << shift, 1) if shift >= 0 else (a, 1 << -shift)
+
+
+def _nearest(side, guess: int) -> float:
+    """The float nearest to a real number x, ties to even, where side(o) is
+    the sign of x minus ``_midpoint(o)``: from the ordinal ``guess``, gallop
+    to two ordinals that bracket the answer, then bisect.  OverflowError if
+    x rounds to an infinity."""
+    def sign(o):
+        return -1 if o >= _INF else 1 if o < -_INF else side(o)
+
+    lo, hi, step = guess - 1, guess, 1
+    s_hi = sign(hi)
+    if s_hi > 0:
+        while s_hi > 0:
+            lo, hi, step = hi, min(hi + step, _INF), 2 * step
+            s_hi = sign(hi)
+    else:
+        s_lo = sign(lo)
+        while s_lo <= 0:
+            hi, s_hi, lo, step = lo, s_lo, max(lo - step, -_INF - 1), 2 * step
+            s_lo = sign(lo)
+    # hi is the first ordinal whose upper midpoint is not below x
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (s_mid := sign(mid)) > 0:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    o = hi + (s_hi == 0 and hi % 2)
+    if abs(o) >= _INF:
+        raise OverflowError("the root rounds to an infinity")
+    return _from_ordinal(o)
+
+
+def _horner(poly: list, a: int, b: int) -> int:
+    """b^D poly(a/b), D = len(poly) - 1, by Horner's rule."""
+    acc, bj = 0, 1
+    for c in reversed(poly):
+        acc, bj = acc * a + c * bj, bj * b
+    return acc
+
+
+def _refined(poly: list, x: float) -> tuple:
+    """(a, b): a/b within 2^-64 of a float spacing of the root of poly
+    nearest to which x is, by bisection on the sign of poly between the
+    midpoints beside x; x itself if poly keeps its sign there."""
+    (a0, b0), (a1, b1) = _midpoint(_ordinal(x) - 1), _midpoint(_ordinal(x))
+    b = max(b0, b1) << 64
+    lo, hi = a0 * (b // b0), a1 * (b // b1)
+    if not (f_lo := _horner(poly, lo, b)):
+        return lo, b
+    if not (f_hi := _horner(poly, hi, b)):
+        return hi, b
+    if (f_lo > 0) == (f_hi > 0):
+        return x.as_integer_ratio()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if not (f_mid := _horner(poly, mid, b)):
+            return mid, b
+        if (f_mid > 0) == (f_hi > 0):
+            hi = mid
+        else:
+            lo = mid
+    return lo, b
+
+
+def _float_roots(poly: list, guesses: list) -> list:
+    """The floats nearest to the roots of the int polynomial ``poly``, all
+    real and simple, ascending, ties to even; ``guesses`` holds an ordinal
+    near each.  Each guess takes one exact Newton step; if poly changes sign
+    between the midpoints on either side of every result, these r disjoint
+    intervals hold one root each, and the results are the answer.  Else
+    ``_nearest`` finds each root by its rank, the number of roots above it,
+    from Sturm counts (``_sturm``): the sign changes at x less those at
+    +infinity are the roots above x."""
+    def at(o: int) -> int:
+        return _horner(poly, *_midpoint(o))
+
+    steps = []
+    for o in guesses:
+        a, b = _from_ordinal(o).as_integer_ratio()
+        (value,), (slope,) = _homogeneous([poly], a, b)
+        try:
+            o = _ordinal((a * slope - value) / (b * slope))
+        except (OverflowError, ZeroDivisionError):
+            pass
+        steps.append(min(max(o, 1 - _INF), _INF - 1))
+    if all(x < y for x, y in zip(steps, steps[1:])) and all(
+            at(o - 1) * at(o) < 0 for o in steps):
+        return [_from_ordinal(o) for o in steps]
+    seq = _sturm(poly)
+    top = sum((p[-1] > 0) != (q[-1] > 0) for p, q in zip(seq, seq[1:]))
+
+    def side(o: int, above: int) -> int:
+        changes, zero = _variations(seq, *_midpoint(o))
+        changes -= top
+        return 1 if changes > above else 0 if changes == above and zero else -1
+
+    return [_nearest(lambda o, k=len(steps) - 1 - i: side(o, k), o)
+            for i, o in enumerate(steps)]
+
+
+def _ratio(n: int, d: int, e: int) -> float:
+    """n / (d 2^e), correctly rounded."""
+    return n / (d << e) if e >= 0 else (n << -e) / d
+
+
+def _tridiagonal_eigenvalues(diag: list, off: list) -> list:
+    """Float estimates of the eigenvalues, ascending, of the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``: the
+    implicit QL method with Wilkinson shifts (Bowdler, Martin, Reinsch and
+    Wilkinson, Numer. Math. 11, 1968), at most 30 sweeps per eigenvalue."""
+    d, e, n = list(diag), list(off) + [0.0], len(diag)
+    for l in range(n):
+        for _ in range(30):
+            m = l
+            while m < n - 1 and abs(e[m]) + (dd := abs(d[m]) + abs(d[m + 1])) != dd:
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                e[i + 1] = r = math.hypot(f, g)
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l], e[m] = g, 0.0
+    return sorted(d)
+
+
 def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
     """(distinct atoms ascending, multiplicities, no atom < 0) of n = ``count``
     atoms of equal weight from the ints ``scaled`` Q^k p_k, p_1..p_n their
     power sums.  On the atoms times n! Q, Newton's identities give the int
     e_k and moments mu_0..mu_(2n-1), the Chebyshev algorithm (Gautschi, 2004,
     2.1.7) on the ints tau_k,l = D_k sigma_k,l (D_k the k-th Hankel
-    determinant) the Jacobi coefficients.  The first beta_k = D_(k+1) D_(k-1)
-    / D_k^2 that is 0 (on float input, at most RANK_TOL mu_2/mu_0) gives the
-    atoms: the eigenvalues of the Jacobi matrix, of multiplicities n v_0^2
-    (Golub and Welsch, 1969).  Any Q gives the same bits: each alpha_k and
-    beta_k is an int / int quotient, and each side of the rank test a term of
-    the same weight.  NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
+    determinant) the Jacobi coefficients alpha_k = A_k / L_k, L_k = D_k
+    D_(k+1) n! Q, and beta_k = D_(k+1) D_(k-1) / (D_k n! Q)^2.  The first
+    beta_r that is 0 (on float input, at most RANK_TOL mu_2/mu_0) gives the
+    atoms: the r eigenvalues of the Jacobi matrix, the roots of the monic
+    orthogonal polynomial pi_r.  For r = n they are the n atoms, the roots of
+    the e_k polynomial, each of multiplicity 1; for r < n the ints
+    P_k = s_k pi_k, s_k > 0, follow P_(k+1) = (L_k x - A_k) P_k -
+    (D_(k-1) D_(k+1))^2 P_(k-1).  ``_float_roots`` reads each root as the
+    float nearest to it, exactly, from the float estimates of the Jacobi
+    matrix scaled by a power of two (``_tridiagonal_eigenvalues``).  The
+    multiplicity of an atom is n times its Christoffel weight, beta_1..
+    beta_(r-1) / (pi_(r-1) pi_r') at the atom (Golub and Welsch's n v_0^2),
+    in ints at the atom refined by ``_refined``, and rounded; an atom of
+    weight below 1/(2n) is none.  Any Q
+    gives the same bits: each alpha_k and beta_k is an int / int quotient,
+    and each side of the rank test a term of the same weight.
+    NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
     or multiplicities that do not add up to n."""
-    import numpy as np
-
     n, e = count, [1]
     c = math.factorial(n) * big_q
     mu = [n] + [math.factorial(n) ** k * x for k, x in enumerate(scaled, 1)]
@@ -370,21 +533,58 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
         if dk2 <= 0:
             raise NonrealRootsError(f"the power sums are not those of {n} real atoms")
         dets.append(dk2)
+    r = len(dets) - 1
+    lead = [dets[k] * dets[k + 1] * c for k in range(r)]
+    diag = [tau[k + 1][k + 1] * dets[k] - tau[k][k] * dets[k + 1] for k in range(r)]
+    # beta_k = D_(k+1) D_(k-1) / (D_k c)^2
+    beta = [(dets[k + 1] * dets[k - 1], (dets[k] * c) ** 2) for k in range(1, r)]
+    if r == n:
+        # n distinct atoms of weight 1/n: the roots of sum_k (-1)^k e_k (c x)^(n-k)
+        poly = [(-1) ** (n - j) * e[n - j] * c**j for j in range(n + 1)]
+    else:
+        # P_k = s_k pi_k, s_(k+1) = s_k L_k: P_(k+1) = (L_k x - A_k) P_k
+        # - (D_(k-1) D_(k+1))^2 P_(k-1)
+        prev, poly, scales = [0], [1], [1]
+        for k in range(r):
+            ek = (dets[k - 1] * dets[k + 1]) ** 2 if k else 0
+            prev, poly = poly, [lead[k] * u - diag[k] * v - ek * w
+                                for u, v, w in zip([0] + poly, poly + [0], prev + [0, 0])]
+            scales.append(scales[-1] * lead[k])
+    # the float Jacobi matrix over 2^t, t such that its largest entry is
+    # near 1: no entry leaves the float range
+    t = max([a.bit_length() - l.bit_length() for a, l in zip(diag, lead)]
+            + [(u.bit_length() - v.bit_length()) // 2 for u, v in beta])
+    alpha = [_ratio(a, l, t) for a, l in zip(diag, lead)]
+    off = [math.sqrt(_ratio(u, v, 2 * t)) for u, v in beta]
+    guesses = []
+    for x in _tridiagonal_eigenvalues(alpha, off):
+        # the ordinal of x 2^t where both are normal, else near it
+        o = _ordinal(x)
+        guess = min(max(abs(o) + (t << 52), 0), _INF - 1) if o else 0
+        guesses.append(guess if o > 0 else -guess)
     try:
-        # int / int is correctly rounded, and raises past the float range
-        alpha = [(tau[k + 1][k + 1] * dets[k] - tau[k][k] * dets[k + 1])
-                 / (dets[k] * dets[k + 1] * c) for k in range(len(dets) - 1)]
-        off = [math.sqrt(dets[k + 1] * dets[k - 1] / (dets[k] * c) ** 2)
-               for k in range(1, len(dets) - 1)]
-        jacobi = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+        values = _float_roots(poly, guesses)
     except OverflowError:
         raise DomainError("atoms leave the float range") from None
-    values, vectors = np.linalg.eigh(jacobi)
-    # an eigenvalue of weight below 1/(2n) is no atom
-    mults = np.rint(n * vectors[0] ** 2).astype(int)
-    if mults.sum() != n:
+    if r == n:
+        return tuple(values), (1,) * n, all(x >= 0 for x in e)
+    # n times the Christoffel weight, beta_1..beta_(r-1) / (pi_(r-1) pi_r')
+    # at the atom, is D_r s_(r-1) s_r / (D_(r-1) c^(2r-2) P_(r-1) P_r') there,
+    # read at the atom refined 64 bits below its float spacing: at the float
+    # itself, two atoms an ulp apart would take wrong weights
+    weight = dets[r] * scales[r - 1] * scales[r]
+    atoms, mults = [], []
+    for value in values:
+        a, b = _refined(poly, value)
+        at = _horner(prev, a, b)
+        _, (slope,) = _homogeneous([poly], a, b)
+        den = dets[r - 1] * c ** (2 * r - 2) * at * slope
+        if den and (mult := round(Fraction(weight * b ** (2 * r - 2), den))) > 0:
+            atoms.append(value)
+            mults.append(mult)
+    if sum(mults) != n:
         raise NonrealRootsError(f"the power sums are not those of {n} real atoms")
-    return values[mults > 0], mults[mults > 0], all(x >= 0 for x in e)
+    return tuple(atoms), tuple(mults), all(x >= 0 for x in e)
 
 
 def _misfits(rebuilt: Sequence[float], target: Sequence[float]) -> tuple:
@@ -394,26 +594,26 @@ def _misfits(rebuilt: Sequence[float], target: Sequence[float]) -> tuple:
     return misfits, all(x <= MISFIT_TOL for x in misfits)
 
 
-def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> np.ndarray:
+def cw_recover_eigenvalues(r: MomentSeries, p: int, d: int) -> tuple:
     """Recover the spectrum of D from the compound Wishart cumulant series.
 
     The cumulants times d are the power sums of the spectrum: converted
     exactly and rescaled once to ints (``_rescaled``), ``_atoms`` reads it
-    from the first p, with its repeats, ascending.  The series must fit: on
+    from the first p, with its repeats, ascending, as a tuple of floats (on
+    exact input each the correctly rounded eigenvalue).  The series must fit: on
     rational input every gap above order p (``_recurrence_gaps``, homogeneous
     in the scale) is 0; on float input each rebuilt cumulant passes
     ``_misfits``, the rule of ``spn_recover``.  Otherwise
     NonrealRootsError, RecoveryFailedError or DomainError signal that ``r`` is
     not a compound Wishart cumulant series for (p, d).
     """
-    import numpy as np
-
     _check_dimensions(p, d)
     if r.order < p:
         raise OrderTooSmallError(f"need at least {p} cumulants, got {r.order}")
     big_q, scaled = _rescaled(MomentSeries(r.coeffs, RATIONAL).coeffs)
     psums, exact = [d * x for x in scaled], r.scalar_kind == RATIONAL
-    values = np.repeat(*_atoms(psums[:p], big_q, p, exact)[:2])
+    distinct, mults, _ = _atoms(psums[:p], big_q, p, exact)
+    values = tuple(v for v, k in zip(distinct, mults) for _ in range(k))
     fits = (not any(_recurrence_gaps(psums, p)) if exact
             else _misfits(_power_means(values, d, r.order, FLOAT).coeffs, r.coeffs)[1])
     if not fits:
@@ -599,29 +799,111 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list:
     return [1]
 
 
-def _rational_root(h: list, x: float) -> Fraction | None:
-    """The rational root of the primitive int polynomial h that Newton's
-    method reaches from x, or None.  A root r of h in lowest terms has its
-    denominator dividing c = lc(h), so c r is an int: Newton's method on
-    X = 2^P x, in ints with 2^P > 4c, comes within 1/2 of 2^P r, and
-    h(round(c X / 2^P) / c) = 0 is checked exactly."""
+def _sturm(h: list) -> list:
+    """The Sturm sequence of the square-free int polynomial h: h, h' and the
+    negated remainders, each over its content.  A pseudo-remainder by the
+    divisor with a positive leading coefficient is a positive multiple of
+    the remainder, so every sign is kept."""
+    seq = [h, [i * c for i, c in enumerate(h)][1:]]
+    while len(seq[-1]) > 1:
+        b = seq[-1]
+        rem = _pseudo_divide(seq[-2], b if b[-1] > 0 else [-x for x in b])[1]
+        content = math.gcd(*rem)
+        seq.append([-x // content for x in rem])
+    return seq
+
+
+def _variations(seq: list, a: int, b: int) -> tuple:
+    """(the sign changes of the polynomials ``seq`` at a/b, b > 0, zeros
+    dropped, whether the first is 0 there)."""
+    values = [_horner(p, a, b) for p in seq]
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:])), not values[0]
+
+
+def _isolated_roots(h: list) -> list:
+    """Intervals (lo, hi], one per root > 0 of the square-free int polynomial
+    h, each holding no other root: bisection of (0, B] by Sturm's theorem,
+    B = 2^t above every |root| (Fujiwara's bound, in bit lengths)."""
+    top = len(h) - 1
+    t = 1 + max([0] + [-((h[top].bit_length() - h[top - i].bit_length() - 1) // i)
+                       for i in range(1, top + 1) if h[top - i]])
+    seq = _sturm(h)
+    stack, isolated = [(Fraction(0), Fraction(2**t))], []
+    counts = {x: _variations(seq, *x.as_integer_ratio())[0] for x in stack[0]}
+    while stack:
+        lo, hi = stack.pop()
+        roots = counts[lo] - counts[hi]
+        if roots == 1:
+            isolated.append((lo, hi))
+        elif roots > 1:
+            mid = (lo + hi) / 2
+            counts[mid] = _variations(seq, *mid.as_integer_ratio())[0]
+            stack += [(lo, mid), (mid, hi)]
+    return isolated
+
+
+def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The root of the primitive int polynomial h in (lo, hi], which holds
+    exactly one, simple, if it is rational; else None.  A rational root of h
+    in lowest terms has its denominator dividing c = lc(h), so it is the
+    candidate k / c nearest to it.  Newton's method from the midpoint, in
+    floats on h(2^t v) scaled to coefficients of at most 1 (v = x / 2^t,
+    2^t near hi), then on X = 2^P x in ints with 2^P > 4c, each clamped to
+    the interval, comes within 1/2 of 2^P times the root; k = round(c X /
+    2^P) is then checked exactly.  If it misses, and h changes sign between
+    (k -+ 1/2) / c, which are never roots and lie in (lo, hi], the root is
+    irrational.  Otherwise the interval is halved by the sign of h, down to
+    a width below 1/c, where only one candidate is left."""
     lead = h[-1]
     bits = lead.bit_length() + 2
     one = 1 << bits
-    n, b = x.as_integer_ratio()
-    big_x = (n << bits) // b
-    # from a float start each step doubles the correct bits, up to P
-    for _ in range(bits.bit_length() + 8):
-        (value,), (slope,) = _homogeneous([h], big_x, one)
-        if not slope:
+    t = hi.numerator.bit_length() - hi.denominator.bit_length()
+    top = max(c.bit_length() + t * i for i, c in enumerate(h))
+    scaled = [_ratio(c, 1, top - t * i) for i, c in enumerate(h)][::-1]
+
+    def value(x: Fraction) -> int:
+        return _horner(h, *x.as_integer_ratio())
+
+    if not (s_hi := value(hi)):
+        return hi
+    while (hi - lo) * lead >= 1:
+        v, v_lo, v_hi = (_ratio(*x.as_integer_ratio(), t) for x in ((lo + hi) / 2, lo, hi))
+        for _ in range(100):
+            val = slope = 0.0
+            for c in scaled:
+                val, slope = val * v + c, slope * v + val
+            if (w := min(max(v - val / slope, v_lo), v_hi) if slope else v) == v:
+                break
+            v = w
+        n, b = v.as_integer_ratio()
+        shift = t + bits
+        big_x = (n << shift) // b if shift >= 0 else n // (b << -shift)
+        floor, ceil = math.floor(lo * one), math.ceil(hi * one)
+        for _ in range(bits.bit_length() + 8):
+            (val,), (slope,) = _homogeneous([h], big_x, one)
+            if not slope:
+                break
+            # X - 2^P h(x) / h'(x), rounded to nearest
+            step = (2 * val + slope) // (2 * slope)
+            if not step:
+                break
+            big_x = min(max(big_x - step, floor), ceil)
+        k = (lead * big_x + one // 2) >> bits
+        if lo < Fraction(k, lead) <= hi and not value(Fraction(k, lead)):
+            return Fraction(k, lead)
+        below, above = Fraction(2 * k - 1, 2 * lead), Fraction(2 * k + 1, 2 * lead)
+        if lo < below and above <= hi and (value(below) > 0) != (value(above) > 0):
             return None
-        # X - 2^P h(x) / h'(x), rounded to nearest
-        step = (2 * value + slope) // (2 * slope)
-        if not step:
-            break
-        big_x -= step
-    top = (lead * big_x + one // 2) >> bits
-    return Fraction(top, lead) if _homogeneous([h], top, lead)[0] == [0] else None
+        mid = (lo + hi) / 2
+        if not (s_mid := value(mid)):
+            return mid
+        if (s_mid > 0) == (s_hi > 0):
+            hi = mid
+        else:
+            lo = mid
+    k = math.floor(hi * lead)
+    return Fraction(k, lead) if lo < Fraction(k, lead) and not value(Fraction(k, lead)) else None
 
 
 def _gcd_roots(rows: Sequence) -> list:
@@ -629,8 +911,9 @@ def _gcd_roots(rows: Sequence) -> list:
     the int polynomials ``rows``, in recovery the gap polynomials in u of
     ``_candidate_rows``: those of its square-free part
     h = g / gcd(g, g'), exactly -h_0 / h_1 when h has degree 1, and
-    otherwise by ``_rational_root`` from each float root of h.  There are
-    none when every row is 0 or g has degree 0."""
+    otherwise 0 if h_0 = 0 and each positive root that ``_rational_root``
+    finds in its interval of ``_isolated_roots``.  There are none when every
+    row is 0 or g has degree 0."""
     g = []
     for row in rows:
         g = _int_gcd(g, row)
@@ -644,9 +927,8 @@ def _gcd_roots(rows: Sequence) -> list:
     if len(h) == 2:
         roots = [Fraction(-h[0], h[1])]
     else:
-        scale = max(abs(c) for c in h)
-        roots = [_rational_root(h, float(x.real))
-                 for x in _roots([c / scale for c in reversed(h)])]
+        roots = [Fraction(0)] * (not h[0]) + [
+            _rational_root(h, lo, hi) for lo, hi in _isolated_roots(h)]
     return sorted({r for r in roots if r is not None and r >= 0})
 
 
@@ -802,7 +1084,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
         s_best, (moments, scale), (values, mults, _), s_exact = winner
         # int / int is correctly rounded, and raises past the float range
         maa = MomentSeries(tuple(x / scale**k for k, x in enumerate(moments, start=1)), FLOAT)
-        atoms = tuple(max(0.0, float(a)) for a, k in zip(values, mults) for _ in range(k))
+        atoms = tuple(max(0.0, a) for a, k in zip(values, mults) for _ in range(k))
         rebuilt = _spn_map(atomic_moments(atoms, m.order, FLOAT), d / p, s_best)[d:]
     except (OverflowError, DomainError):
         raise RecoveryFailedError(f"candidates leave the float range; {not_spn}",
@@ -814,7 +1096,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
                                   f"misfit {max(misfits):.3e}) exceeds tolerance; {not_spn}",
                                   residual=final_residual)
     return RecoveryReport(s_best, maa, atoms, final_residual, tuple(trace), misfits,
-                          s_exact, tuple(mults.tolist()))
+                          s_exact, mults)
 
 
 def verify_identifiability(

@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     DomainError,
     InsufficientOrderError,
@@ -82,8 +82,7 @@ def _kreweras_cycles(n: int, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int
     return tuple(cycles)
 
 
-@dataclass(frozen=True)
-class NcPartition:
+class NcPartition(Record):
     """A non-crossing partition of {1..n} in canonical block form.
 
     Blocks are stored sorted by minimum element, ascending within each
@@ -91,24 +90,22 @@ class NcPartition:
     non-crossingness.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "blocks")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
+        if n < 1:
             raise MalformedPartitionError("ground set must be nonempty")
-        canon = _canonical_blocks(self.blocks)
-        object.__setattr__(self, "blocks", canon)
-        _validate_partition(self.n, canon)
-        if len(canon) + len(_kreweras_cycles(self.n, canon)) != self.n + 1:
+        canon = _canonical_blocks(blocks)
+        _validate_partition(n, canon)
+        if len(canon) + len(_kreweras_cycles(n, canon)) != n + 1:
             raise MalformedPartitionError(f"partition {canon} has a crossing")
+        self._init(n, canon)
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "NcPartition":
         # Internal fast path for blocks already canonical and non-crossing.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "blocks", blocks)
+        obj._init(n, blocks)
         return obj
 
     def __len__(self) -> int:

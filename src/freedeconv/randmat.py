@@ -10,11 +10,11 @@ the sampled values.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -26,35 +26,31 @@ from .models import CwModel, SpnModel
 SELFADJOINT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GinibreSpec:
+class GinibreSpec(Record):
     """Sampling plan for a p-by-d matrix of i.i.d. centered Gaussians.
 
     Each entry has E|Z_ij|^2 = 1/d; complex entries split it evenly between
     real and imaginary parts.
     """
 
-    p: int
-    d: int
-    field: str = "real"
-    seed: int = 0
+    __slots__ = ("p", "d", "field", "seed")
 
-    def __post_init__(self):
-        if self.field not in ("real", "complex"):
+    def __init__(self, p: int, d: int, field: str = "real", seed: int = 0):
+        if field not in ("real", "complex"):
             raise DomainError(
-                f"field must be 'real' or 'complex', got {self.field!r}",
+                f"field must be 'real' or 'complex', got {field!r}",
                 module="randmat",
             )
+        self._init(p, d, field, seed)
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
+class EmpiricalSpectrum(Record):
     """Eigenvalues pooled over trials, with the derived empirical moments."""
 
-    eigenvalues: np.ndarray
-    d: int
-    trials: int
-    moments: tuple
+    __slots__ = ("eigenvalues", "d", "trials", "moments")
+
+    def __init__(self, eigenvalues: np.ndarray, d: int, trials: int, moments: tuple):
+        self._init(eigenvalues, d, trials, moments)
 
 
 def sample_ginibre(spec: GinibreSpec) -> np.ndarray:
@@ -170,13 +166,13 @@ def empirical_spectrum(
 def cw_sampler(model: CwModel, field: str = "real") -> Callable[[int], np.ndarray]:
     """Sampler closure for :func:`empirical_spectrum` over a CW model."""
     spec = GinibreSpec(model.p, model.d, field=field)
-    return lambda seed: realize_cw(model, replace(spec, seed=seed))
+    return lambda seed: realize_cw(model, GinibreSpec(spec.p, spec.d, spec.field, seed))
 
 
 def spn_sampler(model: SpnModel, field: str = "real") -> Callable[[int], np.ndarray]:
     """Sampler closure for :func:`empirical_spectrum` over an SPN model."""
     spec = GinibreSpec(model.p, model.d, field=field)
-    return lambda seed: realize_spn(model, replace(spec, seed=seed))
+    return lambda seed: realize_spn(model, GinibreSpec(spec.p, spec.d, spec.field, seed))
 
 
 def scale_cw_model(model: CwModel, factor: int) -> CwModel:

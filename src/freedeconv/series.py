@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
+from ._record import Record
 from .errors import (
     BackendMismatchError,
     DomainError,
@@ -90,18 +90,16 @@ def parse_scalar(value, module: str = "series"):
     raise DomainError(f"not a finite number: {value!r}", module=module)
 
 
-@dataclass(frozen=True)
-class MomentSeries:
+class MomentSeries(Record):
     """Coefficients c_1..c_N of a constant-free power series, order N >= 1."""
 
-    coeffs: tuple
-    scalar_kind: str = RATIONAL
+    __slots__ = ("coeffs", "scalar_kind")
 
-    def __post_init__(self):
-        coeffs = tuple(_coerce(c, self.scalar_kind) for c in self.coeffs)
+    def __init__(self, coeffs: tuple, scalar_kind: str = RATIONAL):
+        coeffs = tuple(_coerce(c, scalar_kind) for c in coeffs)
         if not coeffs:
             raise OrderMismatchError("a series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._init(coeffs, scalar_kind)
 
     @property
     def order(self) -> int:

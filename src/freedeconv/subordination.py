@@ -33,11 +33,11 @@ inversion along z1 = z2 = sqrt(x + i eps) gives the density of
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, NoConvergenceError, SigmaZeroError
 from .models import SpnModel
 
@@ -52,8 +52,7 @@ class CPoint2(NamedTuple):
     z2: complex
 
 
-@dataclass(frozen=True)
-class SubordinationResult:
+class SubordinationResult(Record):
     """Fixed point of the subordination equation at one spectral parameter.
 
     ``g`` is the value of the embedded Cauchy transform, ``omega`` the
@@ -62,14 +61,13 @@ class SubordinationResult:
     largest number of Newton iterations spent on one rung.
     """
 
-    g: CPoint2
-    omega: CPoint2
-    iterations: int
-    residual: float
+    __slots__ = ("g", "omega", "iterations", "residual")
+
+    def __init__(self, g: CPoint2, omega: CPoint2, iterations: int, residual: float):
+        self._init(g, omega, iterations, residual)
 
 
-@dataclass(frozen=True)
-class DensityCurve:
+class DensityCurve(Record):
     """Spectral density sampled on a positive grid by Stieltjes inversion.
 
     ``max_residual`` is the largest fixed-point defect on the grid,
@@ -80,14 +78,14 @@ class DensityCurve:
     rungs.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    epsilon: float
-    mass: float
-    max_residual: float = 0.0
-    max_iterations: int = 0
-    fallback_points: int = 0
-    rung_iterations: tuple = ()
+    __slots__ = ("grid", "values", "epsilon", "mass", "max_residual", "max_iterations",
+                 "fallback_points", "rung_iterations")
+
+    def __init__(self, grid: np.ndarray, values: np.ndarray, epsilon: float, mass: float,
+                 max_residual: float = 0.0, max_iterations: int = 0,
+                 fallback_points: int = 0, rung_iterations: tuple = ()):
+        self._init(grid, values, epsilon, mass, max_residual, max_iterations,
+                   fallback_points, rung_iterations)
 
 
 def _require_upper(z: CPoint2) -> None:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -86,13 +87,6 @@ def test_convolve_deconv_self_is_geometric_ones(tmp_path, capsys):
     assert main(["convolve", "deconv", "--f", f_file, "--g", f_file]) == 0
     out = MomentSeries.from_dict(json.loads(capsys.readouterr().out))
     assert out.coeffs == (1, 1, 1)
-
-
-def test_convolve_missing_g_is_domain_error(tmp_path, capsys):
-    f_file = write_json(tmp_path / "f.json", MomentSeries((Fraction(1),)).to_dict())
-    assert main(["convolve", "boxed", "--f", f_file]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert set(err) == {"code", "message", "module"}
 
 
 # ----------------------------------------------------------------- cw pipeline
@@ -386,6 +380,10 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
         (["convolve", "boxed", "--g", SERIES_FILE, "--f"], None, HUGE_FLOAT_SERIES,
          None, 1, "domain"),
         (RTRANSFORM, None, HUGE_FLOAT_SERIES, None, 1, "domain"),
+        # a binary verb without --g is a usage error
+        (["convolve", "boxed", "--f"], None, {}, None, 2, None),
+        (["convolve", "boxplus", "--f"], None, {}, None, 2, None),
+        (["convolve", "deconv", "--f"], None, {}, None, 2, None),
         (RTRANSFORM, None, {"scalar": None}, None, 1, "domain"),
         (RTRANSFORM, None, {"coeffs": ["1/0", "2/1", "5/1"]}, None, 1, "domain"),
         (RTRANSFORM, None, {"scalar": "bogus"}, None, 1, "domain"),
@@ -416,15 +414,16 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
          "epsilon-negative-inf", "tol-negative-exponent", "xmin-negative-exponent",
          "huge-value-rational", "huge-value-float", "huge-sigma-float",
          "cw-moments-overflow", "boxplus-overflow", "boxed-overflow",
-         "rtransform-overflow",
+         "rtransform-overflow", "boxed-missing-g", "boxplus-missing-g",
+         "deconv-missing-g",
          "series-missing-scalar", "series-div-zero", "series-bogus-scalar",
          "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
          "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative",
          "recover-seed-overflow", "recover-fit-overflow", "cw-recover-overflow",
          "cw-recover-beyond-float", "cw-recover-atom-beyond-float"],
 )
-def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, series,
-                                 env, status, code):
+def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, request, argv, model,
+                                 series, env, status, code):
     if env is not None:
         monkeypatch.setenv("FREEDECONV_MAX_NC_ORDER", env)
     if model is not None:
@@ -440,6 +439,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, argv, model, ser
     assert "Traceback" not in err
     if status == 1:
         assert json.loads(err)["code"] == code
+    if "missing-g" in request.node.name:
+        assert "needs --g" in err
 
 
 def test_unknown_flag_exits_two():
@@ -450,30 +451,37 @@ def test_unknown_flag_exits_two():
 
 # -------------------------------------------------------------- start-up
 
-# Runs in a fresh interpreter: the exact commands must leave numpy
-# unimported, and the numeric commands and the lazily resolved library
-# names must still work once they are used.
+# Runs in a fresh interpreter: ``import freedeconv`` loads only the errors;
+# the exact commands but ``nc`` leave numpy, dataclasses, inspect and the
+# partitions of ``ncpart`` unimported, ``nc`` loads ncpart, and the numeric
+# commands and the lazily resolved library names still work once used.
 STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 import freedeconv
+package_only = sorted(m for m in sys.modules if m.startswith("freedeconv"))
 from freedeconv import cli
 
-spn, cw, series = sys.argv[1:4]
+spn, cw, series, readme, draw, cumulants = sys.argv[1:7]
 exact = [
-    ["nc", "--n", "4"],
     ["spn-moments", "--model", spn, "--order", "6"],
     ["cw-moments", "--model", cw, "--order", "6"],
     ["convolve", "rtransform", "--f", series],
     ["verify", "--a", spn, "--b", spn],
+    ["spn-recover", "--moments", readme, "--p", "4", "--d", "2"],
+    ["spn-recover", "--moments", draw, "--p", "6", "--d", "2"],
+    ["cw-recover", "--r", cumulants, "--p", "3", "--d", "2"],
 ]
 numeric = [
     ["spn-density", "--model", spn, "--xmin", "0.1", "--xmax", "5", "--points", "5"],
     ["simulate", "--model", spn, "--kind", "spn", "--trials", "2", "--order", "2"],
 ]
+unloaded = ["numpy", "dataclasses", "inspect", "freedeconv.ncpart"]
 sink = io.StringIO()
 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
     exact_status = [cli.main(argv) for argv in exact]
-    numpy_after_exact = "numpy" in sys.modules
+    loaded_after_exact = [name for name in unloaded if name in sys.modules]
+    nc_status = cli.main(["nc", "--n", "4"])
+    nc_loads = "freedeconv.ncpart" in sys.modules
     from freedeconv import GinibreSpec
     lazy_names = [
         freedeconv.spn_density is freedeconv.subordination.spn_density,
@@ -481,24 +489,82 @@ with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         all(getattr(freedeconv, name) is not None for name in dir(freedeconv)),
     ]
     numeric_status = [cli.main(argv) for argv in numeric]
-print(json.dumps({"exact": exact_status, "numpy_after_exact": numpy_after_exact,
+print(json.dumps({"package_only": package_only, "exact": exact_status,
+                  "loaded_after_exact": loaded_after_exact, "nc": [nc_status, nc_loads],
                   "lazy_names": lazy_names, "numeric": numeric_status}))
 """
 
 
+def criterion5_model(n):
+    """Draw n, counted from 1, of the criterion-5 generator under random.Random(11)."""
+    rng = random.Random(11)
+    for _ in range(n):
+        d = rng.randint(1, 4)
+        p = rng.randint(d, 3 * d)
+        a = tuple(rng.uniform(0.0, 2.5) for _ in range(d))
+        sigma = rng.uniform(0.0, 2.0)
+    return SpnModel(p, d, a, sigma)
+
+
 def test_exact_commands_start_without_numpy(tmp_path, spn_model_file, cw_model_file):
     series = write_json(tmp_path / "series.json", SERIES)
+    readme = spn_moments(SpnModel(4, 2, (1, 2), Fraction(1, 2)), 8)
+    # (p, d) = (6, 2): the gcd of its gaps has degree 3, so the exact roots
+    # are isolated by Sturm sequences
+    draw = criterion5_model(31)
+    assert (draw.p, draw.d) == (6, 2)
+    cumulants = cw_r_transform(CwModel(3, 2, (Fraction(-5, 2), Fraction(1, 2), 3)), 5)
+    files = [write_json(tmp_path / f"{name}.json", data.to_dict()) for name, data in (
+        ("readme", readme), ("draw", spn_moments(draw, 4)), ("cumulants", cumulants))]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", STARTUP_SCRIPT, spn_model_file, cw_model_file, series],
+        [sys.executable, "-c", STARTUP_SCRIPT, spn_model_file, cw_model_file, series, *files],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "exact": [0] * 5, "numpy_after_exact": False,
+        "package_only": ["freedeconv", "freedeconv.errors"],
+        "exact": [0] * 7, "loaded_after_exact": [], "nc": [0, True],
         "lazy_names": [True] * 3, "numeric": [0, 0],
     }
+
+
+def test_star_import_and_dir_keep_the_package_names():
+    # ``from freedeconv import *`` binds the errors and the exact layers, and
+    # dir() lists every name, the lazily loaded layers' included
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import json, freedeconv; ns = {}; exec('from freedeconv import *', ns); "
+              "print(json.dumps([sorted(k for k in ns if k != '__builtins__'), "
+              "dir(freedeconv)]))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    star, names = json.loads(done.stdout)
+    from freedeconv import errors, models
+
+    exact_layers = {
+        "NcPartition", "catalan", "coef_product", "enumerate_nc", "is_noncrossing",
+        "kreweras", "FLOAT", "RATIONAL", "MomentSeries", "boxed_conv", "boxed_inverse",
+        "delta_series", "free_add_conv", "free_mult_deconv", "moment_from_r",
+        "r_transform", "scale_argument", "zeta_series", *models.__all__}
+    error_names = {name for name in vars(errors) if name.endswith("Error")}
+    assert set(star) == exact_layers | error_names | {"errors", "ncpart", "series", "models"}
+    assert {"spn_density", "GinibreSpec", "subordination", "randmat", *star} <= set(names)
+
+
+def test_closed_pipe_is_no_traceback(tmp_path):
+    # the reader stops after 100 bytes: the write fails, quietly, with status 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "freedeconv.cli", "nc", "--n", "9"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert len(head) == 100
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 # ------------------------------------------------------------ property test
@@ -641,6 +707,8 @@ def convolve_runs(draw):
     verb = draw(st.sampled_from(["boxed", "boxplus", "deconv", "rtransform"]))
     (f, valid_f), (g, valid_g) = draw(series_json()), draw(series_json())
     files = {"--f": f} if draw(st.booleans()) else {"--f": f, "--g": g}
+    if verb != "rtransform" and "--g" not in files:
+        return ["convolve", verb], files, 2  # a usage error
     valid = valid_f and (verb == "rtransform" or "--g" in files and valid_g and (
         len(f["coeffs"]), f["scalar"]) == (len(g["coeffs"]), g["scalar"]) and (
         verb != "deconv" or g["coeffs"][0] != 0))

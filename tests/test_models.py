@@ -288,7 +288,7 @@ def test_cw_recovery_repeated_and_near_repeated(values, kind):
     model = CwModel(len(values), 3, values)
     got = cw_recover_eigenvalues(cw_r_transform(model, model.p + 2, kind), model.p, 3)
     want = [float(v) for v in model.eigenvalues]
-    assert got.shape == (model.p,)
+    assert isinstance(got, tuple) and len(got) == model.p
     assert np.allclose(got, want, rtol=1e-11, atol=0)
 
 
@@ -301,6 +301,47 @@ def test_cw_recovery_checks_cumulants_above_order_p(kind):
     r[3] = -100
     with pytest.raises(RecoveryFailedError):
         cw_recover_eigenvalues(MomentSeries(tuple(r), kind), 3, 2)
+
+
+TIE = Fraction(1, 2**53)
+CW_EXACT = {
+    # once (-2.499999999999999, 0.4999999999999994, 2.9999999999999996)
+    "three": (Fraction(-5, 2), Fraction(1, 2), 3),
+    # each halfway between two floats, which rounds to the even one
+    "ties": (1 + TIE, 1 + 3 * TIE, -1 - 3 * TIE, 2**60 + 2**7),
+    "repeated-tie": (1 + TIE, 1 + TIE, 3, 3, 5),
+    # two double eigenvalues an ulp apart, once read as 1.0000000000000009
+    # four times
+    "repeated-ulp-apart": (1 + TIE, 1 + TIE, 1 + 3 * TIE, 1 + 3 * TIE, 5),
+    "tiny-beside-large": (Fraction(1, 10**30), Fraction(3, 10**30), 10**6),
+    "zero-beside-large": (0, 0, Fraction(7, 3), 10**12),
+    "subnormal": (Fraction(3, 2**1075), Fraction(1, 2**1000), 1),
+}
+
+
+@pytest.mark.parametrize("values", CW_EXACT.values(), ids=CW_EXACT)
+def test_cw_recovery_exact_is_correctly_rounded(values):
+    # on exact input each eigenvalue is float() of the exact one
+    p = len(values)
+    r = cw_r_transform(CwModel(p, 2, values), p + 2)
+    assert cw_recover_eigenvalues(r, p, 2) == tuple(float(v) for v in sorted(values))
+
+
+def test_cw_recovery_sweep_exact_is_correctly_rounded():
+    # the exact cumulants of float spectra give the floats back bit for bit
+    for model in cw_sweep():
+        r = cw_r_transform(model, model.p)
+        assert cw_recover_eigenvalues(r, model.p, model.d) == model.eigenvalues
+
+
+def test_spn_recover_exact_atoms_are_correctly_rounded():
+    # the 32 criterion-5 draws at orders d + 2 and d + 4
+    for n in range(1, 33):
+        model = criterion5_draw(n)
+        truth = tuple(sorted(float(Fraction(a) ** 2) for a in model.singular_values))
+        for order in (model.d + 2, model.d + 4):
+            report = spn_recover(spn_moments(model, order), model.p, model.d)
+            assert report.atoms == truth, (n, order)
 
 
 @pytest.mark.parametrize("p, d", [(0, 2), (3, 0), (-2, 2)])
@@ -316,7 +357,7 @@ def atoms_outcome(scaled, big_q, count, exact):
         values, mults, nonnegative = _atoms(scaled, big_q, count, exact)
     except NonrealRootsError:
         return NonrealRootsError
-    return values.tobytes(), mults.tolist(), nonnegative
+    return [v.hex() for v in values], mults, nonnegative
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -849,11 +890,61 @@ def test_float_spn_moments_match_exact():
     assert worst <= 1e-13
 
 
+def rounded_roots(psums, hints):
+    """float() of each root of the monic polynomial whose n roots, all real
+    and simple, have the power sums ``psums``: its coefficients from
+    Newton's identities in Fractions, then bisection from a bracket around
+    each hint until both ends round to one float.  The n brackets are
+    disjoint and each shows a sign change, so each holds one root."""
+    n = len(psums)
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * psums[i - 1] for i in range(1, k + 1)) / k)
+    poly = [(-1) ** (n - j) * e[n - j] for j in range(n + 1)]
+    brackets = []
+    for v in hints:
+        width = abs(Fraction(v)) / 2**30 + Fraction(1, 2**1100)
+        brackets.append([Fraction(v) - width, Fraction(v) + width])
+    assert all(a[1] < b[0] for a, b in zip(brackets, brackets[1:]))
+    out = []
+    for lo, hi in brackets:
+        assert fraction_horner(poly, lo) * fraction_horner(poly, hi) < 0
+        for _ in range(2000):
+            if float(lo) == float(hi):
+                break
+            mid = (lo + hi) / 2
+            f_mid = fraction_horner(poly, mid)
+            if f_mid == 0:
+                lo = hi = mid
+            elif (f_mid > 0) == (fraction_horner(poly, hi) > 0):
+                hi = mid
+            else:
+                lo = mid
+        assert float(lo) == float(hi)
+        out.append(float(lo))
+    return tuple(out)
+
+
+def assert_atoms_correctly_rounded(report, m, p, d):
+    """Each distinct atom of ``report`` is the float nearest to the exact
+    eigenvalue of its Jacobi matrix: a root of the polynomial whose roots
+    have as power sums d times the exact candidate moments at the winning
+    noise level, ``sigma_sq_exact`` or else ``sigma_sq_hat``
+    (``fraction_candidates``), where the reading has d distinct atoms."""
+    assert report.multiplicities == (1,) * d
+    s = report.sigma_sq_exact
+    s = Fraction(report.sigma_sq_hat) if s is None else s
+    psums = [d * fraction_horner(poly, s) for poly in fraction_candidates(m, p, d)[0][:d]]
+    assert report.atoms == rounded_roots(psums, report.atoms)
+
+
 # sigma_sq_hat, atoms and search_trace as float.hex, with float input from
 # the four-transform reference; the trace lists each distinct s once, as
 # (s, D).  Exact input (the README model's float moments are exact too) ends
 # the search at the gaps' exact common root, with one entry of D = 0.  The
-# atoms are the eigenvalues of the Jacobi matrix of ``_atoms``.
+# atoms are the eigenvalues of the Jacobi matrix of ``_atoms``, correctly
+# rounded: ``assert_atoms_correctly_rounded`` checks each against a Fraction
+# reference, and on exact input against float() of the true atom a^2.
 README_MODEL = SpnModel(4, 2, (1, 2), Fraction(1, 2))
 README_PIN = (
     "0x1.0000000000000p-2",
@@ -865,25 +956,25 @@ RECOVERY_PINS = {
     "readme-float-8": (README_MODEL, 8, FLOAT, README_PIN),
     "draw16-exact-8": (16, 8, RATIONAL, (
         "0x1.e2a9ff805935ap+1",
-        ("0x1.5b7f4b88b1268p-4", "0x1.21fed831e3034p-2", "0x1.d1da09add6234p-2",
-         "0x1.1b41a79102a96p+0"),
+        ("0x1.5b7f4b88b1263p-4", "0x1.21fed831e3033p-2", "0x1.d1da09add6234p-2",
+         "0x1.1b41a79102a97p+0"),
         (("0x1.e2a9ff805935ap+1", "0x0.0p+0"),)
     )),
     "draw16-float-8": (16, 8, FLOAT, (
         "0x1.e2a9ff72f215cp+1",
-        ("0x1.5b7f4a260bfddp-4", "0x1.21fedb4c94cdap-2", "0x1.d1da0912430e8p-2",
-         "0x1.1b41a81373cc2p+0"),
+        ("0x1.5b7f4a260bfe5p-4", "0x1.21fedb4c94cdbp-2", "0x1.d1da0912430e9p-2",
+         "0x1.1b41a81373cc1p+0"),
         (("0x1.e2a9ff72f215cp+1", "0x1.faf0191cef6bap-98"),
          ("0x1.fb5c63bd3902bp+1", "0x1.ceb31d3c8afe6p-56"))
     )),
     "draw31-exact-6": (31, 6, RATIONAL, (
         "0x1.a82f68ec47522p+1",
-        ("0x1.064f4979ba888p-9", "0x1.f81261ae73eb8p-8"),
+        ("0x1.064f4979ba889p-9", "0x1.f81261ae73eb7p-8"),
         (("0x1.a82f68ec47522p+1", "0x0.0p+0"),)
     )),
     "draw31-float-8": (31, 8, FLOAT, (
         "0x1.a82f68ee9756bp+1",
-        ("0x1.064f3d7ab573dp-9", "0x1.f8124bedc0062p-8"),
+        ("0x1.064f3d7ab573dp-9", "0x1.f8124bedc0061p-8"),
         (("0x1.a82f68ee9756bp+1", "0x1.21ff6466fcde8p-97"),
          ("0x1.a864586cd0439p+1", "0x1.b31d39b934db7p-75"))
     )),
@@ -900,6 +991,10 @@ def test_spn_recover_pinned_bits(case):
     assert report.sigma_sq_hat.hex() == sigma_sq
     assert tuple(a.hex() for a in report.atoms) == atoms
     assert tuple((s.hex(), r.hex()) for s, r in report.search_trace) == trace
+    assert_atoms_correctly_rounded(report, m, model.p, model.d)
+    if kind == RATIONAL:
+        assert report.atoms == tuple(sorted(float(Fraction(a) ** 2)
+                                            for a in model.singular_values))
 
 
 @pytest.mark.parametrize("order", [6, 7])
@@ -936,14 +1031,18 @@ def test_spn_recover_large_float_moments(e, order):
     # order 7 for e >= 40: the fit is now decided in units of a power of two
     # at least max|m_k|, and the residual, in the input's units, reads inf
     model = SpnModel(4, 2, (2**e, 2 * 2**e), 2**e / 3)
-    report = spn_recover(spn_moments(model, order, FLOAT), 4, 2)
+    m = spn_moments(model, order, FLOAT)
+    report = spn_recover(m, 4, 2)
     assert report.sigma_sq_hat == pytest.approx(float(model.sigma) ** 2, rel=1e-14)
     assert report.atoms == pytest.approx((4.0**e, 4.0 ** (e + 1)), rel=1e-14)
+    assert_atoms_correctly_rounded(report, m, 4, 2)
     assert report.sigma_sq_exact is None
     (s1, d1), (s2, d2) = (map(float.fromhex, entry) for entry in SCALED_TRACE[order])
     assert report.search_trace == (
         (math.ldexp(s1, 2 * e), d1), (math.ldexp(s2, 2 * e), d2))
-    if order == 7:
+    # correctly rounded atoms fit within 1.1e301 at e = 40 and 45; eigh's,
+    # a few ulps off, overflowed the sum at order 7
+    if e >= 50:
         assert report.residual == math.inf
 
 
@@ -1072,8 +1171,29 @@ def test_spn_recover_repeated_atoms_exact():
     for model in repeated_atom_sweep():
         report = spn_recover(spn_moments(model, model.d + 2), model.p, model.d)
         assert report.sigma_sq_exact == Fraction(model.sigma) ** 2
-        expect = sorted(float(v) ** 2 for v in model.singular_values)
-        assert report.atoms == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        # each atom is float() of the exact a^2
+        assert report.atoms == tuple(sorted(float(Fraction(v) ** 2)
+                                            for v in model.singular_values))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("e", [60, 200])
+@pytest.mark.parametrize("root", [Fraction(5, 3), Fraction(1234567, 1000), Fraction(22, 7)])
+def test_gcd_roots_find_a_rational_root_inside_a_cluster(root, e):
+    # (b x - a)(2^e (b x - a)^2 + 1): a complex pair 2^(-e/2) / b from the
+    # rational root, where Newton's method crawls; float roots and Newton
+    # from them once missed it
+    line = [-root.numerator, root.denominator]
+    pair = poly_mul([1 << e], poly_mul(line, line))
+    pair[0] += 1
+    assert _gcd_roots([poly_mul(pair, line)]) == [root]
 
 
 def test_lean_stage_finds_the_full_gcd_roots():

@@ -30,7 +30,6 @@ of ``NoConvergenceError`` outcomes.  Errors hash as outcomes on every layer.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -164,9 +163,14 @@ def outcome(run) -> str:
                      getattr(exc, "residual", None)))
 
 
+# the fields of a DensityCurve but its arrays, in their order
+CURVE_FIELDS = ("epsilon", "mass", "max_residual", "max_iterations", "fallback_points",
+                "rung_iterations")
+
+
 def curve_fields(curve) -> list:
-    return [(f.name, getattr(curve, f.name)) for f in dataclasses.fields(curve)
-            if f.name not in ("grid", "values")] + [curve.grid.tolist(), curve.values.tolist()]
+    return [(name, getattr(curve, name)) for name in CURVE_FIELDS] + [
+        curve.grid.tolist(), curve.values.tolist()]
 
 
 def main() -> int:
@@ -183,7 +187,7 @@ def main() -> int:
     layers = {
         "spn_recover": [outcome(lambda: models.spn_recover(m, p, d))
                         for m, p, d in recovery_inputs(models, workloads)],
-        "cw_recover": [outcome(lambda: models.cw_recover_eigenvalues(r, p, d).tolist())
+        "cw_recover": [outcome(lambda: [float(v) for v in models.cw_recover_eigenvalues(r, p, d)])
                        for r, p, d in cw_inputs(models)],
         "spn_density": [outcome(lambda: curve_fields(subordination.spn_density(
                             model, grid, epsilon=epsilon, max_iter=max_iter)))
