@@ -850,8 +850,10 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
     candidate k / c nearest to it.  Newton's method from the midpoint, in
     floats on h(2^t v) scaled to coefficients of at most 1 (v = x / 2^t,
     2^t near hi), then on X = 2^P x in ints with 2^P > 4c, each clamped to
-    the interval, comes within 1/2 of 2^P times the root; k = round(c X /
-    2^P) is then checked exactly.  If it misses, and h changes sign between
+    the interval, comes within 1/2 of 2^P times the root; where the int
+    steps shrink at the steady rate (m - 1) / m of a cluster of m roots, one
+    step is taken m times as far.  k = round(c X / 2^P) is then checked
+    exactly.  If it misses, and h changes sign between
     (k -+ 1/2) / c, which are never roots and lie in (lo, hi], the root is
     irrational.  Otherwise the interval is halved by the sign of h, down to
     a width below 1/c, where only one candidate is left."""
@@ -880,6 +882,7 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
         shift = t + bits
         big_x = (n << shift) // b if shift >= 0 else n // (b << -shift)
         floor, ceil = math.floor(lo * one), math.ceil(hi * one)
+        prev = 0
         for _ in range(bits.bit_length() + 8):
             (val,), (slope,) = _homogeneous([h], big_x, one)
             if not slope:
@@ -888,6 +891,15 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
             step = (2 * val + slope) // (2 * slope)
             if not step:
                 break
+            # Outside a cluster of m roots Newton's steps shrink by (m - 1) / m
+            # each: m steps of that size, m = prev / (prev - step) rounded,
+            # land well inside it, where Newton converges quadratically again.
+            gap = prev - step
+            if (prev > 0) == (step > 0) and abs(step) < abs(prev) and (
+                    m := (2 * prev + gap) // (2 * gap)) > 1:
+                step, prev = m * step, 0
+            else:
+                prev = step
             big_x = min(max(big_x - step, floor), ceil)
         k = (lead * big_x + one // 2) >> bits
         if lo < Fraction(k, lead) <= hi and not value(Fraction(k, lead)):

@@ -1184,16 +1184,21 @@ def poly_mul(a, b):
     return out
 
 
-@pytest.mark.parametrize("e", [60, 200])
+@pytest.mark.parametrize("e", [60, 200, 1000])
 @pytest.mark.parametrize("root", [Fraction(5, 3), Fraction(1234567, 1000), Fraction(22, 7)])
-def test_gcd_roots_find_a_rational_root_inside_a_cluster(root, e):
+def test_gcd_roots_find_a_rational_root_inside_a_cluster(monkeypatch, root, e):
     # (b x - a)(2^e (b x - a)^2 + 1): a complex pair 2^(-e/2) / b from the
     # rational root, where Newton's method crawls; float roots and Newton
-    # from them once missed it
+    # from them once missed it, and halving the interval down to a width of
+    # 1 / lc(h) once took about 2e exact evaluations
     line = [-root.numerator, root.denominator]
     pair = poly_mul([1 << e], poly_mul(line, line))
     pair[0] += 1
+    calls = []
+    horner = models._horner
+    monkeypatch.setattr(models, "_horner", lambda *args: calls.append(1) or horner(*args))
     assert _gcd_roots([poly_mul(pair, line)]) == [root]
+    assert len(calls) <= 200
 
 
 def test_lean_stage_finds_the_full_gcd_roots():

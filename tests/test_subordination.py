@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,10 @@ from freedeconv.errors import DomainError, NoConvergenceError, SigmaZeroError
 from freedeconv.models import SpnModel, spn_moments
 from freedeconv.subordination import (
     CPoint2,
+    _defect,
     _g_atoms,
     _ladder,
+    _newton,
     _problem,
     _rung,
     _walk,
@@ -314,11 +318,20 @@ def test_density_agrees_with_picard_ladder(model, reference):
     assert curve.max_residual <= 1e-12
 
 
+def ladder_solve(terms, x, zeta, rungs, walk=_walk):
+    # spn_density's solve without the remembered ladder: the walk down
+    # ``rungs`` at Z = x + i eta, then the target at zeta^2; returns g, w,
+    # the largest defect, the iterations on each rung and the halved steps
+    omega, its, halved = walk(terms, x, rungs, x + 1j * rungs[0], 100)
+    _, g, w, res, n, h = _rung(terms, omega, zeta * zeta, 1e-12, 100, (zeta, zeta))
+    return g, w, res, (*its, n), sum(halved) + h
+
+
 def _solve_grid(model, grid, eps, rungs=None):
     terms, scale = _problem(model)
     zeta = np.sqrt(grid + 1j * eps)
-    rungs = _ladder(scale, eps) if rungs is None else rungs
-    return terms, zeta, _walk(terms, zeta, zeta, rungs, 1e-12, 100)
+    rungs = _ladder(scale, eps) if rungs is None else tuple(rungs)
+    return terms, zeta, ladder_solve(terms, grid, zeta, rungs)
 
 
 @pytest.mark.parametrize("model", [REFERENCE, PURE_NOISE], ids=["reference", "noise"])
@@ -356,9 +369,7 @@ def test_branch_rule_halves_on_a_continuation_rung(model):
     # the same jump on a rung above the target, from eps = 1 to 2e-3
     grid = _edge_grid(model, 600)
     terms, zeta, (full, _, _, _, _) = _solve_grid(model, grid, 1e-3)
-    x = (zeta * zeta).real
-    omega, *_ = _rung(terms, zeta, zeta, x + 1j, 1.0, 1e-12, 100)
-    omega, _, _, _, _, halved = _rung(terms, zeta, zeta, omega, 2e-3, 1e-12, 100)
+    omega, _, (_, halved) = _walk(terms, grid, (1.0, 2e-3), grid + 1j, 100)
     assert halved > 0 and np.all(omega.imag > 0)
     _, _, (jump, _, res, _, _) = _solve_grid(model, grid, 1e-3, rungs=[1.0, 2e-3])
     assert res <= 1e-12
@@ -444,19 +455,17 @@ def test_small_epsilon_converges_with_default_max_iter():
 
 # ------------------------------------------------------- continuation ladder
 
-def converged_walk(terms, z1, z2, rungs, tol, max_iter):
-    # reference: the ladder with every rung solved by the target's own
-    # pointwise defect test, at the square of sqrt(Re Z + i eta)
-    x = (z1 * z2).real
-    omega = x + 1j * (rungs[0] if rungs else (z1 * z2).imag)
-    rung_its, halved = [], 0
+def converged_walk(terms, x, rungs, omega, max_iter):
+    # reference for _walk: every rung solved by the target's own pointwise
+    # defect test, at the square of sqrt(x + i eta)
+    rung_its, halved = [], []
     for height in rungs:
         zeta = np.sqrt(x + 1j * height)
-        omega, _, _, _, its, h = _rung(terms, zeta, zeta, omega, None, tol, max_iter)
+        omega, _, _, _, its, h = _rung(terms, omega, zeta * zeta, 1e-12, max_iter,
+                                       (zeta, zeta))
         rung_its.append(its)
-        halved += h
-    _, g, w, res, its, h = _rung(terms, z1, z2, omega, None, tol, max_iter)
-    return g, w, res, (*rung_its, its), halved + h
+        halved.append(h)
+    return omega, tuple(rung_its), tuple(halved)
 
 
 def criterion7_models(count):
@@ -484,14 +493,16 @@ def test_continuation_ladder_agrees_with_converged_ladder(monkeypatch, epsilon):
         terms, scale = _problem(model)
         zeta = np.sqrt(grid + 1j * epsilon)
         rungs = _ladder(scale, epsilon)
-        (g1, g2), _, res, its, _ = _walk(terms, zeta, zeta, rungs, 1e-12, 100)
-        (r1, r2), _, _, _, _ = converged_walk(terms, zeta, zeta, rungs, 1e-12, 100)
+        (g1, g2), _, res, its, _ = ladder_solve(terms, grid, zeta, rungs)
+        (r1, r2), _, _, _, _ = ladder_solve(terms, grid, zeta, rungs, converged_walk)
         assert res <= 1e-12
         assert max(np.max(np.abs(g1 - r1)), np.max(np.abs(g2 - r2))) <= 1e-10
         curve = spn_density(model, grid, epsilon=epsilon)
         assert curve.rung_iterations == its and len(its) == len(rungs) + 1
         assert curve.max_iterations == max(its)
         with monkeypatch.context() as patch:
+            # walk from the top, not from the ladder the call above left
+            patch.setattr(subordination, "_last_ladder", None)
             patch.setattr(subordination, "_walk", converged_walk)
             reference = spn_density(model, grid, epsilon=epsilon)
         assert np.max(np.abs(curve.values - reference.values)) <= 1e-10
@@ -522,20 +533,25 @@ def test_intermediate_rungs_reach_the_next_rung_height(model):
     # target
     terms, scale = _problem(model)
     rungs = _ladder(scale, 1e-3)
-    zeta = np.sqrt(_edge_grid(model, 2000) + 1j * 1e-3)
-    x = (zeta * zeta).real
+    x = _edge_grid(model, 2000)
+    zeta = np.sqrt(x + 1j * 1e-3)
     omega = x + 1j * rungs[0]
     counts = []
     for height in rungs:
-        omega, _, _, _, its, _ = _rung(terms, zeta, zeta, omega, height, 1e-12, 100)
+        omega, _, _, _, its, _ = _rung(terms, omega, x + 1j * height, height / 10, 100)
         counts.append(its)
         assert np.all(omega.imag > 0)
         miss = np.abs(z_of_omega(terms, omega) - (x + 1j * height))
         assert np.max(miss) <= height / 10
-    _, g, _, _, its, _ = _rung(terms, zeta, zeta, omega, None, 1e-12, 100)
-    walked = _walk(terms, zeta, zeta, rungs, 1e-12, 100)
-    assert walked[3] == (*counts, its)
-    assert np.array_equal(walked[0][0], g[0]) and np.array_equal(walked[0][1], g[1])
+    walked, walked_its, _ = _walk(terms, x, rungs, x + 1j * rungs[0], 100)
+    assert walked_its == tuple(counts) and np.array_equal(walked, omega)
+    _, g, _, _, its, _ = _rung(terms, omega, zeta * zeta, 1e-12, 100, (zeta, zeta))
+    solved = ladder_solve(terms, x, zeta, rungs)
+    assert solved[3] == (*counts, its)
+    assert np.array_equal(solved[0][0], g[0]) and np.array_equal(solved[0][1], g[1])
+    curve = spn_density(model, x, epsilon=1e-3)
+    assert curve.rung_iterations == (*counts, its)
+    assert np.array_equal(curve.values, np.maximum(-np.imag(g[0] / zeta) / np.pi, 0.0))
 
 
 # ------------------------------------------------ solver arguments and stops
@@ -559,9 +575,42 @@ ENTRY_POINTS = {
          "max-iter-bool"],
 )
 def test_solver_arguments_are_checked_at_both_entry_points(entry, bad):
-    with pytest.raises(DomainError) as info:
-        ENTRY_POINTS[entry](**bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            ENTRY_POINTS[entry](**bad)
     assert info.value.module == "subordination"
+
+
+NON_FINITE_POINTS = {
+    "density": [[1.0, math.inf], [math.nan, 1.0], [0.5, 1.0, math.nan]],
+    "point": [CPoint2(complex(math.inf, 1), 1j), CPoint2(complex(math.nan, 1), 1j),
+              CPoint2(1j, complex(-math.inf, 1)), CPoint2(1j, complex(1, math.inf)),
+              CPoint2(complex(math.nan, 1), complex(math.nan, 1)),
+              # finite points whose Z = z1 z2 overflows (inf, then nan), and
+              # one whose 10 |Z|, the ladder's first rung, does
+              CPoint2(1e200 + 1j, 1e200 + 1j), CPoint2(1e200 + 1e200j, 1e200 + 1e200j),
+              CPoint2(1e154 + 1j, 1e154 + 1j)],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
+def test_non_finite_points_are_checked_at_both_entry_points(entry):
+    # a grid point or a coordinate of z that is inf or nan, or a product
+    # z1 z2 too large for the ladder, is a domain error, raised before any
+    # arithmetic and so without a warning; on both the signal-plus-noise
+    # model and sigma = 0
+    models = [SpnModel(4, 2, (1, 2), 0.5), SpnModel(4, 2, (1, 2), 0)]
+    for model in models[:1] if entry == "density" else models:
+        for at in NON_FINITE_POINTS[entry]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as info:
+                    if entry == "density":
+                        spn_density(model, at)
+                    else:
+                        solve_subordination(model, at)
+            assert info.value.module == "subordination"
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=list(ENTRY_POINTS))
@@ -591,3 +640,156 @@ def test_no_convergence_at_the_target(entry):
         ENTRY_POINTS[entry](tol=1e-300, max_iter=20)
     assert info.value.iterations == 20
     assert np.isfinite(info.value.residual) and 0 < info.value.residual <= 1e-12
+
+
+# ------------------------------------------------------ the remembered ladder
+
+def curve_fields(curve):
+    # every field of a DensityCurve, arrays as bytes
+    return (curve.grid.tobytes(), curve.values.tobytes(), curve.epsilon, curve.mass,
+            curve.max_residual, curve.max_iterations, curve.fallback_points,
+            curve.rung_iterations)
+
+
+def cold_density(monkeypatch, *args, **kw):
+    # spn_density walking its whole ladder from the top
+    with monkeypatch.context() as patch:
+        patch.setattr(subordination, "_last_ladder", None)
+        return spn_density(*args, **kw)
+
+
+def walked_rungs(monkeypatch):
+    # the rungs each _walk call is handed, in order
+    calls, walk = [], subordination._walk
+
+    def spy(terms, x, rungs, omega, max_iter):
+        calls.append(rungs)
+        return walk(terms, x, rungs, omega, max_iter)
+
+    monkeypatch.setattr(subordination, "_walk", spy)
+    return calls
+
+
+# criterion 7's first four models: at eps = 1e-3 the first two reuse the
+# whole ladder of 2e-3 and the last two add the rung E / 10^4 to it
+GAINS_A_RUNG = [False, False, True, True]
+
+
+def test_eps_call_resumes_the_2eps_ladder(monkeypatch):
+    for model, gains in zip(criterion7_models(4), GAINS_A_RUNG):
+        grid = _edge_grid(model, 2000)
+        _, scale = _problem(model)
+        coarse, fine = _ladder(scale, 2e-3), _ladder(scale, 1e-3)
+        assert (len(fine) == len(coarse) + 1) == gains and fine[:len(coarse)] == coarse
+        cold = cold_density(monkeypatch, model, grid, epsilon=1e-3)
+        calls = walked_rungs(monkeypatch)
+        spn_density(model, grid, epsilon=2e-3)
+        warm = spn_density(model, grid, epsilon=1e-3)
+        monkeypatch.undo()
+        # the eps call walks only the rungs the 2 eps call did not
+        assert calls == [coarse, fine[len(coarse):]]
+        assert curve_fields(warm) == curve_fields(cold)
+
+
+def _nudged(grid):
+    out = grid.copy()
+    out[7] = np.nextafter(out[7], np.inf)
+    return out
+
+
+@pytest.mark.parametrize("case", ["grid-ulp", "grid-mutated", "sigma", "eps-before-2eps"])
+def test_remembered_ladder_misses(monkeypatch, case):
+    # a model that adds a rung at eps = 1e-3, or for sigma one whose scale,
+    # and so its ladder, stays the same when sigma moves up by an ulp
+    model = criterion7_models(4)[0 if case == "sigma" else 2]
+    grid = _edge_grid(model, 2000)
+    first, second = (model, grid, 2e-3), (model, grid, 1e-3)
+    if case == "grid-ulp":
+        second = (model, _nudged(grid), 1e-3)
+    elif case == "sigma":
+        other = SpnModel(model.p, model.d, model.singular_values,
+                         float(np.nextafter(model.sigma, 2.0)))
+        assert _problem(other)[1] == _problem(model)[1]
+        second = (other, grid, 1e-3)
+    elif case == "eps-before-2eps":
+        first, second = second, first
+    calls = walked_rungs(monkeypatch)
+    spn_density(*first[:2], epsilon=first[2])
+    if case == "grid-mutated":
+        grid[7] = np.nextafter(grid[7], np.inf)
+    warm = spn_density(*second[:2], epsilon=second[2])
+    monkeypatch.undo()
+    terms, scale = _problem(second[0])
+    # the second call walks its whole ladder, from the top
+    assert calls[-1] == _ladder(scale, second[2])
+    cold = cold_density(monkeypatch, *second[:2], epsilon=second[2])
+    assert curve_fields(warm) == curve_fields(cold)
+
+
+def test_warm_call_raises_as_a_cold_call(monkeypatch):
+    # after the 2 eps call walked the ladder, every cap from 1 to the largest
+    # rung's count gives the eps call the cold call's curve or error
+    model = criterion7_models(4)[2]
+    grid = _edge_grid(model, 2000)
+    full = cold_density(monkeypatch, model, grid, epsilon=1e-3)
+    raised = 0
+    for max_iter in range(1, full.max_iterations + 1):
+        outcomes = []
+        for warm in (True, False):
+            spn_density(model, grid, epsilon=2e-3)
+            try:
+                if warm:
+                    curve = spn_density(model, grid, epsilon=1e-3, max_iter=max_iter)
+                else:
+                    curve = cold_density(monkeypatch, model, grid, epsilon=1e-3,
+                                         max_iter=max_iter)
+                outcomes.append(curve_fields(curve))
+            except NoConvergenceError as exc:
+                outcomes.append((str(exc), exc.iterations, exc.residual))
+        assert outcomes[0] == outcomes[1]
+        raised += isinstance(outcomes[0][0], str)
+    assert 0 < raised < full.max_iterations
+
+
+# ------------------------------------------ one Newton evaluation, in mpmath
+
+def test_newton_evaluation_and_defect_match_mpmath():
+    # s, s', z, z' and the target's defect at random omega in C+ on models
+    # with 1 to 40 distinct atoms, against the definitions at 50 digits:
+    # every one within 1e-13 relative
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(2024)
+    worst = 0.0
+    for distinct in [1, 2, 3, 5, 8, 13, 21, 40] * 3:
+        sv = [rng.uniform(0.0, 2.0) for _ in range(distinct)]
+        a = tuple(v for v in sv for _ in range(rng.randint(1, 3)))
+        model = SpnModel(rng.randint(len(a), 3 * len(a)), len(a), a, rng.uniform(0.3, 1.5))
+        (atoms, counts, p, d, sigma_sq), _ = _problem(model)
+        assert atoms.size == distinct
+        shift = sigma_sq * (p / d - 1)
+        kernel = (atoms[:, None].astype(complex), (counts / d)[:, None], sigma_sq, shift)
+        omega, z1, z2 = (np.array([complex(rng.uniform(-1.0, 6.0), 10 ** rng.uniform(-2, 1))
+                                   for _ in range(4)]) for _ in range(3))
+        for target in (False, True):
+            _, _, s, ds, _, z, dz = _newton(*kernel, omega, np.zeros(4), target)
+            gap, wr, _, _, u, f, _ = _newton(*kernel, omega, z1 * z2, target)
+            defect = _defect(d / p, shift, gap, wr, u, f, z1, z2, 1 / z2)[0]
+            with mp.workdps(50):
+                for i in range(4):
+                    o, y1, y2 = (mp.mpc(v[i].real, v[i].imag) for v in (omega, z1, z2))
+                    terms = [(int(c), mp.mpf(float(x))) for x, c in zip(atoms, counts)]
+                    ref_s = sum(c / (o - x) for c, x in terms) / d
+                    ref_ds = -sum(c / (o - x) ** 2 for c, x in terms) / d
+                    ref_u = 1 + sigma_sq * ref_s
+                    ref_shift = sigma_sq * (mp.mpf(p) / d - 1)
+                    ref_z = o * ref_u ** 2 + ref_shift * ref_u
+                    ref_dz = ref_u ** 2 + sigma_sq * ref_ds * (2 * o * ref_u + ref_shift)
+                    v2 = y2 / ref_u
+                    v1 = (y1 - ref_shift / v2) / ref_u
+                    s_w = sum(c / (v1 * v2 - x) for c, x in terms) / d
+                    ref_defect = max(abs(v2), mp.mpf(d) / p * abs(v1)) * abs(s_w - ref_s)
+                    for got, ref in [(s[i], ref_s), (-ds[i], ref_ds), (z[i], ref_z),
+                                     (dz[i], ref_dz), (defect[i], ref_defect)]:
+                        worst = max(worst, float(abs(mp.mpc(got.real, got.imag) - ref)
+                                                 / abs(ref)))
+    assert worst <= 1e-13
