@@ -4,6 +4,8 @@ Every error carries a stable machine-readable ``code`` and the name of the
 ``module`` it belongs to, so the CLI can emit structured error JSON.
 """
 
+import numbers
+
 
 class FreeDeconvError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -103,3 +105,9 @@ class EigensolverError(FreeDeconvError):
     def __init__(self, message, trial=None):
         super().__init__(message)
         self.trial = trial
+
+
+def require_int(value, field: str, module: str) -> None:
+    """DomainError unless ``value`` is an int (a numbers.Integral, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{field} must be an integer, got {value!r}", module=module)

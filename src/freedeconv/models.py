@@ -23,7 +23,6 @@ the singular values and the sign of sigma.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 import sys
 from fractions import Fraction
@@ -39,13 +38,16 @@ from .errors import (
     NonrealRootsError,
     OrderTooSmallError,
     RecoveryFailedError,
+    require_int,
 )
 from .series import (
     FLOAT,
     RATIONAL,
     MomentSeries,
+    _coerce,
     _cumulants,
     _moments,
+    _real,
     format_rational,
     moment_from_r,
     parse_scalar,
@@ -87,9 +89,7 @@ class CwModel(Record):
 
     def __init__(self, p: int, d: int, eigenvalues: tuple):
         _check_dimensions(p, d)
-        vals = _parse_values(eigenvalues, "eigenvalues")
-        if len(vals) != p:
-            raise DimensionMismatchError(f"expected {p} eigenvalues, got {len(vals)}")
+        vals = _parse_values(eigenvalues, "eigenvalues", p)
         self._init(p, d, vals)
 
     def to_dict(self) -> dict:
@@ -113,15 +113,11 @@ class SpnModel(Record):
     __slots__ = ("p", "d", "singular_values", "sigma")
 
     def __init__(self, p: int, d: int, singular_values: tuple, sigma: object = 0.0):
-        _check_dimensions(p, d)
-        if p < d:
-            raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
-        vals = _parse_values(singular_values, "singular_values")
-        if len(vals) != d:
-            raise DimensionMismatchError(f"expected {d} singular values, got {len(vals)}")
+        _check_dimensions(p, d, tall=True)
+        vals = _parse_values(singular_values, "singular_values", d)
         if any(v < 0 for v in vals):
             raise DomainError("singular values must be nonnegative")
-        self._init(p, d, vals, _real(sigma))
+        self._init(p, d, vals, _real(sigma, "models"))
 
     @property
     def aspect_ratio(self) -> Fraction:
@@ -225,32 +221,26 @@ def _from_json(v):
     return parse_scalar(v, "models") if isinstance(v, str) else v
 
 
-def _check_dimensions(p, d) -> None:
-    for field, v in (("p", p), ("d", d)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise DomainError(f"{field} must be an integer, got {v!r}")
+def _check_dimensions(p, d, module: str = "models", tall: bool = False) -> None:
+    """p and d positive ints, and with ``tall`` p >= d, the signal-plus-noise rule."""
+    require_int(p, "p", module)
+    require_int(d, "d", module)
     if p < 1 or d < 1:
-        raise DimensionMismatchError(f"p and d must be positive, got p={p}, d={d}")
+        raise DimensionMismatchError(f"p and d must be positive, got p={p}, d={d}", module)
+    if tall and p < d:
+        raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}", module)
 
 
-def _real(v):
-    if isinstance(v, str):
-        raise DomainError(f"not a number: {v!r}")
-    return parse_scalar(v, "models")
-
-
-def _parse_values(values, field: str) -> tuple:
+def _parse_values(values, field: str, count: int) -> tuple:
     # an ndarray can exist only once numpy is imported, so the exact path
     # need not import numpy to recognize one
     np = sys.modules.get("numpy")
     array = np is not None and isinstance(values, np.ndarray)
     if not isinstance(values, (list, tuple)) and not array:
         raise DomainError(f"{field} must be a list, got {values!r}")
-    return tuple(sorted(_real(v) for v in values))
-
-
-def _as_kind(value, kind):
-    return Fraction(value) if kind == RATIONAL else float(value)
+    if len(values) != count:
+        raise DimensionMismatchError(f"expected {count} {field}, got {len(values)}")
+    return tuple(sorted(_real(v, "models") for v in values))
 
 
 def _times(c, f: MomentSeries) -> MomentSeries:
@@ -264,14 +254,14 @@ def delta_moments(beta, order: int, kind: str = RATIONAL) -> MomentSeries:
 
 def free_poisson_r(rate, jump, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Free-cumulant series of the free Poisson law: coefficient n is rate*jump^n."""
-    lam = _as_kind(rate, kind)
+    lam = _coerce(rate, kind)
     if lam <= 0:
         raise DomainError(f"free Poisson rate must be positive, got {rate}")
     return _times(lam, delta_moments(jump, order, kind))
 
 
 def _aspect(aspect, kind):
-    lam = _as_kind(aspect, kind)
+    lam = _coerce(aspect, kind)
     if not 0 < lam <= 1:
         raise DomainError(f"aspect ratio must lie in (0, 1], got {aspect}")
     return lam
@@ -290,7 +280,7 @@ def f_lambda(aspect, order: int, kind: str = RATIONAL) -> MomentSeries:
 
 def _power_means(values: Sequence, divisor: int, order: int, kind: str) -> MomentSeries:
     # coefficient n is (sum_k values_k^n) / divisor
-    columns = zip(*(delta_moments(_as_kind(v, kind), order, kind).coeffs for v in values))
+    columns = zip(*(delta_moments(_coerce(v, kind), order, kind).coeffs for v in values))
     return MomentSeries(tuple(sum(c) / divisor for c in columns), kind)
 
 
@@ -387,6 +377,16 @@ def _horner(poly: list, a: int, b: int) -> int:
     return acc
 
 
+def _homogeneous(poly: list, a: int, b: int) -> tuple:
+    """(b^D poly(a/b), b^(D-1) poly'(a/b)), D = len(poly) - 1: ``_horner``
+    with the slope in the same pass."""
+    acc, slope, bj = 0, 0, 1
+    for c in reversed(poly):
+        slope = slope * a + acc
+        acc, bj = acc * a + c * bj, bj * b
+    return acc, slope
+
+
 def _refined(poly: list, x: float) -> tuple:
     """(a, b): a/b within 2^-64 of a float spacing of the root of poly
     nearest to which x is, by bisection on the sign of poly between the
@@ -426,7 +426,7 @@ def _float_roots(poly: list, guesses: list) -> list:
     steps = []
     for o in guesses:
         a, b = _from_ordinal(o).as_integer_ratio()
-        (value,), (slope,) = _homogeneous([poly], a, b)
+        value, slope = _homogeneous(poly, a, b)
         try:
             o = _ordinal((a * slope - value) / (b * slope))
         except (OverflowError, ZeroDivisionError):
@@ -577,7 +577,7 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
     for value in values:
         a, b = _refined(poly, value)
         at = _horner(prev, a, b)
-        _, (slope,) = _homogeneous([poly], a, b)
+        slope = _homogeneous(poly, a, b)[1]
         den = dets[r - 1] * c ** (2 * r - 2) * at * slope
         if den and (mult := round(Fraction(weight * b ** (2 * r - 2), den))) > 0:
             atoms.append(value)
@@ -653,11 +653,11 @@ def spn_moments(model: SpnModel, order: int, kind: str = RATIONAL) -> MomentSeri
     """Moment series of the signal-plus-noise limit spectrum: ``_spn_map``
     at sigma^2 on lambda rho(M[A*A]), one R-transform and one moment series.
     """
-    lam = _as_kind(model.aspect_ratio, kind)
+    lam = _coerce(model.aspect_ratio, kind)
     # convert before squaring: a float squared past its range raises
-    a = [_as_kind(v, kind) for v in model.singular_values]
+    a = [_coerce(v, kind) for v in model.singular_values]
     maa = atomic_moments([v * v for v in a], order, kind)
-    sigma = _as_kind(model.sigma, kind)
+    sigma = _coerce(model.sigma, kind)
     return MomentSeries(_spn_map(maa, lam, sigma * sigma), kind)
 
 
@@ -671,22 +671,6 @@ def spn_decompose(m: MomentSeries, aspect) -> MomentSeries:
     """
     lam = _aspect(aspect, m.scalar_kind)
     return moment_from_r(_times(1 / lam, r_transform(_times(lam, r_transform(m)))))
-
-
-def _homogeneous(rows: Sequence, n: int, b: int) -> tuple:
-    """(values, slopes): b^D P(n/b) = sum_i c_i n^i b^(D-i) and
-    b^(D-1) P'(n/b) for the polynomial P of each integer row c of length
-    D + 1, in one pass of Horner's rule."""
-    bpow = [b**j for j in range(max(map(len, rows), default=0))]
-    values, slopes = [], []
-    for row in rows:
-        acc = slope = 0
-        for c, bj in zip(reversed(row), bpow):
-            slope = slope * n + acc
-            acc = acc * n + c * bj
-        values.append(acc)
-        slopes.append(slope)
-    return values, slopes
 
 
 def _recurrence_gaps(psums: Sequence, d: int) -> list:
@@ -782,35 +766,31 @@ def _pseudo_divide(a: list, b: list) -> tuple:
     return q, a
 
 
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list:
-    """The primitive gcd over Z of two int polynomials, coefficients lowest
-    power first, with a positive leading coefficient; [] when both are 0.
-    By the primitive polynomial remainder sequence (Brown, J. ACM 18, 1971):
-    pseudo-remainders, each divided by its content."""
-    a, b = sorted((_trimmed(a), _trimmed(b)), key=len, reverse=True)
-    if not b:
-        return _primitive(a) if a else []
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        r = _pseudo_divide(a, b)[1]
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _sturm(h: list) -> list:
-    """The Sturm sequence of the square-free int polynomial h: h, h' and the
-    negated remainders, each over its content.  A pseudo-remainder by the
-    divisor with a positive leading coefficient is a positive multiple of
-    the remainder, so every sign is kept."""
-    seq = [h, [i * c for i, c in enumerate(h)][1:]]
+def _sturm(a: list, b: list | None = None) -> list:
+    """a, b (by default a'; b != 0, deg b <= deg a) and their negated
+    pseudo-remainders over their contents, down to a constant or a multiple
+    of gcd(a, b) (Brown, J. ACM 18, 1971).  Each divisor is taken with a
+    positive leading coefficient, so every sign is kept: from square-free a,
+    this is the Sturm sequence of a."""
+    seq = [a, [i * c for i, c in enumerate(a)][1:] if b is None else b]
     while len(seq[-1]) > 1:
         b = seq[-1]
         rem = _pseudo_divide(seq[-2], b if b[-1] > 0 else [-x for x in b])[1]
+        if not rem:
+            break
         content = math.gcd(*rem)
         seq.append([-x // content for x in rem])
     return seq
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """The primitive gcd over Z of two int polynomials, coefficients lowest
+    power first, with a positive leading coefficient; [] when both are 0:
+    the last of their ``_sturm`` sequence, over its content."""
+    a, b = sorted((_trimmed(a), _trimmed(b)), key=len, reverse=True)
+    if not b:
+        return _primitive(a) if a else []
+    return _primitive(_sturm(_primitive(a), _primitive(b))[-1])
 
 
 def _variations(seq: list, a: int, b: int) -> tuple:
@@ -884,7 +864,7 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
         floor, ceil = math.floor(lo * one), math.ceil(hi * one)
         prev = 0
         for _ in range(bits.bit_length() + 8):
-            (val,), (slope,) = _homogeneous([h], big_x, one)
+            val, slope = _homogeneous(h, big_x, one)
             if not slope:
                 break
             # X - 2^P h(x) / h'(x), rounded to nearest
@@ -933,9 +913,7 @@ def _gcd_roots(rows: Sequence) -> list:
             return []
     if not g:
         return []
-    # a gcd of degree 1 is already square-free
-    h = g if len(g) == 2 else _primitive(
-        _pseudo_divide(g, _int_gcd(g, [i * c for i, c in enumerate(g)][1:]))[0])
+    h = _primitive(_pseudo_divide(g, _sturm(g)[-1])[0])
     if len(h) == 2:
         roots = [Fraction(-h[0], h[1])]
     else:
@@ -958,7 +936,7 @@ def _candidate(cumulants: Sequence, big_q: int, d: int, u: Fraction, root: bool 
     ``_candidate_rows`` give the ints b^k Q^k c_k, and the scalar recursions
     t^k times the moments and t^k d! times the gaps, t = b Q."""
     n, b = u.as_integer_ratio()
-    moments = _moments(_homogeneous(cumulants, n, b)[0])
+    moments = _moments([_horner(row, n, b) for row in cumulants])
     if root and any(_recurrence_gaps([d * c for c in moments], d)):
         return None
     return moments, b * big_q
@@ -1011,7 +989,7 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         # D(s) exactly, as (numerator, denominator), and the Gauss-Newton
         # iterate from s, rounded once
         n, b = s.as_integer_ratio()
-        gaps, slopes = _homogeneous(polys, big_q * n, d * b)
+        gaps, slopes = zip(*(_homogeneous(poly, big_q * n, d * b) for poly in polys))
         value = sum(w * g * g for w, g in zip(weights, gaps)), wq * (q * b**order) ** 2
         curvature = sum(w * t * t for w, t in zip(weights, slopes))
         pull = sum(w * g * t for w, g, t in zip(weights, gaps, slopes))
@@ -1082,9 +1060,7 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     it implies sum_k (r_k - m_k)^2 <= 2e-8*(P + sum_k m_k^2) <=
     1e-4*(1 + |m|^2), so no sum-of-squares test could decide more.
     """
-    _check_dimensions(p, d)
-    if p < d:
-        raise DimensionMismatchError(f"p >= d required, got p={p} < d={d}")
+    _check_dimensions(p, d, tall=True)
     if m.order < d + 2:
         raise OrderTooSmallError(f"need order >= d+2 = {d + 2} to recover, got {m.order}")
     target = m.as_float()

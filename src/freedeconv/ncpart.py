@@ -26,6 +26,7 @@ from .errors import (
     InsufficientOrderError,
     MalformedPartitionError,
     OrderTooLargeError,
+    require_int,
 )
 
 DEFAULT_MAX_ORDER = 14
@@ -168,6 +169,7 @@ def enumerate_nc(n: int) -> tuple[NcPartition, ...]:
     to guard the Catalan blow-up.
     """
     limit = _max_order()
+    require_int(n, "order", "ncpart")
     if n < 1:
         raise MalformedPartitionError("order must be >= 1")
     if n > limit:

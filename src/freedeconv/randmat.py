@@ -9,7 +9,6 @@ the sampled values.
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable
 
 import numpy as np
@@ -20,8 +19,9 @@ from .errors import (
     DomainError,
     EigensolverError,
     NonSelfadjointError,
+    require_int,
 )
-from .models import CwModel, SpnModel
+from .models import CwModel, SpnModel, _check_dimensions
 
 SELFADJOINT_TOL = 1e-10
 
@@ -36,6 +36,7 @@ class GinibreSpec(Record):
     __slots__ = ("p", "d", "field", "seed")
 
     def __init__(self, p: int, d: int, field: str = "real", seed: int = 0):
+        _check_dimensions(p, d, "randmat")
         if field not in ("real", "complex"):
             raise DomainError(
                 f"field must be 'real' or 'complex', got {field!r}",
@@ -65,15 +66,20 @@ def sample_ginibre(spec: GinibreSpec) -> np.ndarray:
     )
 
 
-def realize_cw(model: CwModel, spec: GinibreSpec) -> np.ndarray:
-    """One d-by-d compound Wishart sample Z* diag(v) Z."""
+def _sample_for(model, spec: GinibreSpec) -> np.ndarray:
+    """``sample_ginibre(spec)`` once the spec's (p, d) match the model's."""
     if (spec.p, spec.d) != (model.p, model.d):
         raise DimensionMismatchError(
             f"spec dimensions ({spec.p},{spec.d}) do not match model "
             f"({model.p},{model.d})",
             module="randmat",
         )
-    z = sample_ginibre(spec)
+    return sample_ginibre(spec)
+
+
+def realize_cw(model: CwModel, spec: GinibreSpec) -> np.ndarray:
+    """One d-by-d compound Wishart sample Z* diag(v) Z."""
+    z = _sample_for(model, spec)
     v = np.asarray([float(x) for x in model.eigenvalues])
     return z.conj().T @ (v[:, None] * z)
 
@@ -85,13 +91,7 @@ def realize_spn(model: SpnModel, spec: GinibreSpec) -> np.ndarray:
     its leading diagonal; the spectrum of the product depends on nothing
     else.
     """
-    if (spec.p, spec.d) != (model.p, model.d):
-        raise DimensionMismatchError(
-            f"spec dimensions ({spec.p},{spec.d}) do not match model "
-            f"({model.p},{model.d})",
-            module="randmat",
-        )
-    z = sample_ginibre(spec)
+    z = _sample_for(model, spec)
     a = np.zeros((model.p, model.d), dtype=z.dtype)
     for i, s in enumerate(model.singular_values):
         a[i, i] = float(s)
@@ -121,13 +121,12 @@ def eigenvalues_selfadjoint(matrix: np.ndarray) -> np.ndarray:
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
     """Independent per-trial seeds derived deterministically from the master.
 
-    The master seed must be a non-negative integer.
+    The master seed and ``trials`` must be non-negative integers.
     """
-    if not isinstance(master_seed, numbers.Integral) or master_seed < 0:
-        raise DomainError(
-            f"master seed must be a non-negative integer, got {master_seed!r}",
-            module="randmat",
-        )
+    for field, v in (("master seed", master_seed), ("trials", trials)):
+        require_int(v, field, "randmat")
+        if v < 0:
+            raise DomainError(f"{field} must be non-negative, got {v}", module="randmat")
     state = np.random.SeedSequence(master_seed).generate_state(trials, np.uint64)
     return [int(s) for s in state]
 
@@ -144,11 +143,13 @@ def empirical_spectrum(
     from :func:`trial_seeds`.  Empirical moment n is the average of the n-th
     powers of all pooled eigenvalues.
     """
-    if trials < 1:
+    require_int(order, "order", "randmat")
+    seeds = trial_seeds(master_seed, trials)
+    if not seeds:
         raise DomainError(f"need at least one trial, got {trials}", module="randmat")
     pooled = []
     d = None
-    for trial, seed in enumerate(trial_seeds(master_seed, trials)):
+    for trial, seed in enumerate(seeds):
         matrix = sampler(seed)
         if d is None:
             d = matrix.shape[0]

@@ -17,8 +17,11 @@ The sums over NC(m) define boxed convolution but are never formed: each
 transform solves a functional equation column by column (formal
 subordination, or M(z) = R(z(1 + M(z)))) in O(N^3), on both backends alike.
 Every identity holds modulo z^{N+1}; truncation order is fixed per series.
-Coefficients are real (or exact rational): complex scalars are rejected,
-since every spectral model in scope produces real moment data.
+Coefficients follow the rule of model values: an int, a Fraction, a finite
+float or a numpy number (numpy integers read as Python ints).  A string, a
+bool, NaN, an infinity or a complex number is a DomainError, as every
+spectral model in scope produces real moment data; only ``from_dict`` reads
+JSON's "p/q".
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     DomainError,
     NotInvertibleError,
     OrderMismatchError,
+    require_int,
 )
 
 RATIONAL = "rational"
@@ -44,25 +48,14 @@ FLOAT_INVERT_TOL = 1e-12
 
 
 def _coerce(value, kind):
+    """``value``, a real number by ``_real``, as a coefficient of backend ``kind``."""
+    value = _real(value, "series")
     if kind == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, (int, str)):
-            return Fraction(value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise DomainError(f"not a finite number: {value!r}", module="series")
-            return Fraction(value)
-        raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
-    if kind == FLOAT:
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise DomainError("a coefficient is out of the float range", module="series")
-        return value
-    raise ValueError(f"unknown scalar backend {kind!r}")
+        return value if type(value) is Fraction else Fraction(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("a coefficient is out of the float range", module="series") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -71,21 +64,36 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_scalar(value, module: str = "series"):
-    """A real number: an exact rational (int, Fraction, numpy integer), a
-    finite float, or a rational "p/q" from JSON, whose sides are read exactly
-    and without a digit cap by ``decimal``.  Booleans are not numbers here."""
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        try:
-            return Fraction(Decimal(num)) / Fraction(Decimal(den if slash else 1))
-        except (ValueError, ArithmeticError):
-            raise DomainError(
-                f"not a finite rational number: {value!r}", module=module
-            ) from None
-    # exact rationals may lie beyond the float range, so only floats are
-    # tested for finiteness
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if real and (isinstance(value, numbers.Rational) or math.isfinite(value)):
+    """A real number by ``_real``, or a rational "p/q" from JSON, whose sides
+    are read exactly and without a digit cap by ``decimal``."""
+    if not isinstance(value, str):
+        return _real(value, module)
+    num, slash, den = value.partition("/")
+    try:
+        return Fraction(Decimal(num)) / Fraction(Decimal(den if slash else 1))
+    except (ValueError, ArithmeticError):
+        raise DomainError(
+            f"not a finite rational number: {value!r}", module=module
+        ) from None
+
+
+def _real(value, module: str):
+    """A real number as an int, a Fraction or a float: an exact rational
+    (int, Fraction, numpy integer) or a finite float.  Booleans are not
+    numbers here, nor are strings: only JSON writes rationals, as "p/q",
+    and ``parse_scalar`` reads them."""
+    if type(value) in (int, Fraction):
+        return value
+    # other types by their ABCs: a numpy integer wraps around in exact
+    # arithmetic, so it is read as an int; exact rationals may lie beyond
+    # the float range, so only floats are tested for finiteness
+    if (type(value) is not float and not isinstance(value, bool)
+            and isinstance(value, numbers.Real)):
+        if isinstance(value, numbers.Rational):
+            n, d = int(value.numerator), int(value.denominator)
+            return n if d == 1 else Fraction(n, d)
+        value = float(value)
+    if type(value) is float and math.isfinite(value):
         return value
     raise DomainError(f"not a finite number: {value!r}", module=module)
 
@@ -96,6 +104,8 @@ class MomentSeries(Record):
     __slots__ = ("coeffs", "scalar_kind")
 
     def __init__(self, coeffs: tuple, scalar_kind: str = RATIONAL):
+        if scalar_kind not in (RATIONAL, FLOAT):
+            raise DomainError(f"unknown scalar backend {scalar_kind!r}", module="series")
         coeffs = tuple(_coerce(c, scalar_kind) for c in coeffs)
         if not coeffs:
             raise OrderMismatchError("a series needs at least one coefficient")
@@ -128,9 +138,6 @@ class MomentSeries(Record):
                 'a series must be a JSON object with "coeffs" and "scalar"',
                 module="series",
             )
-        kind = data["scalar"]
-        if kind not in (RATIONAL, FLOAT):
-            raise DomainError(f"unknown scalar backend {kind!r}", module="series")
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise DomainError(f"coeffs must be a list, got {coeffs!r}", module="series")
@@ -139,7 +146,7 @@ class MomentSeries(Record):
             raise OrderMismatchError(
                 f"declared order {order!r} but {len(coeffs)} coefficients"
             )
-        return cls(tuple(parse_scalar(c) for c in coeffs), kind)
+        return cls(tuple(parse_scalar(c) for c in coeffs), data["scalar"])
 
 
 def _check_compatible(f: MomentSeries, g: MomentSeries) -> None:
@@ -153,11 +160,13 @@ def _check_compatible(f: MomentSeries, g: MomentSeries) -> None:
 
 def delta_series(order: int, kind: str = RATIONAL) -> MomentSeries:
     """Delta(z) = z, the unit of boxed convolution."""
+    require_int(order, "order", "series")
     return MomentSeries((1,) + (0,) * (order - 1), kind)
 
 
 def zeta_series(order: int, kind: str = RATIONAL) -> MomentSeries:
     """Zeta(z) = z + z^2 + ..., all coefficients one."""
+    require_int(order, "order", "series")
     return MomentSeries((1,) * order, kind)
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._record import Record
-from .errors import DomainError, NoConvergenceError, SigmaZeroError
+from .errors import DomainError, NoConvergenceError, SigmaZeroError, require_int
 from .models import SpnModel
 
 DEFAULT_TOL = 1e-12
@@ -119,11 +119,12 @@ def g_lambda_atoms(
     """Cauchy transform of the embedded signal block at a point of H+(C^2).
 
     Depends on the signal only through its squared singular values; maps the
-    upper half-plane of C^2 into the lower one.
+    upper half-plane of C^2 into the lower one.  The arguments are read as
+    ``SpnModel(p, d, singular_values)`` reads them, and the values as the
+    solver reads them.
     """
     _require_upper(z)
-    a = np.asarray([float(v) for v in singular_values])
-    atoms, counts = np.unique(a * a, return_counts=True)
+    (atoms, counts, *_), _ = _problem(SpnModel(p, d, singular_values))
     g1, g2 = _g_atoms(atoms, counts, p, d, complex(z.z1), complex(z.z2))
     return CPoint2(complex(g1), complex(g2))
 
@@ -156,14 +157,16 @@ def _problem(model: SpnModel):
     return (atoms, counts, model.p, model.d, sigma * sigma), float(scale)
 
 
-def _check_solver(tol, max_iter) -> None:
-    """Raises DomainError unless ``tol`` is positive and finite and
-    ``max_iter`` an int of at least 1; a bool is neither."""
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
-        raise DomainError(f"tol must be positive and finite, got {tol}", module="subordination")
-    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral)
-                                          and max_iter >= 1):
-        raise DomainError(f"max_iter must be an int of at least 1, got {max_iter!r}",
+def _check_solver(max_iter, **positive) -> None:
+    """Raises DomainError unless each ``positive`` value is positive and
+    finite and ``max_iter`` an int of at least 1; a bool is none of these."""
+    for field, v in positive.items():
+        if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < np.inf):
+            raise DomainError(f"{field} must be positive and finite, got {v}",
+                              module="subordination")
+    require_int(max_iter, "max_iter", "subordination")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}",
                           module="subordination")
 
 
@@ -373,7 +376,7 @@ def solve_subordination(
     if not math.isfinite(10.0 * abs(complex(z.z1) * complex(z.z2))):
         raise DomainError(f"z1 z2 must be finite, and so must ten times its modulus, "
                           f"where the ladder starts; got {z}", module="subordination")
-    _check_solver(tol, max_iter)
+    _check_solver(max_iter, tol=tol)
     terms, scale = _problem(model)
     if model.sigma == 0:
         g = g_lambda_atoms(model.singular_values, model.p, model.d, z)
@@ -433,10 +436,7 @@ def spn_density(
     if not (np.all(np.isfinite(x)) and np.all(x > 0) and np.all(np.diff(x) > 0)):
         raise DomainError("grid must be finite, positive and strictly ascending",
                           module="subordination")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}",
-                          module="subordination")
-    _check_solver(tol, max_iter)
+    _check_solver(max_iter, epsilon=epsilon, tol=tol)
 
     terms, scale = _problem(model)
     rungs = _ladder(scale, epsilon)

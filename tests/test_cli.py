@@ -406,6 +406,12 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
         # a real eigenvalue of 10^400 leaves the float range
         (recover("cw-recover", 1, 1), None, {"order": 1, "coeffs": ["1e400"]},
          None, 1, "domain"),
+        # an exact model value past the float range, on the float backend
+        (["spn-moments", "--backend", "float"], {"singular_values": [f"{10**400}/1", 2]},
+         None, None, 1, "domain"),
+        (["cw-moments", "--backend", "float"],
+         {"p": 1, "d": 1, "eigenvalues": [f"{10**400}/1"], "singular_values": None,
+          "sigma": None}, None, None, 1, "domain"),
     ],
     ids=["env-order", "sigma-nan", "sigma-div-zero", "missing-d", "zero-trials",
          "negative-seed",
@@ -420,7 +426,8 @@ INF_FIT = float_series(1.1099205429643833e+105, 1.5037826316693874e+73,
          "series-nan", "recover-series-nan", "recover-d-zero", "recover-p-d-zero",
          "cw-recover-p-zero", "cw-recover-d-zero", "cw-recover-p-negative",
          "recover-seed-overflow", "recover-fit-overflow", "cw-recover-overflow",
-         "cw-recover-beyond-float", "cw-recover-atom-beyond-float"],
+         "cw-recover-beyond-float", "cw-recover-atom-beyond-float",
+         "exact-value-beyond-float", "cw-exact-value-beyond-float"],
 )
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch, request, argv, model,
                                  series, env, status, code):

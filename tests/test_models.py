@@ -6,7 +6,7 @@ from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from freedeconv import models
 from freedeconv.errors import (
@@ -111,6 +111,9 @@ def test_free_poisson_r():
     assert free_poisson_r(2, 3, 2).coeffs == (6, 18)
     with pytest.raises(DomainError):
         free_poisson_r(0, 1, 3)
+    # the rate follows the model-value rule: a bool is not a number
+    with pytest.raises(DomainError):
+        free_poisson_r(True, 1, 3)
 
 
 def test_f_lambda_values_and_identity():
@@ -123,6 +126,8 @@ def test_f_lambda_values_and_identity():
         f_lambda(0, 3)
     with pytest.raises(DomainError):
         f_lambda(Fraction(3, 2), 3)
+    with pytest.raises(DomainError):
+        f_lambda(NAN, 3)
 
 
 def test_atomic_moments():
@@ -587,7 +592,8 @@ def test_integer_basis_evaluates_exactly(polys, s):
     n, b = s.as_integer_ratio()
     degree = len(rows[0]) - 1
     exact = [fraction_horner(poly, Fraction(s)) for poly in polys]
-    values, slopes = _homogeneous(rows, n, b)
+    values, slopes = zip(*(_homogeneous(row, n, b) for row in rows))
+    assert list(values) == [models._horner(row, n, b) for row in rows]
     assert [Fraction(v, q * b**degree) for v in values] == exact
     derivatives = [fraction_horner([i * c for i, c in enumerate(poly)][1:], Fraction(s))
                    for poly in polys]
@@ -1133,6 +1139,43 @@ def test_int_gcd_recovers_a_planted_factor(factor, cofactors, a, b):
     if len(g) == 2:
         # a linear gcd is its own square-free part: its root if >= 0, else none
         assert _gcd_roots(rows) == ([Fraction(a, b)] if a >= 0 else [])
+
+
+LINEAR = st.tuples(st.integers(-12, 12), st.integers(1, 6))
+QUADRATIC = st.tuples(st.integers(-8, 8), st.integers(0, 20))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(linear=st.lists(LINEAR, max_size=5), quadratic=st.lists(QUADRATIC, max_size=3),
+       lead=st.sampled_from([1, -1, 3, -7]))
+def test_remainder_sequence_counts_distinct_real_roots(linear, quadratic, lead):
+    # h = lead prod (b x - a) prod (x^2 + p x + q), the quadratics irreducible
+    # over R (4 q > p^2), factors possibly repeated: the sequence of h and h'
+    # has as many sign changes at -inf less those at +inf as h has distinct
+    # real roots, and as many at 0 less those at +inf as roots above 0; it
+    # ends in a multiple of gcd(h, h')
+    assume(linear or quadratic)
+    quadratic = [(p, p * p // 4 + 1 + q) for p, q in quadratic]
+    h = Poly((lead,))
+    for a, b in linear:
+        h = h * Poly((-a, b))
+    for p, q in quadratic:
+        h = h * Poly((q, p, 1))
+    h = list(h)
+    roots = {Fraction(a, b) for a, b in linear}
+    seq = models._sturm(h)
+    assert seq[:2] == [h, [i * c for i, c in enumerate(h)][1:]]
+
+    def changes(signs):
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    top = changes([p[-1] > 0 for p in seq])
+    bottom = changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in seq])
+    assert bottom - top == len(roots)
+    if 0 not in roots:
+        assert models._variations(seq, 0, 1) == (top + sum(r > 0 for r in roots), False)
+    square_free = len(roots) + 2 * len(set(quadratic))
+    assert len(seq[-1]) - 1 == len(h) - 1 - square_free
 
 
 def test_spn_recover_near_collision_exact():

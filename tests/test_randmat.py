@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from freedeconv.errors import (
     DimensionMismatchError,
     DomainError,
+    FreeDeconvError,
     NonSelfadjointError,
 )
 from freedeconv.models import CwModel, SpnModel, cw_moments, spn_moments
+from freedeconv.ncpart import enumerate_nc
 from freedeconv.randmat import (
     EmpiricalSpectrum,
     GinibreSpec,
@@ -54,6 +58,7 @@ def test_trial_seeds_deterministic_and_distinct():
     assert seeds == trial_seeds(42, 10)
     assert len(set(seeds)) == 10
     assert seeds != trial_seeds(43, 10)
+    assert trial_seeds(42, 0) == []
 
 
 @pytest.mark.parametrize(
@@ -63,13 +68,38 @@ def test_trial_seeds_deterministic_and_distinct():
         lambda: empirical_spectrum(spn_sampler(SpnModel(2, 2, (1.0, 2.0), 0.5)),
                                    trials=0, order=2),
         lambda: trial_seeds(-1, 3),
+        lambda: trial_seeds(0, -1),
     ],
-    ids=["bogus-field", "zero-trials", "negative-seed"],
+    ids=["bogus-field", "zero-trials", "negative-seed", "negative-trials"],
 )
 def test_bad_arguments_are_domain_errors(call):
     with pytest.raises(DomainError) as info:
         call()
     assert info.value.module == "randmat"
+
+
+MODEL = SpnModel(2, 2, (1.0, 2.0), 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_nc(2.5),
+    lambda: GinibreSpec(-1, 2),
+    lambda: GinibreSpec(2.5, 1),
+    lambda: spn_moments(MODEL, 2.5),
+    lambda: spn_moments(MODEL, True),
+    lambda: cw_moments(CwModel(1, 1, (1,)), 3.0),
+    lambda: empirical_spectrum(spn_sampler(MODEL), 2.5, 2),
+    lambda: empirical_spectrum(spn_sampler(MODEL), 2, 2.5),
+    lambda: trial_seeds(0, 2.5),
+], ids=["nc-order", "spec-negative", "spec-float", "spn-order-float", "spn-order-bool",
+        "cw-order-float", "trials-float", "spectrum-order-float", "seeds-trials-float"])
+def test_integer_arguments_pass_the_integer_check(call):
+    # every integer argument passes models._check_dimensions' integer check,
+    # an int and not a bool, before any work: a domain error, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FreeDeconvError):
+            call()
 
 
 # ---------------------------------------------------------------- realization

@@ -3,13 +3,16 @@ import json
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freedeconv.errors import (
     BackendMismatchError,
     DomainError,
+    FreeDeconvError,
     NotInvertibleError,
     OrderMismatchError,
 )
@@ -17,6 +20,7 @@ from freedeconv.models import SpnModel, f_lambda, spn_moments
 from freedeconv.ncpart import catalan, coef_product, enumerate_nc, kreweras
 from freedeconv.series import (
     FLOAT,
+    RATIONAL,
     MomentSeries,
     boxed_conv,
     boxed_inverse,
@@ -78,7 +82,7 @@ def test_delta_and_zeta():
 def test_series_validation():
     with pytest.raises(OrderMismatchError):
         MomentSeries(())
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError):
         MomentSeries((1 + 2j,))
 
 
@@ -124,6 +128,36 @@ def test_float_series_rejects_non_finite_coefficients(value):
     with pytest.raises(DomainError) as info:
         MomentSeries((1.0, value), FLOAT)
     assert info.value.module == "series"
+
+
+@pytest.mark.parametrize("coeffs, kind", [
+    ((True,), RATIONAL), (("nan",), RATIONAL), (("1/3",), RATIONAL), (("1/3",), FLOAT),
+    ((1 + 0j,), RATIONAL), ((1 + 0j,), FLOAT), ((Fraction(1, 3),), "bogus"),
+], ids=["bool", "nan-string", "string", "string-float", "complex", "complex-float",
+        "bogus-backend"])
+def test_coefficients_follow_the_model_value_rule(coeffs, kind):
+    # a coefficient is a real number by the rule of model values: no bool,
+    # no string (only JSON carries "p/q", and from_dict parses it), no complex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FreeDeconvError) as info:
+            MomentSeries(coeffs, kind)
+    assert info.value.module == "series"
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT])
+def test_numpy_scalars_read_as_python_numbers(kind):
+    # a numpy integer is an exact rational and reads as a Python int: an
+    # int64 numerator would wrap around in exact arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = MomentSeries((np.int64(3), np.int64(3**39), np.float32(0.5)), kind)
+        assert f == MomentSeries((3, 3**39, 0.5), kind)
+        if kind == RATIONAL:
+            assert [type(c.numerator) for c in f.coeffs] == [int] * 3
+            assert boxed_conv(f, f) == boxed_conv(*[MomentSeries((3, 3**39, 0.5))] * 2)
+        else:
+            assert [type(c) for c in f.coeffs] == [float] * 3
 
 
 def test_json_order_mismatch():

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from freedeconv import subordination
-from freedeconv.errors import DomainError, NoConvergenceError, SigmaZeroError
+from freedeconv.errors import (
+    DomainError,
+    FreeDeconvError,
+    NoConvergenceError,
+    SigmaZeroError,
+)
 from freedeconv.models import SpnModel, spn_moments
 from freedeconv.subordination import (
     CPoint2,
@@ -103,6 +108,29 @@ def test_signal_transform_maps_into_lower_half_plane():
 def test_signal_transform_domain_check():
     with pytest.raises(DomainError):
         g_lambda_atoms((1.0,), 2, 1, CPoint2(1j, 1 - 1j))
+
+
+@pytest.mark.parametrize("values, p, d, module", [
+    ((Fraction(10**400),), 1, 1, "subordination"),
+    ((1e200,), 1, 1, "subordination"),
+    (("x",), 1, 1, "models"),
+    ((True,), 1, 1, "models"),
+    ((1.0,), 1, 0, "models"),
+    ((1.0,), 1, 2.5, "models"),
+    ((1.0, 2.0), 2, 1, "models"),
+], ids=["huge-fraction", "square-overflows", "string", "bool", "d-zero", "d-float",
+        "value-count"])
+def test_signal_transform_reads_values_as_the_solver_does(values, p, d, module):
+    # the arguments pass SpnModel's rules and the values _problem's
+    # conversion: a domain error and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FreeDeconvError) as info:
+            g_lambda_atoms(values, p, d, CPoint2(1j, 1j))
+    assert info.value.module == module
+    # exact values read as their floats
+    assert g_lambda_atoms((Fraction(1, 3), 2), 3, 2, CPoint2(1j, 2j)) == g_lambda_atoms(
+        (1 / 3, 2.0), 3, 2, CPoint2(1j, 2j))
 
 
 # -------------------------------------------------------------------- eta map
@@ -269,8 +297,9 @@ def test_density_rejects_sigma_zero_and_bad_grids():
         spn_density(REFERENCE, np.linspace(0.1, 5, 10), epsilon=0.0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "x", None])
 def test_density_rejects_non_finite_epsilon_and_tol(bad):
+    # epsilon and tol pass one rule: a real number, positive and finite
     grid = np.linspace(0.1, 5, 10)
     with pytest.raises(DomainError):
         spn_density(REFERENCE, grid, epsilon=bad)
