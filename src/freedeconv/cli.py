@@ -37,8 +37,8 @@ from .series import (
 )
 
 # The non-crossing partitions, numpy and the analytic and Monte Carlo layers
-# load inside the commands that use them, so the exact commands start
-# without numpy.  ``series`` and ``models`` load with this module:
+# load inside the commands that use them: only spn-density and simulate
+# load numpy.  ``series`` and ``models`` load with this module:
 # perfbench/cli_child.py wraps their functions once it has imported it.
 
 

@@ -107,7 +107,10 @@ class EigensolverError(FreeDeconvError):
         self.trial = trial
 
 
-def require_int(value, field: str, module: str) -> None:
-    """DomainError unless ``value`` is an int (a numbers.Integral, not a bool)."""
+def require_int(value, field: str, module: str, low: int | None = None) -> None:
+    """DomainError unless ``value`` is an int (a numbers.Integral, not a bool)
+    and, if ``low`` is given, at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{field} must be an integer, got {value!r}", module=module)
+    if low is not None and value < low:
+        raise DomainError(f"{field} must be at least {low}, got {value}", module=module)

@@ -24,12 +24,8 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 from ._record import Record
 from .errors import (
@@ -232,10 +228,9 @@ def _check_dimensions(p, d, module: str = "models", tall: bool = False) -> None:
 
 
 def _parse_values(values, field: str, count: int) -> tuple:
-    # an ndarray can exist only once numpy is imported, so the exact path
-    # need not import numpy to recognize one
-    np = sys.modules.get("numpy")
-    array = np is not None and isinstance(values, np.ndarray)
+    # a one-dimensional array is known by the array protocol, so the exact
+    # path imports no array library to recognize one
+    array = hasattr(values, "__array__") and getattr(values, "ndim", None) == 1
     if not isinstance(values, (list, tuple)) and not array:
         raise DomainError(f"{field} must be a list, got {values!r}")
     if len(values) != count:
@@ -299,17 +294,6 @@ def cw_r_transform(model: CwModel, order: int, kind: str = RATIONAL) -> MomentSe
 def cw_moments(model: CwModel, order: int, kind: str = RATIONAL) -> MomentSeries:
     """Moment series of the compound Wishart limit spectrum."""
     return moment_from_r(cw_r_transform(model, order, kind))
-
-
-def _roots(poly: Sequence[float]) -> np.ndarray:
-    # np.roots raises LinAlgError on a companion matrix holding inf or nan;
-    # its entries are the coefficients over the leading nonzero one
-    import numpy as np
-
-    lead = next(c for c in poly if c != 0)
-    if not all(math.isfinite(c / lead) for c in poly):
-        raise DomainError("polynomial roots leave the float range")
-    return np.roots(poly)
 
 
 # Floats ordered as numbers have ordinals in the same order, and the floats
@@ -801,14 +785,18 @@ def _variations(seq: list, a: int, b: int) -> tuple:
     return sum(x != y for x, y in zip(signs, signs[1:])), not values[0]
 
 
-def _isolated_roots(h: list) -> list:
-    """Intervals (lo, hi], one per root > 0 of the square-free int polynomial
-    h, each holding no other root: bisection of (0, B] by Sturm's theorem,
-    B = 2^t above every |root| (Fujiwara's bound, in bit lengths)."""
+def _isolated_roots(g: list) -> tuple:
+    """(h, intervals): the square-free part h = g / gcd(g, g') of the int
+    polynomial g of degree >= 1, primitive, and intervals (lo, hi], one per
+    root > 0 of h and holding no other: bisection of (0, B] by Sturm's
+    theorem, B = 2^t above every |root| (Fujiwara's bound, in bit lengths).
+    For square-free g, g's Sturm sequence is h's times factors of one sign."""
+    seq = _sturm(g)
+    h = _primitive(_pseudo_divide(g, seq[-1])[0])
+    seq = seq if len(seq[-1]) == 1 else _sturm(h)
     top = len(h) - 1
     t = 1 + max([0] + [-((h[top].bit_length() - h[top - i].bit_length() - 1) // i)
                        for i in range(1, top + 1) if h[top - i]])
-    seq = _sturm(h)
     stack, isolated = [(Fraction(0), Fraction(2**t))], []
     counts = {x: _variations(seq, *x.as_integer_ratio())[0] for x in stack[0]}
     while stack:
@@ -820,29 +808,43 @@ def _isolated_roots(h: list) -> list:
             mid = (lo + hi) / 2
             counts[mid] = _variations(seq, *mid.as_integer_ratio())[0]
             stack += [(lo, mid), (mid, hi)]
-    return isolated
+    return h, isolated
+
+
+def _float_root(h: list, lo: Fraction, hi: Fraction) -> Fraction:
+    """x = 2^t v in [lo, hi], v a float, near the root of the int polynomial h
+    that (lo, hi] isolates: Newton's method in floats from the midpoint on
+    h(2^t v), 2^t near hi and coefficients scaled to at most 1, clamped."""
+    t = hi.numerator.bit_length() - hi.denominator.bit_length()
+    top = max(c.bit_length() + t * i for i, c in enumerate(h))
+    scaled = [_ratio(c, 1, top - t * i) for i, c in enumerate(h)][::-1]
+    v, v_lo, v_hi = (_ratio(*x.as_integer_ratio(), t) for x in ((lo + hi) / 2, lo, hi))
+    for _ in range(100):
+        val = slope = 0.0
+        for c in scaled:
+            val, slope = val * v + c, slope * v + val
+        if (w := min(max(v - val / slope, v_lo), v_hi) if slope else v) == v:
+            break
+        v = w
+    return Fraction(v) * Fraction(2) ** t
 
 
 def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
     """The root of the primitive int polynomial h in (lo, hi], which holds
     exactly one, simple, if it is rational; else None.  A rational root of h
     in lowest terms has its denominator dividing c = lc(h), so it is the
-    candidate k / c nearest to it.  Newton's method from the midpoint, in
-    floats on h(2^t v) scaled to coefficients of at most 1 (v = x / 2^t,
-    2^t near hi), then on X = 2^P x in ints with 2^P > 4c, each clamped to
-    the interval, comes within 1/2 of 2^P times the root; where the int
-    steps shrink at the steady rate (m - 1) / m of a cluster of m roots, one
-    step is taken m times as far.  k = round(c X / 2^P) is then checked
-    exactly.  If it misses, and h changes sign between
-    (k -+ 1/2) / c, which are never roots and lie in (lo, hi], the root is
-    irrational.  Otherwise the interval is halved by the sign of h, down to
-    a width below 1/c, where only one candidate is left."""
+    candidate k / c nearest to it.  ``_float_root``, then Newton's method on
+    X = 2^P x in ints with 2^P > 4c, clamped to the interval, comes within
+    1/2 of 2^P times the root; where the int steps shrink at the steady rate
+    (m - 1) / m of a cluster of m roots, one step is taken m times as far.
+    k = round(c X / 2^P) is then checked exactly.  If it misses, and h
+    changes sign between (k -+ 1/2) / c, which are never roots and lie in
+    (lo, hi], the root is irrational.  Otherwise the interval is halved by
+    the sign of h, down to a width below 1/c, where only one candidate is
+    left."""
     lead = h[-1]
     bits = lead.bit_length() + 2
     one = 1 << bits
-    t = hi.numerator.bit_length() - hi.denominator.bit_length()
-    top = max(c.bit_length() + t * i for i, c in enumerate(h))
-    scaled = [_ratio(c, 1, top - t * i) for i, c in enumerate(h)][::-1]
 
     def value(x: Fraction) -> int:
         return _horner(h, *x.as_integer_ratio())
@@ -850,17 +852,7 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
     if not (s_hi := value(hi)):
         return hi
     while (hi - lo) * lead >= 1:
-        v, v_lo, v_hi = (_ratio(*x.as_integer_ratio(), t) for x in ((lo + hi) / 2, lo, hi))
-        for _ in range(100):
-            val = slope = 0.0
-            for c in scaled:
-                val, slope = val * v + c, slope * v + val
-            if (w := min(max(v - val / slope, v_lo), v_hi) if slope else v) == v:
-                break
-            v = w
-        n, b = v.as_integer_ratio()
-        shift = t + bits
-        big_x = (n << shift) // b if shift >= 0 else n // (b << -shift)
+        big_x = math.floor(_float_root(h, lo, hi) * one)
         floor, ceil = math.floor(lo * one), math.ceil(hi * one)
         prev = 0
         for _ in range(bits.bit_length() + 8):
@@ -913,12 +905,12 @@ def _gcd_roots(rows: Sequence) -> list:
             return []
     if not g:
         return []
-    h = _primitive(_pseudo_divide(g, _sturm(g)[-1])[0])
+    h, intervals = _isolated_roots(g)
     if len(h) == 2:
         roots = [Fraction(-h[0], h[1])]
     else:
         roots = [Fraction(0)] * (not h[0]) + [
-            _rational_root(h, lo, hi) for lo, hi in _isolated_roots(h)]
+            _rational_root(h, lo, hi) for lo, hi in intervals]
     return sorted({r for r in roots if r is not None and r >= 0})
 
 
@@ -948,7 +940,11 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     if exact), or None; see ``spn_recover``.  ``_candidate`` reads every s at
     u = Q s / d.  The exact roots, s = d r / Q for the roots r in u of the
     gap polynomials of orders d+1 and d+2, need ``_gap_polys`` to order d+2;
-    only when none wins does the polish read them to order N."""
+    only when none wins does the polish read them to order N.  Its seeds are
+    s = 0 and s = d u / Q, clipped to lambda m_1, at the roots u > 0 of the
+    lowest nonzero gap and of its derivative, whose roots stand in for the
+    real parts of near-real complex pairs: each is read by ``_float_root`` in
+    its interval of ``_isolated_roots``."""
     exact = MomentSeries(m.coeffs, RATIONAL).coeffs
     big_q, cumulants = _candidate_rows(exact, p, d)
 
@@ -1008,15 +1004,15 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
             s, value, trial = trial, trial_value, next_trial
         return s, value[0] / value[1]
 
-    # seeds: s = 0 and the roots of the lowest nonzero gap, in s the
-    # polynomial with coefficients c_i Q^i d^(N-i), scaled exactly to
-    # coefficients of at most 1 before rounding
-    lowest = next((poly for poly in polys if any(poly)), [1])
-    lowest = [c * big_q**i * d ** (order - i) for i, c in enumerate(lowest)]
-    scale = max(abs(c) for c in lowest)
-    seeds = _roots([c / scale for c in reversed(lowest)]).real
+    lowest = _trimmed(next((poly for poly in polys if any(poly)), []))
     s_hi = max(Fraction(d, p) * exact[0], 0)
-    for seed in dict.fromkeys([0.0] + [float(min(max(r, 0.0), s_hi)) for r in seeds]):
+    seeds = [0.0]
+    for g in (lowest, [i * c for i, c in enumerate(lowest)][1:]):  # and its derivative
+        if len(g) > 1:
+            h, intervals = _isolated_roots(g)
+            seeds += [float(min(d * _float_root(h, lo, hi) / big_q, s_hi))
+                      for lo, hi in intervals]
+    for seed in dict.fromkeys(seeds):
         trace.setdefault(*polish(seed))
     # the least D among the polished whose reading is real wins
     for s in sorted(list(trace)[roots:], key=trace.get):
@@ -1046,8 +1042,10 @@ def spn_recover(m: MomentSeries, p: int, d: int) -> RecoveryReport:
     atoms are real and none negative wins outright, and ``sigma_sq_exact``
     reports it.  Otherwise the gap polynomials in u to order N, from one
     evaluation, give D(s) = sum_k w_k g_k(s)^2, w_k = 1/(1 + (d m_k)^2)
-    rounded once to 53 bits, exactly at each float s: s = 0 and the roots of
-    the lowest nonzero gap, clipped to [0, lambda*m_1], seed a Gauss-Newton
+    rounded once to 53 bits, exactly at each float s: s = 0 and the roots
+    s > 0 of the lowest nonzero gap and of its derivative (for the real parts
+    of near-real complex pairs), each isolated by Sturm sequences and read by
+    Newton's method in floats, clipped to lambda*m_1, seed a Gauss-Newton
     polish of D, stepped only downhill.  In order of D, each polished s is
     read by ``_atoms`` under its rank rule; the first with real atoms wins,
     its negative atoms clipped to 0.  ``search_trace`` lists each distinct

@@ -22,6 +22,7 @@ from .errors import (
     require_int,
 )
 from .models import CwModel, SpnModel, _check_dimensions
+from .series import FLOAT, _coerce
 
 SELFADJOINT_TOL = 1e-10
 
@@ -37,6 +38,7 @@ class GinibreSpec(Record):
 
     def __init__(self, p: int, d: int, field: str = "real", seed: int = 0):
         _check_dimensions(p, d, "randmat")
+        require_int(seed, "seed", "randmat", 0)
         if field not in ("real", "complex"):
             raise DomainError(
                 f"field must be 'real' or 'complex', got {field!r}",
@@ -80,7 +82,7 @@ def _sample_for(model, spec: GinibreSpec) -> np.ndarray:
 def realize_cw(model: CwModel, spec: GinibreSpec) -> np.ndarray:
     """One d-by-d compound Wishart sample Z* diag(v) Z."""
     z = _sample_for(model, spec)
-    v = np.asarray([float(x) for x in model.eigenvalues])
+    v = np.asarray([_coerce(x, FLOAT, "randmat") for x in model.eigenvalues])
     return z.conj().T @ (v[:, None] * z)
 
 
@@ -93,9 +95,8 @@ def realize_spn(model: SpnModel, spec: GinibreSpec) -> np.ndarray:
     """
     z = _sample_for(model, spec)
     a = np.zeros((model.p, model.d), dtype=z.dtype)
-    for i, s in enumerate(model.singular_values):
-        a[i, i] = float(s)
-    y = a + float(model.sigma) * z
+    np.fill_diagonal(a, [_coerce(s, FLOAT, "randmat") for s in model.singular_values])
+    y = a + _coerce(model.sigma, FLOAT, "randmat") * z
     return y.conj().T @ y
 
 
@@ -123,10 +124,8 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
     The master seed and ``trials`` must be non-negative integers.
     """
-    for field, v in (("master seed", master_seed), ("trials", trials)):
-        require_int(v, field, "randmat")
-        if v < 0:
-            raise DomainError(f"{field} must be non-negative, got {v}", module="randmat")
+    require_int(master_seed, "master seed", "randmat", 0)
+    require_int(trials, "trials", "randmat", 0)
     state = np.random.SeedSequence(master_seed).generate_state(trials, np.uint64)
     return [int(s) for s in state]
 
@@ -178,11 +177,13 @@ def spn_sampler(model: SpnModel, field: str = "real") -> Callable[[int], np.ndar
 
 def scale_cw_model(model: CwModel, factor: int) -> CwModel:
     """Replicate the spectrum ``factor`` times: same limit law, larger matrices."""
+    require_int(factor, "factor", "randmat")
     return CwModel(model.p * factor, model.d * factor, model.eigenvalues * factor)
 
 
 def scale_spn_model(model: SpnModel, factor: int) -> SpnModel:
     """Replicate the singular values ``factor`` times at fixed aspect ratio."""
+    require_int(factor, "factor", "randmat")
     return SpnModel(
         model.p * factor,
         model.d * factor,

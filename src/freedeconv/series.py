@@ -47,15 +47,15 @@ FLOAT = "float"
 FLOAT_INVERT_TOL = 1e-12
 
 
-def _coerce(value, kind):
+def _coerce(value, kind, module: str = "series"):
     """``value``, a real number by ``_real``, as a coefficient of backend ``kind``."""
-    value = _real(value, "series")
+    value = _real(value, module)
     if kind == RATIONAL:
         return value if type(value) is Fraction else Fraction(value)
     try:
         return float(value)
     except OverflowError:
-        raise DomainError("a coefficient is out of the float range", module="series") from None
+        raise DomainError("a coefficient is out of the float range", module=module) from None
 
 
 def format_rational(value: Fraction) -> str:

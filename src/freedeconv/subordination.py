@@ -164,10 +164,7 @@ def _check_solver(max_iter, **positive) -> None:
         if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < np.inf):
             raise DomainError(f"{field} must be positive and finite, got {v}",
                               module="subordination")
-    require_int(max_iter, "max_iter", "subordination")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}",
-                          module="subordination")
+    require_int(max_iter, "max_iter", "subordination", 1)
 
 
 def _defect_tol(tol: float, scale: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedeconv.cli import main
-from freedeconv.models import CwModel, SpnModel, cw_r_transform, spn_moments
+from freedeconv.models import CwModel, SpnModel, cw_r_transform, spn_moments, spn_recover
 from freedeconv.series import FLOAT, RATIONAL, MomentSeries
 
 
@@ -459,16 +459,17 @@ def test_unknown_flag_exits_two():
 # -------------------------------------------------------------- start-up
 
 # Runs in a fresh interpreter: ``import freedeconv`` loads only the errors;
-# the exact commands but ``nc`` leave numpy, dataclasses, inspect and the
-# partitions of ``ncpart`` unimported, ``nc`` loads ncpart, and the numeric
-# commands and the lazily resolved library names still work once used.
+# the exact commands but ``nc``, and the recoveries of float input, leave
+# numpy, dataclasses, inspect and the partitions of ``ncpart`` unimported,
+# ``nc`` loads ncpart, and the numeric commands and the lazily resolved
+# library names still work once used.
 STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 import freedeconv
 package_only = sorted(m for m in sys.modules if m.startswith("freedeconv"))
 from freedeconv import cli
 
-spn, cw, series, readme, draw, cumulants = sys.argv[1:7]
+spn, cw, series, readme, draw, cumulants, draw_float, cumulants_float = sys.argv[1:9]
 exact = [
     ["spn-moments", "--model", spn, "--order", "6"],
     ["cw-moments", "--model", cw, "--order", "6"],
@@ -477,6 +478,10 @@ exact = [
     ["spn-recover", "--moments", readme, "--p", "4", "--d", "2"],
     ["spn-recover", "--moments", draw, "--p", "6", "--d", "2"],
     ["cw-recover", "--r", cumulants, "--p", "3", "--d", "2"],
+]
+float_recoveries = [
+    ["spn-recover", "--moments", draw_float, "--p", "6", "--d", "2"],
+    ["cw-recover", "--r", cumulants_float, "--p", "3", "--d", "2"],
 ]
 numeric = [
     ["spn-density", "--model", spn, "--xmin", "0.1", "--xmax", "5", "--points", "5"],
@@ -487,6 +492,8 @@ sink = io.StringIO()
 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
     exact_status = [cli.main(argv) for argv in exact]
     loaded_after_exact = [name for name in unloaded if name in sys.modules]
+    float_status = [cli.main(argv) for argv in float_recoveries]
+    loaded_after_float = [name for name in unloaded if name in sys.modules]
     nc_status = cli.main(["nc", "--n", "4"])
     nc_loads = "freedeconv.ncpart" in sys.modules
     from freedeconv import GinibreSpec
@@ -497,7 +504,8 @@ with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
     ]
     numeric_status = [cli.main(argv) for argv in numeric]
 print(json.dumps({"package_only": package_only, "exact": exact_status,
-                  "loaded_after_exact": loaded_after_exact, "nc": [nc_status, nc_loads],
+                  "loaded_after_exact": loaded_after_exact, "float": float_status,
+                  "loaded_after_float": loaded_after_float, "nc": [nc_status, nc_loads],
                   "lazy_names": lazy_names, "numeric": numeric_status}))
 """
 
@@ -520,9 +528,14 @@ def test_exact_commands_start_without_numpy(tmp_path, spn_model_file, cw_model_f
     # are isolated by Sturm sequences
     draw = criterion5_model(31)
     assert (draw.p, draw.d) == (6, 2)
+    # at float order 8 its gaps have no exact common root, so the recovery
+    # runs the polish from its seeds
+    draw_float = spn_moments(draw, 8, FLOAT)
+    assert spn_recover(draw_float, 6, 2).sigma_sq_exact is None
     cumulants = cw_r_transform(CwModel(3, 2, (Fraction(-5, 2), Fraction(1, 2), 3)), 5)
     files = [write_json(tmp_path / f"{name}.json", data.to_dict()) for name, data in (
-        ("readme", readme), ("draw", spn_moments(draw, 4)), ("cumulants", cumulants))]
+        ("readme", readme), ("draw", spn_moments(draw, 4)), ("cumulants", cumulants),
+        ("draw_float", draw_float), ("cumulants_float", cumulants.as_float()))]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
@@ -532,7 +545,8 @@ def test_exact_commands_start_without_numpy(tmp_path, spn_model_file, cw_model_f
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "package_only": ["freedeconv", "freedeconv.errors"],
-        "exact": [0] * 7, "loaded_after_exact": [], "nc": [0, True],
+        "exact": [0] * 7, "loaded_after_exact": [], "float": [0, 0],
+        "loaded_after_float": [], "nc": [0, True],
         "lazy_names": [True] * 3, "numeric": [0, 0],
     }
 

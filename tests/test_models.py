@@ -971,7 +971,8 @@ RECOVERY_PINS = {
         ("0x1.5b7f4a260bfe5p-4", "0x1.21fedb4c94cdbp-2", "0x1.d1da0912430e9p-2",
          "0x1.1b41a81373cc1p+0"),
         (("0x1.e2a9ff72f215cp+1", "0x1.faf0191cef6bap-98"),
-         ("0x1.fb5c63bd3902bp+1", "0x1.ceb31d3c8afe6p-56"))
+         ("0x1.fb5c63bd3902bp+1", "0x1.ceb31d3c8afe6p-56"),
+         ("0x1.fa1fa0bc543fbp+1", "0x1.0bdf3f6d8b35ap-55"))
     )),
     "draw31-exact-6": (31, 6, RATIONAL, (
         "0x1.a82f68ec47522p+1",
@@ -981,8 +982,7 @@ RECOVERY_PINS = {
     "draw31-float-8": (31, 8, FLOAT, (
         "0x1.a82f68ee9756bp+1",
         ("0x1.064f3d7ab573dp-9", "0x1.f8124bedc0061p-8"),
-        (("0x1.a82f68ee9756bp+1", "0x1.21ff6466fcde8p-97"),
-         ("0x1.a864586cd0439p+1", "0x1.b31d39b934db7p-75"))
+        (("0x1.a82f68ee9756bp+1", "0x1.21ff6466fcde8p-97"),)
     )),
 }
 
@@ -1022,11 +1022,15 @@ def test_spn_recover_pinned_bits_scaled(e, order):
 # scale by 2^(2e); both entries' D are scale-free, as the weights are
 # 1/(d m_k)^2 to 53 bits from e = 40 on.  The second entry, whose atoms are
 # complex, is no longer scored with a penalty scaling by 2^(4e): it is D alone.
+# The third is polished from the root of the lowest gap's derivative between
+# its two smaller roots, and stops near the second on the same flat valley.
 SCALED_TRACE = {
     6: (("0x1.c71c71c71c722p-4", "0x1.0b97df59165ffp-105"),
-        ("0x1.a6f6682ab6aeap+0", "0x1.38010700e1d93p-11")),
+        ("0x1.a6f6682ab6aeap+0", "0x1.38010700e1d93p-11"),
+        ("0x1.a6f655a3fb4e3p+0", "0x1.38010700e6a01p-11")),
     7: (("0x1.c71c71c71c728p-4", "0x1.7abbbba90b8b3p-105"),
-        ("0x1.743d37555468cp+0", "0x1.5ccad65466839p-11")),
+        ("0x1.743d37555468cp+0", "0x1.5ccad65466839p-11"),
+        ("0x1.743d37554dc54p+0", "0x1.5ccad65466839p-11")),
 }
 
 
@@ -1043,9 +1047,8 @@ def test_spn_recover_large_float_moments(e, order):
     assert report.atoms == pytest.approx((4.0**e, 4.0 ** (e + 1)), rel=1e-14)
     assert_atoms_correctly_rounded(report, m, 4, 2)
     assert report.sigma_sq_exact is None
-    (s1, d1), (s2, d2) = (map(float.fromhex, entry) for entry in SCALED_TRACE[order])
-    assert report.search_trace == (
-        (math.ldexp(s1, 2 * e), d1), (math.ldexp(s2, 2 * e), d2))
+    trace = (map(float.fromhex, entry) for entry in SCALED_TRACE[order])
+    assert report.search_trace == tuple((math.ldexp(s, 2 * e), r) for s, r in trace)
     # correctly rounded atoms fit within 1.1e301 at e = 40 and 45; eigh's,
     # a few ulps off, overflowed the sum at order 7
     if e >= 50:

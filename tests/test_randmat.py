@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from freedeconv.randmat import (
     realize_cw,
     realize_spn,
     sample_ginibre,
+    scale_cw_model,
     scale_spn_model,
     spn_sampler,
     trial_seeds,
@@ -69,8 +71,20 @@ def test_trial_seeds_deterministic_and_distinct():
                                    trials=0, order=2),
         lambda: trial_seeds(-1, 3),
         lambda: trial_seeds(0, -1),
+        lambda: scale_spn_model(SpnModel(2, 1, (1,), 1), 2.5),
+        lambda: scale_cw_model(CwModel(1, 1, (1,)), True),
+        lambda: GinibreSpec(2, 1, seed=2.5),
+        lambda: GinibreSpec(2, 1, seed=True),
+        lambda: GinibreSpec(2, 1, seed=-1),
+        lambda: GinibreSpec(2, 1, seed="1"),
+        lambda: realize_spn(SpnModel(1, 1, (Fraction(10**400),), 1), GinibreSpec(1, 1)),
+        lambda: realize_spn(SpnModel(1, 1, (1,), Fraction(10**400)), GinibreSpec(1, 1)),
+        lambda: realize_cw(CwModel(1, 1, (Fraction(10**400),)), GinibreSpec(1, 1)),
     ],
-    ids=["bogus-field", "zero-trials", "negative-seed", "negative-trials"],
+    ids=["bogus-field", "zero-trials", "negative-seed", "negative-trials",
+         "spn-factor-float", "cw-factor-bool", "spec-seed-float", "spec-seed-bool",
+         "spec-seed-negative", "spec-seed-string", "spn-value-past-float",
+         "spn-sigma-past-float", "cw-value-past-float"],
 )
 def test_bad_arguments_are_domain_errors(call):
     with pytest.raises(DomainError) as info:
