@@ -57,15 +57,21 @@ class EmpiricalSpectrum(Record):
 
 
 def sample_ginibre(spec: GinibreSpec) -> np.ndarray:
-    """Draw the Ginibre matrix described by ``spec``; deterministic per seed."""
+    """Draw the Ginibre matrix described by ``spec``; deterministic per seed.
+
+    A complex sample is one array: the real parts are drawn into it first,
+    then the imaginary parts.
+    """
     rng = np.random.default_rng(spec.seed)
     scale = np.sqrt(1.0 / spec.d)
+    shape = (spec.p, spec.d)
     if spec.field == "real":
-        return rng.normal(0.0, scale, size=(spec.p, spec.d))
+        return rng.normal(0.0, scale, size=shape)
     half = scale / np.sqrt(2.0)
-    return rng.normal(0.0, half, size=(spec.p, spec.d)) + 1j * rng.normal(
-        0.0, half, size=(spec.p, spec.d)
-    )
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.normal(0.0, half, size=shape)
+    z.imag = rng.normal(0.0, half, size=shape)
+    return z
 
 
 def _sample_for(model, spec: GinibreSpec) -> np.ndarray:
@@ -80,7 +86,11 @@ def _sample_for(model, spec: GinibreSpec) -> np.ndarray:
 
 
 def realize_cw(model: CwModel, spec: GinibreSpec) -> np.ndarray:
-    """One d-by-d compound Wishart sample Z* diag(v) Z."""
+    """One d-by-d compound Wishart sample Z* diag(v) Z.
+
+    It holds two p-by-d arrays besides the Gram matrix, Z and v o Z, and a
+    complex one a third for the adjoint's copy.
+    """
     z = _sample_for(model, spec)
     v = np.asarray([_coerce(x, FLOAT, "randmat") for x in model.eigenvalues])
     return z.conj().T @ (v[:, None] * z)
@@ -91,30 +101,57 @@ def realize_spn(model: SpnModel, spec: GinibreSpec) -> np.ndarray:
 
     The signal is realized as the p-by-d matrix with the singular values on
     its leading diagonal; the spectrum of the product depends on nothing
-    else.
+    else.  A + sigma Z is built in the sample itself: Z is scaled by sigma
+    and the singular values are added to its leading diagonal in place.
     """
-    z = _sample_for(model, spec)
-    a = np.zeros((model.p, model.d), dtype=z.dtype)
-    np.fill_diagonal(a, [_coerce(s, FLOAT, "randmat") for s in model.singular_values])
-    y = a + _coerce(model.sigma, FLOAT, "randmat") * z
+    y = _sample_for(model, spec)
+    values = [_coerce(s, FLOAT, "randmat") for s in model.singular_values]
+    np.multiply(_coerce(model.sigma, FLOAT, "randmat"), y, out=y)
+    # the zeros of A, added as A + sigma Z adds them: a -0.0 of sigma Z turns +0.0
+    y += 0.0
+    diagonal = np.arange(model.d)
+    y[diagonal, diagonal] += values
     return y.conj().T @ y
+
+
+def _adjoint(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """m* of a square ``m``: a view of a real m, or conj(m^T) written into ``out``."""
+    return np.conjugate(m.T, out=out) if np.iscomplexobj(m) else m.T
 
 
 def eigenvalues_selfadjoint(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint matrix.
 
-    The input is symmetrized before the solve; asymmetry beyond tolerance
-    raises NonSelfadjointError.
+    The input must be a non-empty square numeric matrix of finite entries,
+    or a DomainError is raised before any arithmetic.  Asymmetry beyond
+    tolerance raises NonSelfadjointError.  The check and the symmetrized
+    matrix (m + m*)/2 that is solved share one scratch matrix, written in
+    place.
     """
     m = np.asarray(matrix)
-    asym = np.max(np.abs(m - m.conj().T))
-    scale = 1.0 + np.max(np.abs(m))
-    if asym > SELFADJOINT_TOL * scale:
+    # (m + m*)/2 has m's type promoted by the float 2.0, and the solver takes
+    # single and double precision, real and complex
+    dtype = np.result_type(m, 2.0) if m.dtype.kind in "iufc" else m.dtype
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or dtype.char not in "fdFD":
+        raise DomainError(
+            f"expected a non-empty square numeric matrix, got shape {m.shape} "
+            f"of {m.dtype}",
+            module="randmat",
+        )
+    scratch = np.empty(m.shape, dtype=dtype)
+    peak = np.max(np.abs(m, out=scratch).real)
+    if not np.isfinite(peak):
+        raise DomainError("matrix has a non-finite entry", module="randmat")
+    np.subtract(m, _adjoint(m, scratch), out=scratch)
+    asym = np.max(np.abs(scratch, out=scratch).real)
+    if asym > SELFADJOINT_TOL * (1.0 + peak):
         raise NonSelfadjointError(
             f"matrix is not self-adjoint: max asymmetry {asym:.3e}"
         )
+    np.add(m, _adjoint(m, scratch), out=scratch)
+    scratch /= 2.0
     try:
-        return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        return np.linalg.eigvalsh(scratch)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue solve failed: {exc}") from exc
 
@@ -147,17 +184,21 @@ def empirical_spectrum(
     if not seeds:
         raise DomainError(f"need at least one trial, got {trials}", module="randmat")
     pooled = []
-    d = None
     for trial, seed in enumerate(seeds):
-        matrix = sampler(seed)
-        if d is None:
-            d = matrix.shape[0]
         try:
-            pooled.append(eigenvalues_selfadjoint(matrix))
+            eigs = eigenvalues_selfadjoint(sampler(seed))
         except EigensolverError as exc:
             raise EigensolverError(
                 f"trial {trial}: {exc}", trial=trial
             ) from exc
+        if pooled and len(eigs) != len(pooled[0]):
+            raise DimensionMismatchError(
+                f"trial {trial}: sample is {len(eigs)}-by-{len(eigs)}, "
+                f"trial 0's is {len(pooled[0])}-by-{len(pooled[0])}",
+                module="randmat",
+            )
+        pooled.append(eigs)
+    d = len(pooled[0])
     eigs = np.sort(np.concatenate(pooled))
     moments = tuple(float(np.mean(eigs**n)) for n in range(1, order + 1))
     return EmpiricalSpectrum(eigenvalues=eigs, d=d, trials=trials, moments=moments)

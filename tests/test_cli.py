@@ -250,6 +250,18 @@ def test_simulate_deterministic_given_seed(cw_model_file, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("kind", ["spn", "cw"])
+def test_simulate_complex_field(kind, spn_model_file, cw_model_file, capsys):
+    model = spn_model_file if kind == "spn" else cw_model_file
+    args = ["simulate", "--model", model, "--kind", kind, "--field", "complex",
+            "--dim-scale", "50", "--trials", "4", "--seed", "7", "--order", "3"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    assert max(json.loads(first)["relative_errors"]) < 0.1
+
+
 # ---------------------------------------------------------------------- verify
 
 def test_verify_equivalent_models(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -157,6 +158,50 @@ def test_realize_spn_mean_trace():
     assert np.mean(traces) == pytest.approx(expect, rel=0.03)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("sigma", [0.0, 5e-324, 0.7])
+@pytest.mark.parametrize("signal", [0.0, 1.5])
+def test_realize_spn_keeps_the_bits_of_a_plus_sigma_z(field, sigma, signal):
+    # built in place, the sample matches (A + sigma Z)*(A + sigma Z) formed
+    # from a zero matrix bit for bit, the sign of every zero included
+    model = SpnModel(7, 7, (signal,) * 7, sigma)
+    spec = GinibreSpec(7, 7, field=field, seed=9)
+    z = sample_ginibre(spec)
+    a = np.zeros(z.shape, dtype=z.dtype)
+    np.fill_diagonal(a, model.singular_values)
+    y = a + sigma * z
+    assert realize_spn(model, spec).tobytes() == (y.conj().T @ y).tobytes()
+
+
+def test_complex_ginibre_keeps_the_bits_of_r_plus_ix():
+    spec = GinibreSpec(6, 5, field="complex", seed=10)
+    rng = np.random.default_rng(10)
+    half = np.sqrt(1.0 / 5) / np.sqrt(2.0)
+    r = rng.normal(0.0, half, size=(6, 5))
+    x = rng.normal(0.0, half, size=(6, 5))
+    assert sample_ginibre(spec).tobytes() == (r + 1j * x).tobytes()
+
+
+@pytest.mark.parametrize("field, itemsize", [("real", 8), ("complex", 16)])
+@pytest.mark.parametrize("realize, model, arrays", [
+    (realize_spn, SpnModel(400, 200, (1.0,) * 200, 0.5), {"real": 1.6, "complex": 2.6}),
+    (realize_cw, CwModel(400, 200, (1.0,) * 400), {"real": 2.6, "complex": 3.6}),
+], ids=["spn", "cw"])
+def test_one_trial_peak_memory(realize, model, arrays, field, itemsize):
+    # in units of one p-by-d array: the d-by-d Gram matrix is half of one;
+    # SPN builds A + sigma Z in the sample, and a complex one adds the
+    # adjoint's copy; CW holds Z and v o Z
+    sample_ginibre(GinibreSpec(2, 1, field=field))  # the generator's first-use allocations
+    spec = GinibreSpec(model.p, model.d, field=field, seed=3)
+    tracemalloc.start()
+    try:
+        realize(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays[field] * model.p * model.d * itemsize
+
+
 def test_realize_spn_is_positive_semidefinite():
     model = SpnModel(6, 4, (0.5, 1.0, 1.5, 2.0), 1.2)
     w = realize_spn(model, GinibreSpec(6, 4, field="complex", seed=7))
@@ -189,6 +234,24 @@ def test_eigenvalues_rejects_asymmetric():
         eigenvalues_selfadjoint(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("matrix", [
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, 1.0 + 1j * np.inf]]),
+    np.ones((2, 3)),
+    np.ones(3),
+    np.zeros((0, 0)),
+    np.array([["a", "b"], ["b", "a"]]),
+    np.eye(2, dtype=bool),
+    np.eye(2, dtype=np.float16),
+], ids=["nan", "inf", "complex-inf", "not-square", "vector", "empty", "strings", "bool",
+        "half-precision"])
+def test_eigenvalues_reject_malformed_input(matrix):
+    with pytest.raises(DomainError) as info:
+        eigenvalues_selfadjoint(matrix)
+    assert info.value.module == "randmat"
+
+
 # ------------------------------------------------------------------- spectrum
 
 def test_empirical_spectrum_single_trial_sigma_zero():
@@ -197,6 +260,13 @@ def test_empirical_spectrum_single_trial_sigma_zero():
     assert isinstance(spec, EmpiricalSpectrum)
     assert np.allclose(spec.eigenvalues, [1.0, 4.0])
     assert spec.moments[0] == pytest.approx(2.5)
+
+
+def test_empirical_spectrum_rejects_trials_of_different_sizes():
+    with pytest.raises(DimensionMismatchError) as info:
+        empirical_spectrum(lambda s: np.eye(2 + s % 2), 3, 2, 1)
+    assert info.value.module == "randmat"
+    assert str(info.value).startswith("trial 1:")
 
 
 def test_empirical_spectrum_standard_wishart_first_moment():

@@ -1,4 +1,4 @@
-"""One SHA-256 per layer over everything the recovery and density layers return.
+"""One SHA-256 per layer over everything the recovery, density and Monte Carlo layers return.
 
     cd TREE && python3 /path/to/tools/same_bits.py
 
@@ -25,7 +25,14 @@ seeded models with d in 1..40, p in d..3d, singular values U(0, 2) times a
 scale of 1e-3, 1 or 1e3, and sigma / scale 0.02 or U(0.3, 1.5): 500 points
 on [1e-3 E, 1.2 E] at eps = 1e-4 E, with E = (max|a| + sigma(1 + sqrt(p/d)))^2,
 at the default tolerance and iteration cap; its line ends with the number
-of ``NoConvergenceError`` outcomes.  Errors hash as outcomes on every layer.
+of ``NoConvergenceError`` outcomes.  ``randmat`` hashes every
+``EmpiricalSpectrum`` field, its eigenvalues as a list of floats, of
+``empirical_spectrum`` over seeded SPN and CW models with d in 1..4 and p in
+d..3d, scaled by ``scale_spn_model`` / ``scale_cw_model`` by 1, 7 and 40, on
+both fields, 3 trials each at order 4: signals and spectra U(0, 2) with
+sigma U(0.2, 1.5); a quarter of the SPN models have a zero signal, a
+quarter sigma = 0 and a quarter both, and half the CW models have a zero
+spectrum.  Errors hash as outcomes on every layer.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ POINT_SEED = 22
 POINT_SIZE = 400
 SWEEP_MODELS_SEED = 23
 SWEEP_MODELS = 120
+SPECTRUM_SEED = 29
+SPECTRUM_MODELS = 16
 
 
 def recovery_inputs(models, workloads):
@@ -152,6 +161,27 @@ def sweep_inputs(models):
         yield models.SpnModel(p, d, a, sigma), grid, 1e-4 * edge
 
 
+def spectrum_inputs(models, randmat):
+    """(sampler, master seed): each seeded model at three scales on both fields."""
+    rng = random.Random(SPECTRUM_SEED)
+    for i in range(SPECTRUM_MODELS):
+        d = rng.randint(1, 4)
+        p = rng.randint(d, 3 * d)
+        zero_signal, zero_sigma = i // 2 % 4 in (1, 3), i // 2 % 4 in (2, 3)
+        sigma = 0.0 if zero_sigma else rng.uniform(0.2, 1.5)
+        if i % 2:
+            values = [0.0 if zero_signal else rng.uniform(0.0, 2.0) for _ in range(p)]
+            base, scale, sampler = (models.CwModel(p, d, values), randmat.scale_cw_model,
+                                    randmat.cw_sampler)
+        else:
+            values = [0.0 if zero_signal else rng.uniform(0.0, 2.0) for _ in range(d)]
+            base, scale, sampler = (models.SpnModel(p, d, values, sigma),
+                                    randmat.scale_spn_model, randmat.spn_sampler)
+        for factor in (1, 7, 40):
+            for field in ("real", "complex"):
+                yield sampler(scale(base, factor), field), rng.randrange(2**32)
+
+
 def outcome(run) -> str:
     """``repr`` of what run() returns, or of the error it raises."""
     from freedeconv.errors import FreeDeconvError
@@ -173,6 +203,10 @@ def curve_fields(curve) -> list:
         curve.grid.tolist(), curve.values.tolist()]
 
 
+def spectrum_fields(spectrum) -> list:
+    return [spectrum.eigenvalues.tolist(), spectrum.d, spectrum.trials, spectrum.moments]
+
+
 def main() -> int:
     src = Path(os.getcwd()) / "src"
     if not (src / "freedeconv" / "__init__.py").is_file():
@@ -181,7 +215,7 @@ def main() -> int:
         return 2
     sys.path[:0] = [str(src), str(BENCH)]
     import workloads
-    from freedeconv import models, subordination
+    from freedeconv import models, randmat, subordination
 
     max_iter = workloads.DENSITY_MAX_ITER
     layers = {
@@ -197,6 +231,9 @@ def main() -> int:
         "density_sweep": [outcome(lambda: curve_fields(subordination.spn_density(
                               model, grid, epsilon=epsilon)))
                           for model, grid, epsilon in sweep_inputs(models)],
+        "randmat": [outcome(lambda: spectrum_fields(randmat.empirical_spectrum(
+                        sampler, 3, 4, seed)))
+                    for sampler, seed in spectrum_inputs(models, randmat)],
     }
     for name, outcomes in layers.items():
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
