@@ -371,10 +371,49 @@ def _homogeneous(poly: list, a: int, b: int) -> tuple:
     return acc, slope
 
 
+def _narrowed(h: list, lo: int, hi: int, b: int, x: int) -> tuple:
+    """(lo, lo + 1) with the root of the int polynomial h in (lo/b, (lo + 1)/b),
+    or (x, x) with h(x/b) = 0, where (lo/b, hi/b) holds one root of h,
+    simple, h < 0 between lo/b and it and h > 0 from it to hi/b: Newton's
+    method in ints from x (rtsafe; Press et al., Numerical Recipes, 9.4),
+    keeping the bracket by the sign of h and never evaluating at its ends.
+    A point outside the open bracket, or one with no slope, gives way to the
+    midpoint; within one unit of the root the next point is the neighbour on
+    the open side.  A step not at most half the previous move bisects,
+    unless the steps shrink at the steady rate (m - 1) / m of a cluster of m
+    roots: then one step goes m times as far, which lands well inside it,
+    where Newton converges quadratically again."""
+    prev = hi - lo
+    while hi - lo > 1:
+        if not lo < x < hi:
+            x, prev = (lo + hi) // 2, hi - lo
+        val, slope = _homogeneous(h, x, b)
+        if not val:
+            return x, x
+        if val > 0:
+            hi = x
+        else:
+            lo = x
+        if not slope:
+            continue
+        # b h(x/b) / h'(x/b), rounded to nearest; x is now an end of the
+        # bracket, so a step of 0 bisects
+        step = (2 * val + slope) // (2 * slope)
+        if abs(step) <= 1:
+            # one evaluation closes a one-sided approach
+            step = 1 if x == hi else -1
+        elif 2 * abs(step) > abs(prev):
+            gap = prev - step
+            same = (prev > 0) == (step > 0) and abs(step) < abs(prev)
+            step = step * ((2 * prev + gap) // (2 * gap)) if same else 0
+        x, prev = x - step, step
+    return lo, lo + 1
+
+
 def _refined(poly: list, x: float) -> tuple:
     """(a, b): a/b within 2^-64 of a float spacing of the root of poly
-    nearest to which x is, by bisection on the sign of poly between the
-    midpoints beside x; x itself if poly keeps its sign there."""
+    nearest to which x is, by ``_narrowed`` from x on the sign of poly
+    between the midpoints beside x; x itself if poly keeps its sign there."""
     (a0, b0), (a1, b1) = _midpoint(_ordinal(x) - 1), _midpoint(_ordinal(x))
     b = max(b0, b1) << 64
     lo, hi = a0 * (b // b0), a1 * (b // b1)
@@ -382,17 +421,10 @@ def _refined(poly: list, x: float) -> tuple:
         return lo, b
     if not (f_hi := _horner(poly, hi, b)):
         return hi, b
+    n, m = x.as_integer_ratio()
     if (f_lo > 0) == (f_hi > 0):
-        return x.as_integer_ratio()
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if not (f_mid := _horner(poly, mid, b)):
-            return mid, b
-        if (f_mid > 0) == (f_hi > 0):
-            hi = mid
-        else:
-            lo = mid
-    return lo, b
+        return n, m
+    return _narrowed(poly if f_hi > 0 else [-c for c in poly], lo, hi, b, n * (b // m))[0], b
 
 
 def _float_roots(poly: list, guesses: list) -> list:
@@ -490,8 +522,8 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
     matrix scaled by a power of two (``_tridiagonal_eigenvalues``).  The
     multiplicity of an atom is n times its Christoffel weight, beta_1..
     beta_(r-1) / (pi_(r-1) pi_r') at the atom (Golub and Welsch's n v_0^2),
-    in ints at the atom refined by ``_refined``, and rounded; an atom of
-    weight below 1/(2n) is none.  Any Q
+    in ints at the atom narrowed to 2^-64 of its float spacing (``_refined``),
+    and rounded; an atom of weight below 1/(2n) is none.  Any Q
     gives the same bits: each alpha_k and beta_k is an int / int quotient,
     and each side of the rank test a term of the same weight.
     NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
@@ -554,7 +586,7 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
         return tuple(values), (1,) * n, all(x >= 0 for x in e)
     # n times the Christoffel weight, beta_1..beta_(r-1) / (pi_(r-1) pi_r')
     # at the atom, is D_r s_(r-1) s_r / (D_(r-1) c^(2r-2) P_(r-1) P_r') there,
-    # read at the atom refined 64 bits below its float spacing: at the float
+    # read at the atom narrowed to 2^-64 of its float spacing: at the float
     # itself, two atoms an ulp apart would take wrong weights
     weight = dets[r] * scales[r - 1] * scales[r]
     atoms, mults = [], []
@@ -833,61 +865,20 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
     """The root of the primitive int polynomial h in (lo, hi], which holds
     exactly one, simple, if it is rational; else None.  A rational root of h
     in lowest terms has its denominator dividing c = lc(h), so it is the
-    candidate k / c nearest to it.  ``_float_root``, then Newton's method on
-    X = 2^P x in ints with 2^P > 4c, clamped to the interval, comes within
-    1/2 of 2^P times the root; where the int steps shrink at the steady rate
-    (m - 1) / m of a cluster of m roots, one step is taken m times as far.
-    k = round(c X / 2^P) is then checked exactly.  If it misses, and h
-    changes sign between (k -+ 1/2) / c, which are never roots and lie in
-    (lo, hi], the root is irrational.  Otherwise the interval is halved by
-    the sign of h, down to a width below 1/c, where only one candidate is
-    left."""
+    candidate k / c nearest to it.  On the grid X = 2^P x, with 2^P > 4c
+    and fine enough to hold lo and hi, ``_narrowed`` from ``_float_root``
+    finds the root's cell (X, X + 1), or the root itself: c times its
+    midpoint is within 1/8 of c times the root, so rounded it gives the one
+    candidate to check exactly."""
     lead = h[-1]
-    bits = lead.bit_length() + 2
-    one = 1 << bits
-
-    def value(x: Fraction) -> int:
-        return _horner(h, *x.as_integer_ratio())
-
-    if not (s_hi := value(hi)):
+    if not (s_hi := _horner(h, *hi.as_integer_ratio())):
         return hi
-    while (hi - lo) * lead >= 1:
-        big_x = math.floor(_float_root(h, lo, hi) * one)
-        floor, ceil = math.floor(lo * one), math.ceil(hi * one)
-        prev = 0
-        for _ in range(bits.bit_length() + 8):
-            val, slope = _homogeneous(h, big_x, one)
-            if not slope:
-                break
-            # X - 2^P h(x) / h'(x), rounded to nearest
-            step = (2 * val + slope) // (2 * slope)
-            if not step:
-                break
-            # Outside a cluster of m roots Newton's steps shrink by (m - 1) / m
-            # each: m steps of that size, m = prev / (prev - step) rounded,
-            # land well inside it, where Newton converges quadratically again.
-            gap = prev - step
-            if (prev > 0) == (step > 0) and abs(step) < abs(prev) and (
-                    m := (2 * prev + gap) // (2 * gap)) > 1:
-                step, prev = m * step, 0
-            else:
-                prev = step
-            big_x = min(max(big_x - step, floor), ceil)
-        k = (lead * big_x + one // 2) >> bits
-        if lo < Fraction(k, lead) <= hi and not value(Fraction(k, lead)):
-            return Fraction(k, lead)
-        below, above = Fraction(2 * k - 1, 2 * lead), Fraction(2 * k + 1, 2 * lead)
-        if lo < below and above <= hi and (value(below) > 0) != (value(above) > 0):
-            return None
-        mid = (lo + hi) / 2
-        if not (s_mid := value(mid)):
-            return mid
-        if (s_mid > 0) == (s_hi > 0):
-            hi = mid
-        else:
-            lo = mid
-    k = math.floor(hi * lead)
-    return Fraction(k, lead) if lo < Fraction(k, lead) and not value(Fraction(k, lead)) else None
+    bits = max(lead.bit_length() + 2, lo.denominator.bit_length(), hi.denominator.bit_length())
+    one = 1 << bits
+    cell = _narrowed(h if s_hi > 0 else [-x for x in h], int(lo * one), int(hi * one), one,
+                     math.floor(_float_root(h, lo, hi) * one))
+    root = Fraction((lead * sum(cell) + one) >> (bits + 1), lead)
+    return root if lo < root <= hi and not _horner(h, *root.as_integer_ratio()) else None
 
 
 def _gcd_roots(rows: Sequence) -> list:

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     EigensolverError,
+    FreeDeconvError,
     NonSelfadjointError,
     require_int,
 )
@@ -177,7 +178,8 @@ def empirical_spectrum(
 
     ``sampler`` maps a per-trial seed to one self-adjoint matrix; seeds come
     from :func:`trial_seeds`.  Empirical moment n is the average of the n-th
-    powers of all pooled eigenvalues.
+    powers of all pooled eigenvalues.  An error of trial k keeps its type,
+    code and module; its message starts "trial k:" and its ``trial`` is k.
     """
     require_int(order, "order", "randmat")
     seeds = trial_seeds(master_seed, trials)
@@ -187,16 +189,16 @@ def empirical_spectrum(
     for trial, seed in enumerate(seeds):
         try:
             eigs = eigenvalues_selfadjoint(sampler(seed))
-        except EigensolverError as exc:
-            raise EigensolverError(
-                f"trial {trial}: {exc}", trial=trial
-            ) from exc
-        if pooled and len(eigs) != len(pooled[0]):
-            raise DimensionMismatchError(
-                f"trial {trial}: sample is {len(eigs)}-by-{len(eigs)}, "
-                f"trial 0's is {len(pooled[0])}-by-{len(pooled[0])}",
-                module="randmat",
-            )
+            if pooled and len(eigs) != len(pooled[0]):
+                raise DimensionMismatchError(
+                    f"sample is {len(eigs)}-by-{len(eigs)}, "
+                    f"trial 0's is {len(pooled[0])}-by-{len(pooled[0])}",
+                    module="randmat",
+                )
+        except FreeDeconvError as exc:
+            # the error keeps its type, code and module, and names its trial
+            exc.args, exc.trial = (f"trial {trial}: {exc}",), trial
+            raise
         pooled.append(eigs)
     d = len(pooled[0])
     eigs = np.sort(np.concatenate(pooled))

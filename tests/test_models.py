@@ -28,7 +28,9 @@ from freedeconv.models import (
     _int_gcd,
     _noise_level_candidates,
     _pseudo_divide,
+    _rational_root,
     _recurrence_gaps,
+    _refined,
     _rescaled,
     _round53,
     _spn_map,
@@ -1230,20 +1232,76 @@ def poly_mul(a, b):
     return out
 
 
+def counted_evaluations(monkeypatch) -> list:
+    """A list that grows by one at each exact evaluation, ``_horner`` or
+    ``_homogeneous`` (the Newton steps), within ``models``."""
+    calls = []
+    for name in ("_horner", "_homogeneous"):
+        evaluate = getattr(models, name)
+        monkeypatch.setattr(models, name,
+                            lambda *args, f=evaluate: calls.append(1) or f(*args))
+    return calls
+
+
 @pytest.mark.parametrize("e", [60, 200, 1000])
 @pytest.mark.parametrize("root", [Fraction(5, 3), Fraction(1234567, 1000), Fraction(22, 7)])
 def test_gcd_roots_find_a_rational_root_inside_a_cluster(monkeypatch, root, e):
     # (b x - a)(2^e (b x - a)^2 + 1): a complex pair 2^(-e/2) / b from the
     # rational root, where Newton's method crawls; float roots and Newton
-    # from them once missed it, and halving the interval down to a width of
-    # 1 / lc(h) once took about 2e exact evaluations
+    # from them once missed it, halving the interval down to a width of
+    # 1 / lc(h) once took about 2e exact evaluations, and bisecting on a
+    # one-sided Newton approach about 900 at e = 1000
     line = [-root.numerator, root.denominator]
     pair = poly_mul([1 << e], poly_mul(line, line))
     pair[0] += 1
-    calls = []
-    horner = models._horner
-    monkeypatch.setattr(models, "_horner", lambda *args: calls.append(1) or horner(*args))
+    calls = counted_evaluations(monkeypatch)
     assert _gcd_roots([poly_mul(pair, line)]) == [root]
+    assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("h, lo, hi, root", [
+    # lo is itself a root, that of the interval below, and is not the answer
+    ([2, -7, 6], Fraction(1, 2), Fraction(1), Fraction(2, 3)),
+    ([-2, 0, 1], Fraction(1), Fraction(2), None),  # sqrt(2)
+    ([3, -4, 1], Fraction(1, 2), Fraction(1), Fraction(1)),  # the root at hi
+])
+def test_rational_root_edges(h, lo, hi, root):
+    assert _rational_root(h, lo, hi) == root
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+                min_size=1, max_size=6, unique=True),
+       st.tuples(st.integers(1, 10**9), st.integers(-10**9, 10**9), st.integers(1, 10**9)))
+def test_refined_narrows_to_a_root_or_a_sign_change(roots, pair):
+    # h = prod (den x - num) (c2 x^2 + c1 x + c0), read at the float
+    # nearest to each root, whose float spacing holds no other: the returned
+    # n/d is a root of h, or h changes sign between n/d and (n + 1)/d
+    c0, c1, c2 = pair
+    assume(c1 * c1 < 4 * c0 * c2)  # a complex pair, possibly close to a root
+    h = [c0, c1, c2]
+    for r in roots:
+        h = poly_mul(h, [-r.numerator, r.denominator])
+    for r in roots:
+        n, d = _refined(h, float(r))
+        at, above = models._horner(h, n, d), models._horner(h, n + 1, d)
+        assert not at or (at > 0) != (above > 0)
+
+
+def test_exact_repeated_atom_recovery_cost(monkeypatch):
+    # ten atoms, one pair equal, at the exact order d + 2: each
+    # multiplicity is read at its atom narrowed to 2^-64 of a float
+    # spacing, which took 472 evaluations by bisection
+    rng = random.Random(4)
+    vals = [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(10)]
+    vals[1] = vals[0]
+    model = SpnModel(20, 10, tuple(vals), Fraction(1, 2))
+    series = spn_moments(model, 12)
+    calls = counted_evaluations(monkeypatch)
+    report = spn_recover(series, 20, 10)
+    assert report.sigma_sq_exact == Fraction(1, 4)
+    assert sorted(report.multiplicities) == [1] * 8 + [2]
+    assert report.atoms == tuple(sorted(float(v * v) for v in vals))
     assert len(calls) <= 200
 
 

@@ -267,6 +267,22 @@ def test_empirical_spectrum_rejects_trials_of_different_sizes():
         empirical_spectrum(lambda s: np.eye(2 + s % 2), 3, 2, 1)
     assert info.value.module == "randmat"
     assert str(info.value).startswith("trial 1:")
+    assert info.value.trial == 1
+
+
+@pytest.mark.parametrize("matrix, error, code", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), NonSelfadjointError, "non-selfadjoint"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError, "domain"),
+], ids=["not-self-adjoint", "nan"])
+def test_empirical_spectrum_names_the_trial_of_any_error(matrix, error, code):
+    # trial 2 of 3 fails: its error keeps type, code and module
+    samples = iter([np.eye(2), np.eye(2), matrix])
+    with pytest.raises(error) as info:
+        empirical_spectrum(lambda s: next(samples), 3, 2)
+    assert type(info.value) is error
+    assert (info.value.code, info.value.module) == (code, "randmat")
+    assert str(info.value).startswith("trial 2: ")
+    assert info.value.trial == 2
 
 
 def test_empirical_spectrum_standard_wishart_first_moment():

@@ -26,14 +26,20 @@ def test_two_rejections_say_whether_the_messages_differ():
 
 
 def test_two_reports_give_the_relative_moves():
+    # the fields that differ are named in the report's order
     trace_only = {**REPORT, "search_trace": ((0.25, 0.0), (0.5, 1.0))}
     assert recover_diff.difference(REPORT, trace_only) == (
-        "accepted -> accepted; search_trace only: yes; sigma^2 moved 0.00e+00, "
+        "accepted -> accepted; fields: search_trace; sigma^2 moved 0.00e+00, "
         "largest atom moved 0.00e+00")
     moved = {**REPORT, "sigma_sq_hat": 0.5, "atoms": (1.0, 5.0)}
     assert recover_diff.difference(REPORT, moved) == (
-        "accepted -> accepted; search_trace only: no; sigma^2 moved 1.00e+00, "
+        "accepted -> accepted; fields: sigma_sq_hat, atoms; sigma^2 moved 1.00e+00, "
         "largest atom moved 2.50e-01")
+    # a change of multiplicities alone moves neither sigma^2 nor an atom
+    recount = {**REPORT, "multiplicities": (2,), "search_trace": ()}
+    assert recover_diff.difference({**REPORT, "multiplicities": (1, 1)}, recount) == (
+        "accepted -> accepted; fields: search_trace, multiplicities; sigma^2 moved "
+        "0.00e+00, largest atom moved 0.00e+00")
 
 
 def test_two_spectra_give_the_move_of_the_largest_value():

@@ -9,8 +9,9 @@ imports the package from its own ./src, on the ``spn_recover`` and
 differs it prints one line: the corpus and the input's index, each tree's
 class (``accepted`` or the error's type), and then
 
-- where both accept: whether only ``search_trace`` differs, and the
-  relative move of sigma^2 (spn_recover) and of the largest atom;
+- where both accept: the names of the report fields that differ
+  (spn_recover), and the relative move of sigma^2 (spn_recover) and of the
+  largest atom;
 - where both reject: whether the messages differ.
 
 Each corpus ends with a line counting the inputs that differ.
@@ -82,8 +83,8 @@ def difference(old, new) -> str:
         return line
     if isinstance(old, tuple):
         return line + f"; largest atom moved {moved(max(old), max(new)):.2e}"
-    trace_only = all(old[k] == new[k] for k in old if k != "search_trace")
-    return line + (f"; search_trace only: {'yes' if trace_only else 'no'}; sigma^2 moved "
+    fields = ", ".join(k for k in old if old[k] != new[k])
+    return line + (f"; fields: {fields}; sigma^2 moved "
                    f"{moved(old['sigma_sq_hat'], new['sigma_sq_hat']):.2e}, largest atom "
                    f"moved {moved(max(old['atoms']), max(new['atoms'])):.2e}")
 
