@@ -516,14 +516,15 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
     atoms: the r eigenvalues of the Jacobi matrix, the roots of the monic
     orthogonal polynomial pi_r.  For r = n they are the n atoms, the roots of
     the e_k polynomial, each of multiplicity 1; for r < n the ints
-    P_k = s_k pi_k, s_k > 0, follow P_(k+1) = (L_k x - A_k) P_k -
-    (D_(k-1) D_(k+1))^2 P_(k-1).  ``_float_roots`` reads each root as the
-    float nearest to it, exactly, from the float estimates of the Jacobi
+    P_k = D_k c^k pi_k (pi_k's Hankel-determinant form in c x) follow
+    P_(k+1) = ((L_k x - A_k) P_k - D_(k+1)^2 P_(k-1)) / D_k^2, an exact
+    division, and are read primitive.  ``_float_roots`` reads each root as
+    the float nearest to it, exactly, from the float estimates of the Jacobi
     matrix scaled by a power of two (``_tridiagonal_eigenvalues``).  The
-    multiplicity of an atom is n times its Christoffel weight, beta_1..
-    beta_(r-1) / (pi_(r-1) pi_r') at the atom (Golub and Welsch's n v_0^2),
-    in ints at the atom narrowed to 2^-64 of its float spacing (``_refined``),
-    and rounded; an atom of weight below 1/(2n) is none.  Any Q
+    multiplicity of an atom is n times its share of the weights 1 / (P_(r-1)
+    P_r') at the atoms, the Gauss weights (Golub and Welsch, 1969) times one
+    constant, in ints at the atom narrowed to 2^-64 of its float spacing
+    (``_refined``), and rounded; an atom of weight below 1/(2n) is none.  Any Q
     gives the same bits: each alpha_k and beta_k is an int / int quotient,
     and each side of the rank test a term of the same weight.
     NonrealRootsError: a beta_k < 0, on exact input a moment the atoms miss,
@@ -558,14 +559,14 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
         # n distinct atoms of weight 1/n: the roots of sum_k (-1)^k e_k (c x)^(n-k)
         poly = [(-1) ** (n - j) * e[n - j] * c**j for j in range(n + 1)]
     else:
-        # P_k = s_k pi_k, s_(k+1) = s_k L_k: P_(k+1) = (L_k x - A_k) P_k
-        # - (D_(k-1) D_(k+1))^2 P_(k-1)
-        prev, poly, scales = [0], [1], [1]
+        # P_k = D_k c^k pi_k: P_(k+1) = ((L_k x - A_k) P_k - D_(k+1)^2 P_(k-1))
+        # / D_k^2, exactly; read over their contents
+        prev, poly = [0], [1]
         for k in range(r):
-            ek = (dets[k - 1] * dets[k + 1]) ** 2 if k else 0
-            prev, poly = poly, [lead[k] * u - diag[k] * v - ek * w
+            ek, dk = dets[k + 1] ** 2, dets[k] ** 2
+            prev, poly = poly, [(lead[k] * u - diag[k] * v - ek * w) // dk
                                 for u, v, w in zip([0] + poly, poly + [0], prev + [0, 0])]
-            scales.append(scales[-1] * lead[k])
+        prev, poly = _primitive(prev), _primitive(poly)
     # the float Jacobi matrix over 2^t, t such that its largest entry is
     # near 1: no entry leaves the float range
     t = max([a.bit_length() - l.bit_length() for a, l in zip(diag, lead)]
@@ -584,23 +585,20 @@ def _atoms(scaled: Sequence[int], big_q: int, count: int, exact: bool) -> tuple:
         raise DomainError("atoms leave the float range") from None
     if r == n:
         return tuple(values), (1,) * n, all(x >= 0 for x in e)
-    # n times the Christoffel weight, beta_1..beta_(r-1) / (pi_(r-1) pi_r')
-    # at the atom, is D_r s_(r-1) s_r / (D_(r-1) c^(2r-2) P_(r-1) P_r') there,
-    # read at the atom narrowed to 2^-64 of its float spacing: at the float
-    # itself, two atoms an ulp apart would take wrong weights
-    weight = dets[r] * scales[r - 1] * scales[r]
-    atoms, mults = [], []
+    # each weight read at the atom narrowed to 2^-64 of its float spacing: at
+    # the float itself, two atoms an ulp apart would take wrong weights
+    weights = []
     for value in values:
         a, b = _refined(poly, value)
-        at = _horner(prev, a, b)
-        slope = _homogeneous(poly, a, b)[1]
-        den = dets[r - 1] * c ** (2 * r - 2) * at * slope
-        if den and (mult := round(Fraction(weight * b ** (2 * r - 2), den))) > 0:
-            atoms.append(value)
-            mults.append(mult)
-    if sum(mults) != n:
+        den = _horner(prev, a, b) * _homogeneous(poly, a, b)[1]
+        weights.append(Fraction(b ** (2 * r - 2), den) if den else 0)
+    total = sum(weights)
+    kept = [(x, mult) for x, w in zip(values, weights)
+            if total > 0 and (mult := round(n * w / total)) > 0]
+    if sum(mult for _, mult in kept) != n:
         raise NonrealRootsError(f"the power sums are not those of {n} real atoms")
-    return tuple(atoms), tuple(mults), all(x >= 0 for x in e)
+    atoms, mults = zip(*kept)
+    return atoms, mults, all(x >= 0 for x in e)
 
 
 def _misfits(rebuilt: Sequence[float], target: Sequence[float]) -> tuple:
@@ -912,17 +910,13 @@ def _round53(w: Fraction) -> Fraction:
     return Fraction(float(w * scale)) / scale
 
 
-def _candidate(cumulants: Sequence, big_q: int, d: int, u: Fraction, root: bool = False):
+def _candidate(cumulants: Sequence, big_q: int, u: Fraction) -> tuple:
     """(M, t): the candidate moments at the noise level s = d u / Q as the
-    ints M_k = t^k cand_k(s) and their scale t; at a ``root``, None unless
-    every gap vanishes there.  At u = n/b the cumulant rows of
-    ``_candidate_rows`` give the ints b^k Q^k c_k, and the scalar recursions
-    t^k times the moments and t^k d! times the gaps, t = b Q."""
+    ints M_k = t^k cand_k(s) and their scale t.  At u = n/b the cumulant rows
+    of ``_candidate_rows`` give the ints b^k Q^k c_k, and the scalar
+    recursions t^k times the moments, t = b Q."""
     n, b = u.as_integer_ratio()
-    moments = _moments([_horner(row, n, b) for row in cumulants])
-    if root and any(_recurrence_gaps([d * c for c in moments], d)):
-        return None
-    return moments, b * big_q
+    return _moments([_horner(row, n, b) for row in cumulants]), b * big_q
 
 
 def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
@@ -953,7 +947,8 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
     # exact reading has no negative atom wins outright
     trace, winner = {}, None
     for r in _gcd_roots(_gap_polys(cumulants, d, d + 2)):
-        if (candidate := _candidate(cumulants, big_q, d, r, root=True)) is not None:
+        candidate = _candidate(cumulants, big_q, r)
+        if not any(_recurrence_gaps([d * x for x in candidate[0]], d)):
             s = d * r / big_q
             trace[float(s)] = 0.0
             if winner is None and (atoms := reading(candidate, True)):
@@ -1007,7 +1002,7 @@ def _noise_level_candidates(m: MomentSeries, p: int, d: int) -> tuple:
         trace.setdefault(*polish(seed))
     # the least D among the polished whose reading is real wins
     for s in sorted(list(trace)[roots:], key=trace.get):
-        candidate = _candidate(cumulants, big_q, d, Fraction(s) * big_q / d)
+        candidate = _candidate(cumulants, big_q, Fraction(s) * big_q / d)
         if atoms := reading(candidate, False):
             return list(trace.items()), (s, candidate, atoms, None)
     return list(trace.items()), None

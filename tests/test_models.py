@@ -717,7 +717,7 @@ def assert_int_rows_equal_reference(m, p, d):
     assert all(type(c) is int for poly in polys for c in poly) and type(big_q) is int
     assert polys == in_u(gaps, big_q, d)
     for s in (0, Fraction(1, 3), 2.5):
-        ints, scale = _candidate(cumulants, big_q, d, Fraction(s) * big_q / d)
+        ints, scale = _candidate(cumulants, big_q, Fraction(s) * big_q / d)
         assert all(type(x) is int for x in ints) and type(scale) is int
         assert [Fraction(x, scale**k) for k, x in enumerate(ints, start=1)] == [
             fraction_horner(poly, Fraction(s)) for poly in moments]
@@ -1288,21 +1288,35 @@ def test_refined_narrows_to_a_root_or_a_sign_change(roots, pair):
         assert not at or (at > 0) != (above > 0)
 
 
-def test_exact_repeated_atom_recovery_cost(monkeypatch):
-    # ten atoms, one pair equal, at the exact order d + 2: each
-    # multiplicity is read at its atom narrowed to 2^-64 of a float
-    # spacing, which took 472 evaluations by bisection
+@pytest.mark.parametrize("d, repeats, mults, bound", [
+    (10, {}, [1] * 8 + [2], 200),
+    # one triple and one double
+    (16, {2: 0, 5: 4}, [1] * 11 + [2, 3], 300),
+    # a second pair equal by the draw
+    (20, {}, [1] * 16 + [2, 2], 300),
+], ids=["d10", "d16", "d20"])
+def test_exact_repeated_atom_recovery_cost(monkeypatch, d, repeats, mults, bound):
+    # d atoms, some equal, at the exact order d + 2.  Each multiplicity is
+    # read at its atom narrowed to 2^-64 of a float spacing (472 evaluations
+    # by bisection at d = 10), from primitive orthogonal polynomials: with
+    # their scale product kept in, the largest coefficients had 19,025,
+    # 90,819 and 311,782 bits at d = 10, 16 and 20
     rng = random.Random(4)
-    vals = [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(10)]
+    vals = [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(d)]
     vals[1] = vals[0]
-    model = SpnModel(20, 10, tuple(vals), Fraction(1, 2))
-    series = spn_moments(model, 12)
+    for i, j in repeats.items():
+        vals[i] = vals[j]
+    series = spn_moments(SpnModel(2 * d, d, tuple(vals), Fraction(1, 2)), d + 2)
     calls = counted_evaluations(monkeypatch)
-    report = spn_recover(series, 20, 10)
+    bits, refined = [], models._refined
+    monkeypatch.setattr(models, "_refined", lambda poly, x: bits.append(
+        max(abs(c).bit_length() for c in poly)) or refined(poly, x))
+    report = spn_recover(series, 2 * d, d)
     assert report.sigma_sq_exact == Fraction(1, 4)
-    assert sorted(report.multiplicities) == [1] * 8 + [2]
+    assert sorted(report.multiplicities) == mults
     assert report.atoms == tuple(sorted(float(v * v) for v in vals))
-    assert len(calls) <= 200
+    assert len(calls) <= bound
+    assert bits and max(bits) <= 256
 
 
 def test_lean_stage_finds_the_full_gcd_roots():
@@ -1351,7 +1365,7 @@ def test_order_d_plus_1_does_not_identify():
         x = 4 * u / big_q
         if abs(x.imag) > 1e-9 or x.real < 0:
             continue
-        moments, t = _candidate(cumulants, big_q, 4, Fraction(float(x.real)) * big_q / 4)
+        moments, t = _candidate(cumulants, big_q, Fraction(float(x.real)) * big_q / 4)
         try:
             values, mults, nonnegative = _atoms([4 * c for c in moments[:4]], t, 4, False)
         except NonrealRootsError:

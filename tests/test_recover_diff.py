@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "recover_diff.py"
 _SPEC = importlib.util.spec_from_file_location("recover_diff", _PATH)
 recover_diff = importlib.util.module_from_spec(_SPEC)
@@ -45,3 +47,14 @@ def test_two_reports_give_the_relative_moves():
 def test_two_spectra_give_the_move_of_the_largest_value():
     assert recover_diff.difference((1.0, 2.0), (1.0, 3.0)) == (
         "accepted -> accepted; largest atom moved 5.00e-01")
+
+
+def test_a_tree_without_the_package_exits_2_naming_it(tmp_path, capsys):
+    # the parent's child process fails on import; the change is never run
+    with pytest.raises(SystemExit) as exit_info:
+        recover_diff.main(["--parent", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"recover_diff: the run on {tmp_path} failed:" in err
+    assert "No module named 'freedeconv'" in err
+    assert "Traceback" not in err

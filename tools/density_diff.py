@@ -17,17 +17,19 @@ For each corpus it prints the errors on each tree by type, the largest
 relative difference over the items that converge on both trees (of a curve,
 max |rho - rho'| over the parent curve's max |rho|; of a point, the larger of
 |g_i - g_i'| / |g_i|), and how many ``rung_iterations`` tuples (of a point,
-``iterations``) are equal, with the largest entry on each tree.
+``iterations``) are equal, with the largest entry on each tree.  The
+child processes run as in ``tools/recover_diff.py``, which exits 2 when one
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import pickle
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+from recover_diff import run_tree
 
 TOOLS = Path(__file__).resolve().parent
 CHANGE = TOOLS.parent
@@ -79,14 +81,6 @@ def outputs() -> dict:
     }
 
 
-def run_tree(tree: Path) -> dict:
-    code = (f"import pickle, sys; sys.path.insert(0, {str(TOOLS)!r}); import density_diff; "
-            "sys.stdout.buffer.write(pickle.dumps(density_diff.outputs()))")
-    done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
-                          check=True)
-    return pickle.loads(done.stdout)
-
-
 def relative(old, new) -> float:
     """max |new - old| over max |old| of a curve; the larger |g_i - g_i'| / |g_i|
     of a point."""
@@ -116,7 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the parent source tree")
     args = parser.parse_args(argv)
-    parent, change = run_tree(args.parent.resolve()), run_tree(CHANGE)
+    parent = run_tree(args.parent.resolve(), "density_diff")
+    change = run_tree(CHANGE, "density_diff")
     for name in parent:
         print(report(name, parent[name], change[name]))
     return 0

@@ -14,12 +14,15 @@ class (``accepted`` or the error's type), and then
   largest atom;
 - where both reject: whether the messages differ.
 
-Each corpus ends with a line counting the inputs that differ.
+Each corpus ends with a line counting the inputs that differ.  If a
+tree's run fails, the tool names the tree, prints the tail of its stderr,
+and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pickle
 import subprocess
 import sys
@@ -59,11 +62,25 @@ def outputs() -> dict:
     }
 
 
-def run_tree(tree: Path) -> dict:
-    code = (f"import pickle, sys; sys.path.insert(0, {str(TOOLS)!r}); import recover_diff; "
-            "sys.stdout.buffer.write(pickle.dumps(recover_diff.outputs()))")
-    done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
-                          check=True)
+def run_tree(tree: Path, tool: str) -> dict:
+    """``outputs()`` of the module ``tool`` of this directory, run in a child
+    process from ``tree`` with no PYTHONPATH, so that it imports the package
+    from ``tree``'s ./src only.  If the child fails, this names the tree,
+    prints the tail of the child's stderr, and exits 2."""
+    code = (f"import pickle, sys; sys.path.insert(0, {str(TOOLS)!r}); import {tool}; "
+            f"sys.stdout.buffer.write(pickle.dumps({tool}.outputs()))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    try:
+        done = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
+                              capture_output=True)
+        failed = done.returncode and (done.stderr.decode(errors="replace")
+                                      or f"exit status {done.returncode}")
+    except OSError as exc:  # no such tree
+        failed = str(exc)
+    if failed:
+        tail = failed.strip().splitlines()[-3:]
+        print(f"{tool}: the run on {tree} failed:", *tail, sep="\n  ", file=sys.stderr)
+        sys.exit(2)
     return pickle.loads(done.stdout)
 
 
@@ -94,7 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the parent source tree")
     args = parser.parse_args(argv)
-    parent, change = run_tree(args.parent.resolve()), run_tree(CHANGE)
+    parent = run_tree(args.parent.resolve(), "recover_diff")
+    change = run_tree(CHANGE, "recover_diff")
     for name in parent:
         differ = [(i, a, b) for i, (a, b) in enumerate(zip(parent[name], change[name]))
                   if a != b]
