@@ -5,7 +5,7 @@ computation for both models, parameter recovery, spectral densities, Monte
 Carlo verification, and an end-to-end identifiability check.  Structured
 data travels as JSON, curves and eigenvalue dumps as CSV.  Domain errors
 exit with status 1 and a machine-readable {code, message, module} object on
-stderr; usage errors (unknown flags, missing files) exit with status 2.
+stderr; usage errors (unknown flags, bad inputs, unwritable outputs) exit 2.
 """
 
 from __future__ import annotations
@@ -135,8 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON in the regular file ``path`` (a FIFO or device is refused):
+    text not UTF-8, nested too deep or not JSON is one JSONDecodeError."""
+    if not path.is_file():
+        raise FileNotFoundError(f"input file not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 def _emit(payload: dict, out: Path | None) -> None:
@@ -145,12 +151,6 @@ def _emit(payload: dict, out: Path | None) -> None:
         print(text)
     else:
         out.write_text(text + "\n")
-
-
-def _require_files(*paths: Path | None) -> None:
-    for path in paths:
-        if path is not None and not path.is_file():
-            raise FileNotFoundError(f"input file not found: {path}")
 
 
 def _cmd_nc(args) -> int:
@@ -172,7 +172,6 @@ def _cmd_nc(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    _require_files(args.f, args.g)
     f = MomentSeries.from_dict(_read_json(args.f))
     if args.verb == "rtransform":
         result = r_transform(f)
@@ -185,28 +184,24 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_cw_moments(args) -> int:
-    _require_files(args.model)
     model = CwModel.from_dict(_read_json(args.model))
     _emit(cw_moments(model, args.order, args.backend).to_dict(), args.out)
     return 0
 
 
 def _cmd_cw_recover(args) -> int:
-    _require_files(args.r)
     r = MomentSeries.from_dict(_read_json(args.r))
     _emit({"eigenvalues": list(cw_recover_eigenvalues(r, args.p, args.d))}, args.out)
     return 0
 
 
 def _cmd_spn_moments(args) -> int:
-    _require_files(args.model)
     model = SpnModel.from_dict(_read_json(args.model))
     _emit(spn_moments(model, args.order, args.backend).to_dict(), args.out)
     return 0
 
 
 def _cmd_spn_recover(args) -> int:
-    _require_files(args.moments)
     m = MomentSeries.from_dict(_read_json(args.moments))
     report = spn_recover(m, args.p, args.d)
     _emit(report.to_dict(), args.out)
@@ -218,7 +213,6 @@ def _cmd_spn_density(args) -> int:
 
     from .subordination import spn_density
 
-    _require_files(args.model)
     model = SpnModel.from_dict(_read_json(args.model))
     grid = np.linspace(args.xmin, args.xmax, args.points)
     curve = spn_density(model, grid, epsilon=args.epsilon, tol=args.tol)
@@ -252,7 +246,6 @@ def _cmd_simulate(args) -> int:
         spn_sampler,
     )
 
-    _require_files(args.model)
     data = _read_json(args.model)
     if args.kind == "cw":
         model = scale_cw_model(CwModel.from_dict(data), args.dim_scale)
@@ -286,7 +279,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_files(args.a, args.b)
     model_a = SpnModel.from_dict(_read_json(args.a))
     model_b = SpnModel.from_dict(_read_json(args.b))
     report = verify_identifiability(model_a, model_b, args.order)
@@ -315,7 +307,10 @@ def run(args: argparse.Namespace) -> int:
         payload = {"code": exc.code, "message": str(exc), "module": exc.module}
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        raise  # main ends a closed pipe with status 1 and no message
+    except OSError as exc:
+        # an input that cannot be read or an output that cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

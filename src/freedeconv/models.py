@@ -211,9 +211,10 @@ def _require_fields(data, *fields) -> None:
 
 
 def _from_json(v):
-    # JSON carries exact rationals as "p/q" strings; the model checks the rest
+    # JSON carries exact rationals as "p/q" strings, alone or in a flat list;
+    # the model checks the rest (a nested list is not a number)
     if isinstance(v, list):
-        return [_from_json(x) for x in v]
+        return [parse_scalar(x, "models") if isinstance(x, str) else x for x in v]
     return parse_scalar(v, "models") if isinstance(v, str) else v
 
 
@@ -882,11 +883,12 @@ def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
 def _gcd_roots(rows: Sequence) -> list:
     """The distinct rational roots r >= 0 of the primitive gcd g over Z of
     the int polynomials ``rows``, in recovery the gap polynomials in u of
-    ``_candidate_rows``: those of its square-free part
-    h = g / gcd(g, g'), exactly -h_0 / h_1 when h has degree 1, and
-    otherwise 0 if h_0 = 0 and each positive root that ``_rational_root``
-    finds in its interval of ``_isolated_roots``.  There are none when every
-    row is 0 or g has degree 0."""
+    ``_candidate_rows``: -g_0 / g_1 when g is linear, with no isolation;
+    else those of its square-free part h = g / gcd(g, g'), exactly
+    -h_0 / h_1 when h has degree 1, and otherwise 0 if h_0 = 0 and each
+    positive root that ``_rational_root`` finds in its interval of
+    ``_isolated_roots``.  There are none when every row is 0 or g has
+    degree 0."""
     g = []
     for row in rows:
         g = _int_gcd(g, row)
@@ -894,6 +896,9 @@ def _gcd_roots(rows: Sequence) -> list:
             return []
     if not g:
         return []
+    if len(g) == 2:
+        root = Fraction(-g[0], g[1])
+        return [root] if root >= 0 else []
     h, intervals = _isolated_roots(g)
     if len(h) == 2:
         roots = [Fraction(-h[0], h[1])]

@@ -183,15 +183,15 @@ def _invertible_first(f: MomentSeries):
 
 def _at(x, y, j):
     """Coefficient j of the product of two series given constant term first,
-    each to at least coefficient j."""
-    return sum(map(mul, x[:j + 1], y[j::-1]))
+    each to at least coefficient j: the products stop at y's."""
+    return sum(map(mul, x, y[j::-1]))
 
 
 class _Powers:
     """rows[k][i] = [z^i] W^k for k = 0..count and i <= count - k, where W is
     a series with constant term whose coefficients arrive one at a time, in
     any commutative ring with unit ``1`` and zero ``0``, the plain ints:
-    Fraction, float, or polynomials over them."""
+    Fraction or float."""
 
     def __init__(self, count: int, w=()):
         self.count, self.w = count, []

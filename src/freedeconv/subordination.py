@@ -192,7 +192,7 @@ def _newton(column, weights, sigma_sq, shift, omega, big_z, target=False):
     shift = sigma^2 (p/d - 1).  At the ``target`` z is rounded as
     wu u + shift u: rounded as (wu + shift) u, the defect's floor moves and
     more small-sigma models stall above the tolerance.  Returns the gaps
-    omega - a_k^2, w_k r_k, s, -s', u, z - Z and z'.
+    omega - a_k^2, w_k r_k, s, u, z - Z and z'.
     """
     gap = omega - column
     r = np.reciprocal(gap)
@@ -202,7 +202,7 @@ def _newton(column, weights, sigma_sq, shift, omega, big_z, target=False):
     u = 1.0 + sigma_sq * s
     wu = omega * u
     z = wu * u + shift * u if target else (wu + shift) * u
-    return (gap, wr, s, ds, u, z - big_z,
+    return (gap, wr, s, u, z - big_z,
             u * u - sigma_sq * ds * (2.0 * wu + shift))
 
 
@@ -267,7 +267,7 @@ def _rung(terms, omega, big_z, bound, max_iter, z=None):
     with np.errstate(all="ignore"):
         while True:
             its += 1
-            gap, wr, s, _, u, f, dz = _newton(*kernel, om, zs, target)
+            gap, wr, s, u, f, dz = _newton(*kernel, om, zs, target)
             step = f / dz
             if target:
                 res, v1, v2 = _defect(d / p, shift, gap, wr, u, f, a1, a2, inv_a2)

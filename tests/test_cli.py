@@ -323,6 +323,31 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+# an input that is not UTF-8, one nested too deep for the parser, and an
+# output path that names a directory
+UNUSABLE_FILES = {
+    "not-utf8": ["spn-moments", "--model", "{dir}/bom.json"],
+    "nested-too-deep": ["spn-recover", "--p", "4", "--d", "2", "--moments", "{dir}/deep.json"],
+    "spn-moments-out": ["spn-moments", "--model", "{model}", "--out", "{dir}"],
+    "nc-out": ["nc", "--n", "3", "--out", "{dir}"],
+    "density-out": ["spn-density", "--model", "{model}", "--xmin", "0.1", "--xmax", "5",
+                    "--points", "3", "--out", "{dir}"],
+    "dump-eigs": ["simulate", "--model", "{model}", "--kind", "spn", "--trials", "1",
+                  "--dump-eigs", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_FILES.values(), ids=UNUSABLE_FILES)
+def test_unusable_file_is_usage_error(tmp_path, capsys, spn_model_file, argv):
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
+    nest = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(f'{{"coeffs": {nest}, "scalar": "float"}}')
+    assert main([a.format(dir=tmp_path, model=spn_model_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _exit_status(argv):
     try:
         return main(argv)

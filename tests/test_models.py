@@ -198,6 +198,18 @@ def test_model_json_round_trip():
     assert SpnModel.from_dict(spn.to_dict()) == spn
 
 
+def test_model_json_nested_values_are_domain_errors():
+    # a value nested 600 lists deep is no number, as at depth 2, and is read
+    # with no recursion
+    nested = "1/2"
+    for _ in range(600):
+        nested = [nested]
+    with pytest.raises(DomainError, match="not a finite number"):
+        SpnModel.from_dict({"p": 2, "d": 1, "singular_values": [nested]})
+    with pytest.raises(DomainError, match="not a finite number"):
+        CwModel.from_dict({"p": 1, "d": 1, "eigenvalues": [nested]})
+
+
 # ------------------------------------------------------------------------- CW
 
 def test_cw_r_transform_values():
