@@ -135,14 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: Path) -> dict:
-    """The JSON in the regular file ``path`` (a FIFO or device is refused):
-    text not UTF-8, nested too deep or not JSON is one JSONDecodeError."""
+    """The JSON in the regular file ``path`` (a FIFO or device is refused).
+    Text that is not JSON, or not UTF-8, is a JSONDecodeError at its first
+    bad character or byte; text nested too deep for the parser has no such
+    position, and is an OSError that names the file."""
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
+    data = path.read_bytes()
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise json.JSONDecodeError(str(exc), "", 0) from None
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise json.JSONDecodeError(f"byte {data[exc.start]:#04x} is not UTF-8", head,
+                                   len(head)) from None
+    except RecursionError:
+        raise OSError(f"{path}: JSON nested too deep to read") from None
 
 
 def _emit(payload: dict, out: Path | None) -> None:
@@ -230,10 +237,11 @@ def _cmd_spn_density(args) -> int:
         sys.stdout.write(csv_text)
         print(json.dumps(sidecar), file=sys.stderr)
     else:
-        args.out.write_text(csv_text)
+        # the sidecar first: one that cannot be written leaves no CSV
         args.out.with_suffix(args.out.suffix + ".json").write_text(
             json.dumps(sidecar, indent=2) + "\n"
         )
+        args.out.write_text(csv_text)
     return 0
 
 

@@ -322,38 +322,6 @@ def _midpoint(o: int) -> tuple:
     return (a << shift, 1) if shift >= 0 else (a, 1 << -shift)
 
 
-def _nearest(side, guess: int) -> float:
-    """The float nearest to a real number x, ties to even, where side(o) is
-    the sign of x minus ``_midpoint(o)``: from the ordinal ``guess``, gallop
-    to two ordinals that bracket the answer, then bisect.  OverflowError if
-    x rounds to an infinity."""
-    def sign(o):
-        return -1 if o >= _INF else 1 if o < -_INF else side(o)
-
-    lo, hi, step = guess - 1, guess, 1
-    s_hi = sign(hi)
-    if s_hi > 0:
-        while s_hi > 0:
-            lo, hi, step = hi, min(hi + step, _INF), 2 * step
-            s_hi = sign(hi)
-    else:
-        s_lo = sign(lo)
-        while s_lo <= 0:
-            hi, s_hi, lo, step = lo, s_lo, max(lo - step, -_INF - 1), 2 * step
-            s_lo = sign(lo)
-    # hi is the first ordinal whose upper midpoint is not below x
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (s_mid := sign(mid)) > 0:
-            lo = mid
-        else:
-            hi, s_hi = mid, s_mid
-    o = hi + (s_hi == 0 and hi % 2)
-    if abs(o) >= _INF:
-        raise OverflowError("the root rounds to an infinity")
-    return _from_ordinal(o)
-
-
 def _horner(poly: list, a: int, b: int) -> int:
     """b^D poly(a/b), D = len(poly) - 1, by Horner's rule."""
     acc, bj = 0, 1
@@ -412,20 +380,12 @@ def _narrowed(h: list, lo: int, hi: int, b: int, x: int) -> tuple:
 
 
 def _refined(poly: list, x: float) -> tuple:
-    """(a, b): a/b within 2^-64 of a float spacing of the root of poly
-    nearest to which x is, by ``_narrowed`` from x on the sign of poly
-    between the midpoints beside x; x itself if poly keeps its sign there."""
+    """(a, b): a/b within 2^-64 of a float spacing of the root of poly that
+    rounds to x, a float of ``_float_roots``: the root's ``_cell`` between
+    the midpoints beside x."""
     (a0, b0), (a1, b1) = _midpoint(_ordinal(x) - 1), _midpoint(_ordinal(x))
-    b = max(b0, b1) << 64
-    lo, hi = a0 * (b // b0), a1 * (b // b1)
-    if not (f_lo := _horner(poly, lo, b)):
-        return lo, b
-    if not (f_hi := _horner(poly, hi, b)):
-        return hi, b
-    n, m = x.as_integer_ratio()
-    if (f_lo > 0) == (f_hi > 0):
-        return n, m
-    return _narrowed(poly if f_hi > 0 else [-c for c in poly], lo, hi, b, n * (b // m))[0], b
+    a, _, b = _cell(poly, Fraction(a0, b0), Fraction(a1, b1), max(b0, b1).bit_length() + 63)
+    return a, b
 
 
 def _float_roots(poly: list, guesses: list) -> list:
@@ -434,9 +394,11 @@ def _float_roots(poly: list, guesses: list) -> list:
     near each.  Each guess takes one exact Newton step; if poly changes sign
     between the midpoints on either side of every result, these r disjoint
     intervals hold one root each, and the results are the answer.  Else
-    ``_nearest`` finds each root by its rank, the number of roots above it,
-    from Sturm counts (``_sturm``): the sign changes at x less those at
-    +infinity are the roots above x."""
+    ``_isolated_roots`` isolates the roots above 0 of poly(x) and of poly(-x),
+    0 is a root where poly_0 = 0, and each is read from its ``_cell`` on the
+    grid 2^-1076, which holds every float and every midpoint between two: the
+    cell's centre, divided once as int / int, rounds as the root does.
+    OverflowError if a root rounds to an infinity."""
     def at(o: int) -> int:
         return _horner(poly, *_midpoint(o))
 
@@ -452,16 +414,14 @@ def _float_roots(poly: list, guesses: list) -> list:
     if all(x < y for x, y in zip(steps, steps[1:])) and all(
             at(o - 1) * at(o) < 0 for o in steps):
         return [_from_ordinal(o) for o in steps]
-    seq = _sturm(poly)
-    top = sum((p[-1] > 0) != (q[-1] > 0) for p, q in zip(seq, seq[1:]))
-
-    def side(o: int, above: int) -> int:
-        changes, zero = _variations(seq, *_midpoint(o))
-        changes -= top
-        return 1 if changes > above else 0 if changes == above and zero else -1
-
-    return [_nearest(lambda o, k=len(steps) - 1 - i: side(o, k), o)
-            for i, o in enumerate(steps)]
+    values = [0.0] * (not poly[0])
+    for sign in (1, -1):
+        h, intervals = _isolated_roots([c * sign**i for i, c in enumerate(poly)])
+        for lo, hi in intervals:
+            a, b, one = _cell(h, lo, hi, 1076)
+            # + 0.0: a negative root that rounds to 0 reads 0.0, not -0.0
+            values.append(sign * (a + b) / (2 * one) + 0.0)
+    return sorted(values)
 
 
 def _ratio(n: int, d: int, e: int) -> float:
@@ -808,12 +768,11 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list:
     return _primitive(_sturm(_primitive(a), _primitive(b))[-1])
 
 
-def _variations(seq: list, a: int, b: int) -> tuple:
-    """(the sign changes of the polynomials ``seq`` at a/b, b > 0, zeros
-    dropped, whether the first is 0 there)."""
-    values = [_horner(p, a, b) for p in seq]
-    signs = [v > 0 for v in values if v]
-    return sum(x != y for x, y in zip(signs, signs[1:])), not values[0]
+def _variations(seq: list, a: int, b: int) -> int:
+    """The sign changes of the polynomials ``seq`` at a/b, b > 0, zeros
+    dropped."""
+    signs = [v > 0 for p in seq if (v := _horner(p, a, b))]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _isolated_roots(g: list) -> tuple:
@@ -828,17 +787,18 @@ def _isolated_roots(g: list) -> tuple:
     top = len(h) - 1
     t = 1 + max([0] + [-((h[top].bit_length() - h[top - i].bit_length() - 1) // i)
                        for i in range(1, top + 1) if h[top - i]])
-    stack, isolated = [(Fraction(0), Fraction(2**t))], []
-    counts = {x: _variations(seq, *x.as_integer_ratio())[0] for x in stack[0]}
+    # each end with its count: a dict keyed by the ends would probe long
+    # chains, as the hash of 1/2^k repeats with period 61 in k
+    stack = [(Fraction(0), _variations(seq, 0, 1), Fraction(2**t), _variations(seq, 2**t, 1))]
+    isolated = []
     while stack:
-        lo, hi = stack.pop()
-        roots = counts[lo] - counts[hi]
-        if roots == 1:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
             isolated.append((lo, hi))
-        elif roots > 1:
+        elif v_lo - v_hi > 1:
             mid = (lo + hi) / 2
-            counts[mid] = _variations(seq, *mid.as_integer_ratio())[0]
-            stack += [(lo, mid), (mid, hi)]
+            v_mid = _variations(seq, *mid.as_integer_ratio())
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return h, isolated
 
 
@@ -860,23 +820,34 @@ def _float_root(h: list, lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(v) * Fraction(2) ** t
 
 
+def _cell(h: list, lo: Fraction, hi: Fraction, bits: int) -> tuple:
+    """(X, Y, 2^P), P = bits, or more where the grid 2^-P would not hold lo
+    and hi: the root of the int polynomial h in (lo, hi], which holds
+    exactly one, simple, is X/2^P = Y/2^P, or in (X/2^P, Y/2^P) with
+    Y = X + 1.  A root at hi is read there; else ``_narrowed`` from
+    ``_float_root`` on h or -h, whichever is > 0 at hi, finds it.  With h of
+    one sign on (lo, hi], the cell is the one above lo."""
+    one = 1 << max(bits, lo.denominator.bit_length(), hi.denominator.bit_length())
+    x_lo, x_hi = int(lo * one), int(hi * one)
+    if not (s_hi := _horner(h, *hi.as_integer_ratio())):
+        return x_hi, x_hi, one
+    cell = _narrowed(h if s_hi > 0 else [-x for x in h], x_lo, x_hi, one,
+                     math.floor(_float_root(h, lo, hi) * one))
+    return *cell, one
+
+
 def _rational_root(h: list, lo: Fraction, hi: Fraction) -> Fraction | None:
     """The root of the primitive int polynomial h in (lo, hi], which holds
     exactly one, simple, if it is rational; else None.  A rational root of h
     in lowest terms has its denominator dividing c = lc(h), so it is the
-    candidate k / c nearest to it.  On the grid X = 2^P x, with 2^P > 4c
-    and fine enough to hold lo and hi, ``_narrowed`` from ``_float_root``
-    finds the root's cell (X, X + 1), or the root itself: c times its
-    midpoint is within 1/8 of c times the root, so rounded it gives the one
-    candidate to check exactly."""
+    candidate k / c nearest to it.  An exact ``_cell`` is the root; else on
+    a grid 2^-P with 2^P > 4c, c times the cell's centre is within 1/8 of c
+    times the root, so rounded it gives the one candidate to check exactly."""
     lead = h[-1]
-    if not (s_hi := _horner(h, *hi.as_integer_ratio())):
-        return hi
-    bits = max(lead.bit_length() + 2, lo.denominator.bit_length(), hi.denominator.bit_length())
-    one = 1 << bits
-    cell = _narrowed(h if s_hi > 0 else [-x for x in h], int(lo * one), int(hi * one), one,
-                     math.floor(_float_root(h, lo, hi) * one))
-    root = Fraction((lead * sum(cell) + one) >> (bits + 1), lead)
+    a, b, one = _cell(h, lo, hi, lead.bit_length() + 2)
+    if a == b:
+        return Fraction(a, one)
+    root = Fraction((lead * (a + b) + one) // (2 * one), lead)
     return root if lo < root <= hi and not _horner(h, *root.as_integer_ratio()) else None
 
 

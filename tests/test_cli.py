@@ -348,6 +348,27 @@ def test_unusable_file_is_usage_error(tmp_path, capsys, spn_model_file, argv):
     assert "Traceback" not in err
 
 
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, capsys, spn_model_file):
+    # the sidecar is written first, so a script never finds a CSV whose
+    # sidecar is missing and takes it for success
+    out = tmp_path / "o.csv"
+    (tmp_path / "o.csv.json").mkdir()
+    assert main(["spn-density", "--model", spn_model_file, "--xmin", "0.1", "--xmax", "5",
+                 "--points", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_byte_not_utf8_is_named_at_its_position(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"p": 4, \xff}')
+    assert main(["spn-moments", "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed JSON input") and err.count("\n") == 1
+    assert "line 1 column 10 (char 9)" in err
+
+
 def _exit_status(argv):
     try:
         return main(argv)

@@ -335,15 +335,55 @@ CW_EXACT = {
     "tiny-beside-large": (Fraction(1, 10**30), Fraction(3, 10**30), 10**6),
     "zero-beside-large": (0, 0, Fraction(7, 3), 10**12),
     "subnormal": (Fraction(3, 2**1075), Fraction(1, 2**1000), 1),
+    # negative roots that round to 0, which reads 0.0 and never -0.0
+    "negative-to-zero": (Fraction(-3, 2**1080), 1, 2),
+    "signed-pair-to-zero": (Fraction(-3, 2**1080), Fraction(3, 2**1080), 5),
+    "zero-beside-negative-to-zero": (0, Fraction(-1, 2**1076), 7, 7),
 }
 
 
 @pytest.mark.parametrize("values", CW_EXACT.values(), ids=CW_EXACT)
 def test_cw_recovery_exact_is_correctly_rounded(values):
-    # on exact input each eigenvalue is float() of the exact one
+    # on exact input each eigenvalue is float() of the exact one, + 0.0 for
+    # a zero of either sign; compared by hex, where 0.0 and -0.0 differ
     p = len(values)
     r = cw_r_transform(CwModel(p, 2, values), p + 2)
-    assert cw_recover_eigenvalues(r, p, 2) == tuple(float(v) for v in sorted(values))
+    assert [v.hex() for v in cw_recover_eigenvalues(r, p, 2)] == [
+        (float(v) + 0.0).hex() for v in sorted(values)]
+
+
+MAX_FLOAT = Fraction(2**53 - 1) * 2**971
+ROOT_POOL = [
+    Fraction(0),
+    # midpoints between two floats, which round to the even one
+    1 + TIE, 1 + 3 * TIE, Fraction(1, 2**1075), Fraction(3, 2**1075),
+    # roots an ulp apart, and two inside one float spacing
+    Fraction(1), 1 + 2 * TIE, 1 + TIE / 2, 1 + TIE / 4,
+    # subnormal roots, some of which round to 0
+    Fraction(1, 2**1074), Fraction(1, 2**1076), Fraction(3, 2**1080),
+    # at the float limit, on the midpoint to 2^1024, and past it
+    MAX_FLOAT, MAX_FLOAT + 2**969, MAX_FLOAT + 2**970, Fraction(2**1024),
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(ROOT_POOL), st.sampled_from([1, -1])),
+                min_size=2, max_size=5, unique_by=lambda t: t[0] * t[1]))
+def test_float_roots_fallback_is_correctly_rounded(signed):
+    # prod (den x - num): every guess is ordinal 0, so the one-step check
+    # fails and the fallback reads every root.  Each is float(root) + 0.0, or
+    # OverflowError where float(root) overflows
+    roots = sorted(sign * root for root, sign in signed)
+    poly = [1]
+    for r in roots:
+        poly = poly_mul(poly, [-r.numerator, r.denominator])
+    try:
+        expected = [(float(r) + 0.0).hex() for r in roots]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            models._float_roots(poly, [0] * len(roots))
+        return
+    assert [v.hex() for v in models._float_roots(poly, [0] * len(roots))] == expected
 
 
 def test_cw_recovery_sweep_exact_is_correctly_rounded():
@@ -1190,7 +1230,7 @@ def test_remainder_sequence_counts_distinct_real_roots(linear, quadratic, lead):
     bottom = changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in seq])
     assert bottom - top == len(roots)
     if 0 not in roots:
-        assert models._variations(seq, 0, 1) == (top + sum(r > 0 for r in roots), False)
+        assert models._variations(seq, 0, 1) == top + sum(r > 0 for r in roots)
     square_free = len(roots) + 2 * len(set(quadratic))
     assert len(seq[-1]) - 1 == len(h) - 1 - square_free
 

@@ -44,6 +44,14 @@ def test_two_reports_give_the_relative_moves():
         "0.00e+00, largest atom moved 0.00e+00")
 
 
+def test_fields_are_compared_by_repr():
+    # 0.0 == -0.0, but same_bits hashes repr, where they differ
+    signed = {**REPORT, "atoms": (-0.0, 4.0)}
+    assert recover_diff.difference({**REPORT, "atoms": (0.0, 4.0)}, signed) == (
+        "accepted -> accepted; fields: atoms; sigma^2 moved 0.00e+00, "
+        "largest atom moved 0.00e+00")
+
+
 def test_two_spectra_give_the_move_of_the_largest_value():
     assert recover_diff.difference((1.0, 2.0), (1.0, 3.0)) == (
         "accepted -> accepted; largest atom moved 5.00e-01")

@@ -5,9 +5,11 @@
 Hashes (``tools/same_bits.py``) only say that recovery bits moved; this
 names each input that moved.  Each tree runs in a child process that
 imports the package from its own ./src, on the ``spn_recover`` and
-``cw_recover`` corpora of ``same_bits``.  For each input whose outcome
-differs it prints one line: the corpus and the input's index, each tree's
-class (``accepted`` or the error's type), and then
+``cw_recover`` corpora of ``same_bits``.  Outcomes and fields are compared
+by ``repr``, as ``same_bits`` hashes them, so 0.0 and -0.0 differ and two
+nans do not.  For each input whose outcome differs it prints one line: the
+corpus and the input's index, each tree's class (``accepted`` or the
+error's type), and then
 
 - where both accept: the names of the report fields that differ
   (spn_recover), and the relative move of sigma^2 (spn_recover) and of the
@@ -100,7 +102,7 @@ def difference(old, new) -> str:
         return line
     if isinstance(old, tuple):
         return line + f"; largest atom moved {moved(max(old), max(new)):.2e}"
-    fields = ", ".join(k for k in old if old[k] != new[k])
+    fields = ", ".join(k for k in old if repr(old[k]) != repr(new[k]))
     return line + (f"; fields: {fields}; sigma^2 moved "
                    f"{moved(old['sigma_sq_hat'], new['sigma_sq_hat']):.2e}, largest atom "
                    f"moved {moved(max(old['atoms']), max(new['atoms'])):.2e}")
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
     change = run_tree(CHANGE, "recover_diff")
     for name in parent:
         differ = [(i, a, b) for i, (a, b) in enumerate(zip(parent[name], change[name]))
-                  if a != b]
+                  if repr(a) != repr(b)]
         for i, a, b in differ:
             print(f"{name} {i}: {difference(a, b)}")
         print(f"{name} {len(parent[name])}: {len(differ)} differ")
